@@ -73,7 +73,12 @@ class _Sweep:
 
     def expect(self, ok: bool, inputs, lhs, rhs):
         self.tested += 1
-        if not ok and self.counterexample is None:
+        if not ok:
+            self.fail(inputs, lhs, rhs)
+
+    def fail(self, inputs, lhs, rhs):
+        """Record a counterexample unless one is held already; counts nothing."""
+        if self.counterexample is None:
             self.counterexample = {"inputs": [_hx(v) for v in inputs],
                                    "lhs": _hx(lhs), "rhs": _hx(rhs)}
 
@@ -86,9 +91,7 @@ class _Sweep:
             bad = np.nonzero(lhs != rhs)[0]
             if bad.size:
                 i = int(bad[0])
-                ins = [_hx(a[i] if np.ndim(a) else a) for a in inputs]
-                self.counterexample = {"inputs": ins,
-                                       "lhs": _hx(lhs[i]), "rhs": _hx(rhs[i])}
+                self.fail([a[i] if np.ndim(a) else a for a in inputs], lhs[i], rhs[i])
 
 
 def _finish(name: str, params: dict, sweep: _Sweep, t0: float) -> CheckOutcome:
@@ -279,10 +282,9 @@ def check_perm_lemma(m: int, k: int) -> CheckOutcome:
     b_sets = {0: et.b0_packed(), 1: et.b1_packed()}
     # (i): phi is two-to-one from B_e onto T_e
     for e in (0, 1):
-        fibers = Counter(et.phi_p(z) for z in b_sets[e])
-        t_class = {int(x) for x in np.nonzero(ft.tr == e)[0]}
-        ok = set(fibers) == t_class and all(c == 2 for c in fibers.values())
-        sweep.expect(ok, [e], sorted(fibers.values())[0] if fibers else 0, 2)
+        values, counts = np.unique(et.phi_vec(b_sets[e]), return_counts=True)
+        ok = np.array_equal(values, np.nonzero(ft.tr == e)[0]) and bool((counts == 2).all())
+        sweep.expect(ok, [e], counts.min(), 2)
         sweep.tested += q - 1
     # (ii), (iii): the power maps, checked three ways
     parity = {(0, 0): True, (0, 1): k % 2 == 1,
@@ -291,8 +293,7 @@ def check_perm_lemma(m: int, k: int) -> CheckOutcome:
         s = sigma - 1 if widx == 0 else sigma + 1
         for e in (0, 1):
             b = b_sets[e]
-            image = {et.w_p(sigma, widx, z) for z in b}
-            observed = image == set(b)
+            observed = np.array_equal(np.unique(et.w_vec(sigma, widx, b)), np.unique(b))
             gcd_cond = gcd(s, q - 1 if e == 0 else q + 1) == 1
             predicted = parity[(widx, e)]
             sweep.expect(observed == gcd_cond == predicted,
@@ -474,18 +475,21 @@ def check_hitt(m: int, k: int) -> CheckOutcome:
             h = h_value_table(ft, p)
             delta, theta = p.delta, p.theta
             for e in (0, 1):
-                for z in b_sets[(e * (1 + delta * m)) % 2]:
-                    pz = et.phi_p(z)
-                    if pz == PINF or pz >= q:
-                        sweep.expect(False, [z], pz, 0)
-                        continue
-                    lhs = int(h[g[pz ^ (delta * e)]])
-                    pw = et.phi_p(et.w_p(sigma, theta * e, z))
-                    if pw == PINF or pw >= q:
-                        sweep.expect(False, [z], pw, 0)
-                        continue
-                    rhs = pw ^ (gamma * e)
-                    sweep.expect(lhs == rhs, [alpha, gamma, e, z], lhs, rhs)
+                z = b_sets[(e * (1 + delta * m)) % 2]
+                pz = et.phi_vec(z)
+                pw = et.phi_vec(et.w_vec(sigma, theta * e, z))
+                pz_bad = (pz == PINF) | (pz >= q)
+                pw_bad = (pw == PINF) | (pw >= q)
+                lhs = h[g[np.where(pz_bad, 0, pz) ^ (delta * e)]]
+                rhs = pw ^ (gamma * e)
+                sweep.tested += z.size
+                bad = np.nonzero(pz_bad | pw_bad | (lhs != rhs))[0]
+                if bad.size:
+                    i = int(bad[0])
+                    if pz_bad[i] or pw_bad[i]:
+                        sweep.fail([z[i]], pz[i] if pz_bad[i] else pw[i], 0)
+                    else:
+                        sweep.fail([alpha, gamma, e, z[i]], lhs[i], rhs[i])
     return _finish("hitt", {"m": m, "k": k}, sweep, t0)
 
 

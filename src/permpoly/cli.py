@@ -15,13 +15,14 @@ import sys
 from math import gcd
 
 from . import checks
-from .errors import NotCoprime, NotDivisible, OutOfRange, PermpolyError
+from .errors import NotDivisible, OutOfRange, PermpolyError
 from .field import (INFINITY, coprime_ks, element_from_hex, element_to_hex,
                     extension_of, load_field_table, make_field)
 from .maps import (DicksonMethod, eval_dickson, eval_f_alpha, eval_g_beta,
                    eval_h, eval_tk, phi, tau, w_map)
 from .params import derive_params
 from .sparsepoly import expand_h, sp_reduce_mod_field, sp_serialize
+from .tables import EXT_MAX_DEGREE
 
 MAP_NAMES = ("f", "g", "tk", "h", "dickson", "phi", "w0", "w1", "tau")
 
@@ -31,6 +32,9 @@ SUITE_DEFAULT_CAP = {
     "remark3": 12, "remark4": 13, "dickson_linearized": 16,
     "dickson_methods": 5, "polynomiality": 12,
 }
+
+#: suites that sweep GF(2^2m) for every m up to --m-max
+EXT_SUITES = ("perm_lemma", "zsumexp", "h_dickson", "hitt")
 
 
 def _reduction_for(m: int) -> int | None:
@@ -202,6 +206,9 @@ def cmd_verify(args) -> int:
         if suite not in SUITE_DEFAULT_CAP:
             print(f"unknown check: {suite}", file=sys.stderr)
             return 2
+        if suite in EXT_SUITES and args.m_max > EXT_MAX_DEGREE:
+            raise OutOfRange(f"--m-max {args.m_max} exceeds {EXT_MAX_DEGREE}, the largest m "
+                             f"with extension tables, needed by {suite}")
     stream = _out_stream(args)
     all_passed = True
     try:
@@ -284,13 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (NotCoprime, OutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PermpolyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (PermpolyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,7 @@
 """Precomputed lookup tables backing the exhaustive sweeps.
 
-The checkers sweep whole fields (up to 2^16 base elements, 2^20 extension
-elements), so per-element work has to be table lookups on numpy arrays.
+The checkers sweep whole fields (GF(2^m) and GF(2^2m) for m up to
+EXT_MAX_DEGREE), so per-element work has to be table lookups on numpy arrays.
 Everything here is derived from the reference arithmetic in `field` and
 the reference evaluators in `maps`: linear maps are tabulated from their
 images on the polynomial basis, multiplication goes through discrete
@@ -14,12 +14,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import ExtField, FieldSpec, extension_of, make_field
+from .errors import OutOfRange
+from .field import FieldSpec, extension_of, make_field
 from .maps import eval_f_alpha, eval_g_beta
 from .params import ParamSet
 
 #: packed-integer stand-in for the point at infinity
 PINF = -1
+
+#: largest m for which GF(2^2m) tables are built; at m = 12 the exp, log and
+#: squaring tables alone take about 0.4 GB
+EXT_MAX_DEGREE = 12
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -45,6 +50,42 @@ def _subset_xor_table(images: list[int]) -> np.ndarray:
     return table
 
 
+def _exp_by_doubling(nbits: int, mul, gen: int) -> np.ndarray:
+    """gen^i for 0 <= i < 2^nbits - 1 in nbits doubling steps, under `mul`.
+
+    Each step sets exp[size:2*size] = gen^size * exp[:size], the F_2-linear
+    product by a constant tabulated on the low and high halves of the bits.
+    Raises ArithmeticError unless each nonzero element occurs exactly once.
+    """
+    n = (1 << nbits) - 1
+    half = nbits // 2
+    exp = np.empty(n, dtype=np.int64)
+    exp[0] = 1
+    size, step = 1, gen
+    while size < n:
+        images = [mul(step, 1 << j) for j in range(nbits)]
+        lo, hi = _subset_xor_table(images[:half]), _subset_xor_table(images[half:])
+        src = exp[:min(size, n - size)]
+        exp[size:size + src.size] = lo[src & ((1 << half) - 1)] ^ hi[src >> half]
+        size, step = size + src.size, mul(step, step)
+    counts = np.bincount(exp, minlength=n + 1)
+    if counts[0] or not (counts[1:] == 1).all():
+        raise ArithmeticError(f"{gen:#x} is not primitive in GF(2^{nbits})")
+    return exp
+
+
+def _log_exp(nbits: int, mul, pow_, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp/log (log[0] a sentinel) from the first primitive element >= start."""
+    n = (1 << nbits) - 1
+    primes = _prime_factors(n)
+    gen = next(c for c in range(start, n + 1)
+               if all(pow_(c, n // p) != 1 for p in primes))
+    exp = _exp_by_doubling(nbits, mul, gen)
+    log = np.zeros(n + 1, dtype=np.int64)
+    log[exp] = np.arange(n, dtype=np.int64)
+    return exp, log
+
+
 class FieldTables:
     """log/exp/trace tables for one GF(2^m), m >= 2."""
 
@@ -54,19 +95,7 @@ class FieldTables:
         self.spec = spec
         self.q = spec.q
         self.n = spec.q - 1
-        primes = _prime_factors(self.n)
-        gen = next(c for c in range(2, self.q)
-                   if all(spec.pow(c, self.n // p) != 1 for p in primes))
-        times_gen = _subset_xor_table([spec.mul(gen, 1 << i) for i in range(spec.m)]).tolist()
-        exp = [0] * self.n
-        z = 1
-        for i in range(self.n):
-            exp[i] = z
-            z = times_gen[z]
-        assert z == 1
-        self.exp = np.array(exp, dtype=np.int64)
-        self.log = np.zeros(self.q, dtype=np.int64)  # log[0] is a sentinel
-        self.log[self.exp] = np.arange(self.n, dtype=np.int64)
+        self.exp, self.log = _log_exp(spec.m, spec.mul, spec.pow, 2)
         self.tr = _subset_xor_table([spec.trace(1 << i) for i in range(spec.m)])
         self.sq = _subset_xor_table([spec.square(1 << i) for i in range(spec.m)])
 
@@ -80,10 +109,6 @@ class FieldTables:
         for _ in range(k):
             table = self.sq[table]
         return table
-
-    def mul_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = self.exp[(self.log[u] + self.log[v]) % self.n]
-        return np.where((u == 0) | (v == 0), 0, out)
 
     def pow_vec(self, u: np.ndarray, e: int) -> np.ndarray:
         """u^e elementwise; e may be negative (then u must be nonzero)."""
@@ -122,78 +147,43 @@ class ExtTables:
     """Packed log/exp tables for GF(q^2), elements encoded as a | (b << m)."""
 
     def __init__(self, m: int):
+        if not 2 <= m <= EXT_MAX_DEGREE:
+            raise OutOfRange(f"extension tables need 2 <= m <= {EXT_MAX_DEGREE}, got m={m}")
         self.m = m
         self.q = 1 << m
         self.Q = self.q * self.q
         self.n = self.Q - 1
         self.spec = make_field(m)
-        self.ext = extension_of(self.spec)
+        ext = self.ext = extension_of(self.spec)
         self.base = field_tables(m)
-        nbits = 2 * m
-
-        def unpack(z: int):
-            return (z & (self.q - 1), z >> m)
-
-        def pack(t) -> int:
-            return t[0] | (t[1] << m)
-
-        self.pack, self.unpack = pack, unpack
-        primes = _prime_factors(self.n)
-        ext = self.ext
-        gen = next(c for c in range(2, self.Q)
-                   if all(ext.pow(unpack(c), self.n // p) != ExtField.ONE for p in primes))
-        times_gen = _subset_xor_table(
-            [pack(ext.mul(unpack(gen), unpack(1 << j))) for j in range(nbits)]).tolist()
-        exp = [0] * self.n
-        z = 1
-        for i in range(self.n):
-            exp[i] = z
-            z = times_gen[z]
-        assert z == 1
-        self.exp = np.array(exp, dtype=np.int64)
-        self.log = np.zeros(self.Q, dtype=np.int64)
-        self.log[self.exp] = np.arange(self.n, dtype=np.int64)
-        self.sq = _subset_xor_table(
-            [pack(ext.square(unpack(1 << j))) for j in range(nbits)])
-        self._exp_list = self.exp.tolist()
-        self._log_list = self.log.tolist()
+        self.unpack = unpack = lambda z: (z & (self.q - 1), z >> m)
+        self.pack = pack = lambda t: t[0] | (t[1] << m)
+        # every element below q lies in GF(q)*, whose order divides q - 1,
+        # so no primitive element of GF(q^2) is skipped by starting at q
+        self.exp, self.log = _log_exp(2 * m, lambda a, b: pack(ext.mul(unpack(a), unpack(b))),
+                                      lambda c, e: pack(ext.pow(unpack(c), e)), self.q)
+        self.sq = _subset_xor_table([pack(ext.square(unpack(1 << j))) for j in range(2 * m)])
         self._g0_tables: dict[int, np.ndarray] = {}
         self._zmap = None
 
-    # -- scalar helpers on packed elements (PINF = infinity) ---------------
+    # -- projective maps on packed arrays (PINF = infinity) -----------------
 
-    def mul_p(self, z1: int, z2: int) -> int:
-        if z1 == 0 or z2 == 0:
-            return 0
-        return self._exp_list[(self._log_list[z1] + self._log_list[z2]) % self.n]
+    def phi_vec(self, z: np.ndarray) -> np.ndarray:
+        """1/(z + 1/z) elementwise; PINF and 0 map to 0, 1 to PINF."""
+        out = np.zeros(z.shape, dtype=np.int64)
+        sel = z > 1
+        y = z[sel] ^ self.exp[(-self.log[z[sel]]) % self.n]
+        out[sel] = self.exp[(-self.log[y]) % self.n]
+        out[z == 1] = PINF
+        return out
 
-    def inv_p(self, z: int) -> int:
-        if z == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self._exp_list[(-self._log_list[z]) % self.n]
-
-    def pow_p(self, z: int, e: int) -> int:
-        if z == 0:
-            if e <= 0:
-                raise ZeroDivisionError("0 to a nonpositive power")
-            return 0
-        return self._exp_list[(e * self._log_list[z]) % self.n]
-
-    def phi_p(self, z: int) -> int:
-        """1/(z + 1/z) on packed values; PINF and 0 map to 0, 1 to PINF."""
-        if z == PINF or z == 0:
-            return 0
-        if z == 1:
-            return PINF
-        y = z ^ self.inv_p(z)
-        return self.inv_p(y)
-
-    def w_p(self, sigma: int, e: int, z: int) -> int:
-        if z == PINF:
-            return PINF
-        if z == 0:
-            return 0
-        return self.pow_p(z, sigma - 1 if e == 0 else sigma + 1)
+    def w_vec(self, sigma: int, e: int, z: np.ndarray) -> np.ndarray:
+        """z^(sigma - 1) for e = 0, z^(sigma + 1) for e = 1; fixes 0 and PINF."""
+        s = sigma - 1 if e == 0 else sigma + 1
+        out = np.array(z, dtype=np.int64)
+        sel = out > 0
+        out[sel] = self.exp[(s * self.log[out[sel]]) % self.n]
+        return out
 
     # -- derived tables ------------------------------------------------------
 
@@ -211,14 +201,17 @@ class ExtTables:
                 [self.pack(g0(self.unpack(1 << j))) for j in range(2 * self.m)])
         return self._g0_tables[k]
 
-    def b0_packed(self) -> list[int]:
-        return [x for x in range(self.q) if x != 1] + [PINF]
+    def b0_packed(self) -> np.ndarray:
+        """B_0 = GF(q) minus {1}, plus PINF."""
+        return np.concatenate(([0], np.arange(2, self.q), [PINF])).astype(np.int64)
 
-    def b1_packed(self) -> list[int]:
-        """B_1 as powers theta^((q-1)i); asserted against the norm-1 form."""
-        members = [self._exp_list[((self.q - 1) * i) % self.n] for i in range(1, self.q + 1)]
-        assert len(set(members)) == self.q and 1 not in members
-        assert all(self.pow_p(z, self.q + 1) == 1 for z in members)
+    def b1_packed(self) -> np.ndarray:
+        """B_1 as powers theta^((q-1)i), checked against the norm-1 form."""
+        members = self.exp[((self.q - 1) * np.arange(1, self.q + 1)) % self.n]
+        if np.unique(members).size != self.q or (members == 1).any():
+            raise ArithmeticError(f"B_1 powers are not q = {self.q} elements other than 1")
+        if not (self.exp[((self.q + 1) * self.log[members]) % self.n] == 1).all():
+            raise ArithmeticError("a B_1 power has norm other than 1")
         return members
 
     def zmap(self) -> np.ndarray:
@@ -230,7 +223,8 @@ class ExtTables:
             mask = y < self.q
             zm = np.zeros(self.q, dtype=np.int64)
             zm[y[mask]] = z[mask]
-            assert np.all(zm > 0)
+            if not (zm > 0).all():
+                raise ArithmeticError("some base-field x has no z with z + 1/z = x")
             self._zmap = zm
         return self._zmap
 

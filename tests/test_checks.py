@@ -6,6 +6,7 @@ from permpoly.checks import (NOT_A_CLASS, check_dickson_linearized,
                              check_nobauer, check_perm_lemma,
                              check_polynomiality, check_remark3,
                              check_remark4, check_zsumexp, is_permutation)
+from permpoly.field import coprime_ks
 
 
 def test_is_permutation():
@@ -63,6 +64,20 @@ def test_perm_lemma_and_zsum():
     for m, k in ((2, 1), (3, 2), (5, 3)):
         assert check_perm_lemma(m, k).passed
         assert check_zsumexp(m, k).passed
+
+
+# (passed, tested) of the scalar-loop implementation these checks replaced:
+# m -> (perm_lemma tested, hitt tested), the same for every coprime k
+B_SET_COUNTS = {2: (24, 36), 3: (48, 68), 4: (96, 132), 5: (192, 260),
+                6: (384, 516), 7: (768, 1028), 8: (1536, 2052)}
+
+
+def test_b_set_checks_keep_their_counts():
+    for m, (perm_tested, hitt_tested) in B_SET_COUNTS.items():
+        for k in coprime_ks(m):
+            perm, hitt = check_perm_lemma(m, k), check_hitt(m, k)
+            assert (perm.passed, perm.tested) == (True, perm_tested), (m, k)
+            assert (hitt.passed, hitt.tested) == (True, hitt_tested), (m, k)
 
 
 def test_h_dickson_and_hitt():

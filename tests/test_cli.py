@@ -130,6 +130,13 @@ def test_verify_unknown_suite(capsys):
     assert code == 2 and "unknown check" in err
 
 
+@pytest.mark.parametrize("suite", ["zsumexp", "hitt", "all"])
+def test_verify_refuses_extension_degree_over_ceiling(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--m-max", "13")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "12" in err
+
+
 def test_verify_to_file(tmp_path, capsys):
     path = tmp_path / "out.ndjson"
     code, out, _ = run(capsys, "--out", str(path), "verify",

@@ -1,0 +1,90 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import permpoly
+from permpoly import OutOfRange
+from permpoly.tables import _exp_by_doubling, ext_tables, field_tables
+
+ENV = {**os.environ, "PYTHONPATH": str(Path(permpoly.__file__).resolve().parents[1])}
+
+
+def _powers(mul, one, gen, count):
+    """gen^0 .. gen^(count-1) by repeated scalar multiplication."""
+    out, acc = [], one
+    for _ in range(count):
+        out.append(acc)
+        acc = mul(acc, gen)
+    return out, acc
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_field_exp_matches_scalar_powers(m):
+    ft = field_tables(m)
+    gen = int(ft.exp[1])
+    powers, cycle = _powers(ft.spec.mul, 1, gen, ft.n)
+    assert ft.exp.tolist() == powers and cycle == 1
+    assert all(int(ft.log[x]) == i for i, x in enumerate(powers))
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_ext_exp_matches_scalar_powers(m):
+    et = ext_tables(m)
+    gen = et.unpack(int(et.exp[1]))
+    powers, cycle = _powers(et.ext.mul, et.ext.ONE, gen, et.n)
+    assert [et.unpack(int(z)) for z in et.exp] == powers
+    assert cycle == et.ext.ONE
+
+
+def test_doubling_rejects_non_primitive_elements():
+    spec = field_tables(5).spec
+    with pytest.raises(ArithmeticError):
+        _exp_by_doubling(5, spec.mul, 1)
+    et = ext_tables(3)
+
+    def ext_mul(a, b):
+        return et.pack(et.ext.mul(et.unpack(a), et.unpack(b)))
+
+    for base_element in (1, 2, et.q - 1):  # all in GF(q)*, orders divide q - 1
+        with pytest.raises(ArithmeticError):
+            _exp_by_doubling(6, ext_mul, base_element)
+
+
+def test_ext_tables_refuse_degree_over_ceiling():
+    with pytest.raises(OutOfRange):
+        ext_tables(13)
+
+
+def _cli(*flags, suite):
+    cmd = [sys.executable, *flags, "-m", "permpoly.cli", "--format", "json",
+           "verify", "--suite", suite, "--m-max", "6"]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=ENV,
+                          timeout=120)
+    records = [json.loads(line) for line in done.stdout.splitlines()]
+    return done.returncode, [(r["check"], r["params"], r["passed"], r["tested"],
+                              r["counterexample"]) for r in records]
+
+
+@pytest.mark.parametrize("suite", ["hitt", "perm_lemma"])
+def test_verdicts_survive_optimized_python(suite):
+    code_o, records_o = _cli("-O", suite=suite)
+    code, records = _cli(suite=suite)
+    assert code_o == code == 0
+    assert records_o == records and len(records) == 11
+
+
+def test_table_guard_survives_optimized_python():
+    script = ("import sys\n"
+              "from permpoly.tables import _exp_by_doubling, field_tables\n"
+              "if not sys.flags.optimize: sys.exit('not optimized')\n"
+              "try:\n"
+              "    _exp_by_doubling(4, field_tables(4).spec.mul, 1)\n"
+              "except ArithmeticError:\n"
+              "    print('raised')\n")
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=ENV, timeout=120)
+    assert done.returncode == 0 and done.stdout.strip() == "raised", done.stderr
