@@ -7,7 +7,7 @@ from .field import (INFINITY, ExtField, FieldSpec, build_b_set, coprime_ks,
                     load_field_table, make_field, smallest_irreducible)
 from .maps import (DicksonMethod, dickson_exponents, eval_dickson,
                    eval_f_alpha, eval_g_beta, eval_h, eval_h_via_identity,
-                   eval_tk, phi, tau, w_map)
+                   phi, tau, w_map)
 from .params import ParamSet, derive_params
 from .sparsepoly import (expand_h, sp_add, sp_div_x2, sp_eval, sp_mul,
                          sp_parse, sp_pow2k, sp_reduce_mod_field,

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import gcd
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +38,6 @@ class PermutationReport:
     image_of_t1: int
     t0_bijective: bool
     t1_bijective: bool
-    elapsed: float
 
     @property
     def agree(self) -> bool:
@@ -65,9 +65,10 @@ def _hx(v) -> str:
 
 
 class _Sweep:
-    """Counts comparisons and records the first counterexample."""
+    """Counts comparisons, records the first counterexample, and times the check."""
 
     def __init__(self):
+        self.start = time.perf_counter()
         self.tested = 0
         self.counterexample = None
 
@@ -94,11 +95,11 @@ class _Sweep:
                 self.fail([a[i] if np.ndim(a) else a for a in inputs], lhs[i], rhs[i])
 
 
-def _finish(name: str, params: dict, sweep: _Sweep, t0: float) -> CheckOutcome:
+def _finish(name: str, params: dict, sweep: _Sweep) -> CheckOutcome:
     return CheckOutcome(check=name, params=params,
                         passed=sweep.counterexample is None,
                         tested=sweep.tested, counterexample=sweep.counterexample,
-                        ms=(time.perf_counter() - t0) * 1000.0)
+                        ms=(time.perf_counter() - sweep.start) * 1000.0)
 
 
 def is_permutation(mapping, spec: FieldSpec) -> bool:
@@ -106,13 +107,28 @@ def is_permutation(mapping, spec: FieldSpec) -> bool:
     return len({mapping(x) for x in spec.elements()}) == spec.q
 
 
-def _class_of(ft, image: np.ndarray) -> int:
+def _on_class(ft, tab: np.ndarray, idx: np.ndarray) -> tuple[int, bool]:
+    """Where `tab` sends the trace class `idx`: the class holding the whole
+    image (NOT_A_CLASS if it meets both), and whether `tab` is injective there."""
+    image = tab[idx]
     traces = ft.tr[image]
-    if not traces.any():
-        return 0
-    if traces.all():
-        return 1
-    return NOT_A_CLASS
+    cls = 0 if not traces.any() else 1 if traces.all() else NOT_A_CLASS
+    return cls, int(np.unique(image).size) == idx.size
+
+
+def _mul_table(spec: FieldSpec) -> np.ndarray:
+    """The full q x q multiplication table, from the scalar arithmetic."""
+    return np.array([[spec.mul(x, y) for y in spec.elements()] for x in spec.elements()],
+                    dtype=np.int64)
+
+
+def _dickson_rows(mul: np.ndarray, a: int, n_max: int):
+    """(n, D_n(x, a) for every x) for n = 1..n_max, by D_n = x*D_(n-1) + a*D_(n-2)."""
+    xs = np.arange(len(mul), dtype=np.int64)
+    prev, cur = np.zeros_like(xs), xs
+    for n in range(1, n_max + 1):
+        yield n, cur
+        prev, cur = cur, mul[xs, cur] ^ mul[a, prev]
 
 
 # ---------------------------------------------------------------------------
@@ -127,26 +143,21 @@ def check_main_theorem(m: int, k: int) -> list[PermutationReport]:
     reports = []
     for alpha in (0, 1):
         for gamma in (0, 1):
-            start = time.perf_counter()
             p = derive_params(m, k, alpha=alpha, gamma=gamma)
             h = h_value_table(ft, p)
             counts = np.bincount(h, minlength=ft.q)
-            img0 = h[t0_idx]
-            img1 = h[t1_idx]
+            class0, bijective0 = _on_class(ft, h, t0_idx)
+            class1, bijective1 = _on_class(ft, h, t1_idx)
             reports.append(PermutationReport(
                 m=m, k=k, alpha=alpha, gamma=gamma,
                 is_permutation=bool((counts == 1).all()),
                 predicted_by_theorem=(p.r + (alpha + gamma) * m) % 2 == 1,
-                image_of_t0=_class_of(ft, img0),
-                image_of_t1=_class_of(ft, img1),
-                t0_bijective=int(np.unique(img0).size) == t0_idx.size,
-                t1_bijective=int(np.unique(img1).size) == t1_idx.size,
-                elapsed=time.perf_counter() - start))
+                image_of_t0=class0, image_of_t1=class1,
+                t0_bijective=bijective0, t1_bijective=bijective1))
     return reports
 
 
 def check_main_theorem_outcome(m: int, k: int) -> CheckOutcome:
-    t0 = time.perf_counter()
     sweep = _Sweep()
     for rep in check_main_theorem(m, k):
         expected_t1 = (derive_params(m, k, alpha=rep.alpha).r
@@ -157,7 +168,7 @@ def check_main_theorem_outcome(m: int, k: int) -> CheckOutcome:
         sweep.expect(ok, [rep.alpha, rep.gamma],
                      rep.is_permutation, rep.predicted_by_theorem)
         sweep.tested += (1 << m) - 1
-    return _finish("main_theorem", {"m": m, "k": k}, sweep, t0)
+    return _finish("main_theorem", {"m": m, "k": k}, sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -168,23 +179,16 @@ def check_nobauer(m_max: int) -> CheckOutcome:
     """Permutation status of D_n(X, a) against gcd(n, q^2 - 1) = 1."""
     if m_max > 5:
         raise OutOfRange(f"m_max={m_max} exceeds the runtime guard 5")
-    t0 = time.perf_counter()
     sweep = _Sweep()
     for m in range(2, m_max + 1):
-        spec = make_field(m)
-        q = spec.q
-        mul = np.array([[spec.mul(x, y) for y in range(q)] for x in range(q)],
-                       dtype=np.int64)
-        xs = np.arange(q, dtype=np.int64)
+        q = 1 << m
+        mul = _mul_table(make_field(m))
         for a in range(1, q):
-            prev = np.zeros(q, dtype=np.int64)
-            cur = xs.copy()
-            for n in range(1, q * q):
-                observed = int(np.unique(cur).size) == q
+            for n, dn in _dickson_rows(mul, a, q * q - 1):
+                observed = int(np.unique(dn).size) == q
                 predicted = gcd(n, q * q - 1) == 1
                 sweep.expect(observed == predicted, [m, a, n], observed, predicted)
-                prev, cur = cur, mul[xs, cur] ^ mul[a, prev]
-    return _finish("nobauer", {"m_max": m_max}, sweep, t0)
+    return _finish("nobauer", {"m_max": m_max}, sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +196,6 @@ def check_nobauer(m_max: int) -> CheckOutcome:
 # ---------------------------------------------------------------------------
 
 def check_fgprop(m: int, k: int) -> CheckOutcome:
-    t0 = time.perf_counter()
     sweep = _Sweep()
     ft = field_tables(m)
     q = ft.q
@@ -218,13 +221,9 @@ def check_fgprop(m: int, k: int) -> CheckOutcome:
             sweep.compare([xs], ft.sq[g] ^ g, frobk[xs] ^ xs)
             # (iv), (v): trace-class bijectivity and the permutation parity
             for tab, par in ((fa, f_par), (g, g_par)):
-                img0, img1 = tab[t0_idx], tab[t1_idx]
-                sweep.expect(_class_of(ft, img0) == 0
-                             and int(np.unique(img0).size) == t0_idx.size,
-                             [0], _class_of(ft, img0), 0)
-                sweep.expect(_class_of(ft, img1) == par
-                             and int(np.unique(img1).size) == t1_idx.size,
-                             [1], _class_of(ft, img1), par)
+                for e, idx, target in ((0, t0_idx, 0), (1, t1_idx, par)):
+                    cls, bijective = _on_class(ft, tab, idx)
+                    sweep.expect(cls == target and bijective, [e], cls, target)
                 observed_pp = int(np.unique(tab).size) == q
                 sweep.expect(observed_pp == (par == 1), [par], observed_pp, par == 1)
             # (vi): composition collapses to x + delta*Tr(x)
@@ -244,12 +243,11 @@ def check_fgprop(m: int, k: int) -> CheckOutcome:
                     lhs = (m * theta) % 2
                     rhs = (k + beta * m + k * (1 + delta * m)) % 2
                     sweep.expect(lhs == rhs, [alpha, beta, lam], lhs, rhs)
-    return _finish("fgprop", {"m": m, "k": k}, sweep, t0)
+    return _finish("fgprop", {"m": m, "k": k}, sweep)
 
 
 def check_hprop(m: int, k: int) -> CheckOutcome:
     """Both claims: the rewritten H form, and the trace multiplier of H."""
-    t0 = time.perf_counter()
     sweep = _Sweep()
     ft = field_tables(m)
     xs = np.arange(ft.q, dtype=np.int64)
@@ -265,7 +263,7 @@ def check_hprop(m: int, k: int) -> CheckOutcome:
             sweep.compare([xs], h, alt)
             par = (p.r + (alpha + gamma) * m) % 2
             sweep.compare([xs], ft.tr[h], par * ft.tr)
-    return _finish("hprop", {"m": m, "k": k}, sweep, t0)
+    return _finish("hprop", {"m": m, "k": k}, sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +271,6 @@ def check_hprop(m: int, k: int) -> CheckOutcome:
 # ---------------------------------------------------------------------------
 
 def check_perm_lemma(m: int, k: int) -> CheckOutcome:
-    t0 = time.perf_counter()
     sweep = _Sweep()
     et = ext_tables(m)
     ft = et.base
@@ -299,11 +296,10 @@ def check_perm_lemma(m: int, k: int) -> CheckOutcome:
             sweep.expect(observed == gcd_cond == predicted,
                          [widx, e], observed, predicted)
             sweep.tested += q - 1
-    return _finish("perm_lemma", {"m": m, "k": k}, sweep, t0)
+    return _finish("perm_lemma", {"m": m, "k": k}, sweep)
 
 
 def check_zsumexp(m: int, k: int, chunk: int = 1 << 18) -> CheckOutcome:
-    t0 = time.perf_counter()
     sweep = _Sweep()
     et = ext_tables(m)
     n = et.n
@@ -339,7 +335,7 @@ def check_zsumexp(m: int, k: int, chunk: int = 1 << 18) -> CheckOutcome:
         sweep.compare([z], 1 ^ gsq, rhs1)
         # the expansion of (z + 1/z)^(sigma+1) used to prove (ii)
         sweep.compare([z], et.exp[((sigma + 1) * ly) % n], w1 ^ w0 ^ w0inv ^ w1inv)
-    return _finish("zsumexp", {"m": m, "k": k}, sweep, t0)
+    return _finish("zsumexp", {"m": m, "k": k}, sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +343,6 @@ def check_zsumexp(m: int, k: int, chunk: int = 1 << 18) -> CheckOutcome:
 # ---------------------------------------------------------------------------
 
 def check_h_dickson(m: int, k: int) -> CheckOutcome:
-    t0 = time.perf_counter()
     sweep = _Sweep()
     ft = field_tables(m)
     et = ext_tables(m)
@@ -383,14 +378,13 @@ def check_h_dickson(m: int, k: int) -> CheckOutcome:
         predicted = (p.r + a * m) % 2 == 1
         sweep.expect(observed == predicted, [a], observed, predicted)
         sweep.tested += q - 1
-    return _finish("h_dickson", {"m": m, "k": k}, sweep, t0)
+    return _finish("h_dickson", {"m": m, "k": k}, sweep)
 
 
 def check_dickson_linearized(k_max: int) -> CheckOutcome:
     """Symbolic and pointwise forms of D_{2^k-1} = X^(2^k+1) * T_k(1/X)^2."""
     if k_max > 16:
         raise OutOfRange(f"k_max={k_max} exceeds the guard 16")
-    t0 = time.perf_counter()
     sweep = _Sweep()
     for k in range(1, k_max + 1):
         lhs = set(dickson_exponents((1 << k) - 1))
@@ -416,30 +410,25 @@ def check_dickson_linearized(k_max: int) -> CheckOutcome:
                            ft.exp[(((1 << k) + 1) * ft.log[xs]
                                    + 2 * ft.log[tk]) % n])
             sweep.compare([xs], dval, rhs)
-    return _finish("dickson_linearized", {"k_max": k_max}, sweep, t0)
+    return _finish("dickson_linearized", {"k_max": k_max}, sweep)
 
 
 def check_dickson_methods(m_max: int) -> CheckOutcome:
     """Recurrence / closed-form / functional evaluation agree on all x, n <= q^2."""
     if m_max > 5:
         raise OutOfRange(f"m_max={m_max} exceeds the runtime guard 5")
-    t0 = time.perf_counter()
     sweep = _Sweep()
     for m in range(2, m_max + 1):
-        spec = make_field(m)
         et = ext_tables(m)
-        q = spec.q
+        q = et.q
         qn = q - 1
-        mul = np.array([[spec.mul(x, y) for y in range(q)] for x in range(q)],
-                       dtype=np.int64)
+        mul = _mul_table(make_field(m))
         xs = np.arange(q, dtype=np.int64)
         pow_rows = [np.ones(q, dtype=np.int64)]
         for _ in range(1, q):
             pow_rows.append(mul[pow_rows[-1], xs])
         lz = et.log[et.zmap()]
-        prev = np.zeros(q, dtype=np.int64)
-        cur = xs.copy()
-        for n in range(1, q * q + 1):
+        for n, cur in _dickson_rows(mul, 1, q * q):
             reduced = Counter(e if e == 0 else 1 + (e - 1) % qn
                               for e in dickson_exponents(n))
             closed = np.zeros(q, dtype=np.int64)
@@ -449,8 +438,7 @@ def check_dickson_methods(m_max: int) -> CheckOutcome:
             functional = et.exp[(n * lz) % et.n] ^ et.exp[(-n * lz) % et.n]
             sweep.compare([np.full(q, n), xs], cur, closed)
             sweep.compare([np.full(q, n), xs], cur, functional)
-            prev, cur = cur, mul[xs, cur] ^ prev
-    return _finish("dickson_methods", {"m_max": m_max}, sweep, t0)
+    return _finish("dickson_methods", {"m_max": m_max}, sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +447,6 @@ def check_dickson_methods(m_max: int) -> CheckOutcome:
 
 def check_hitt(m: int, k: int) -> CheckOutcome:
     """The single equation covering injectivity on both trace classes."""
-    t0 = time.perf_counter()
     sweep = _Sweep()
     ft = field_tables(m)
     et = ext_tables(m)
@@ -490,14 +477,13 @@ def check_hitt(m: int, k: int) -> CheckOutcome:
                         sweep.fail([z[i]], pz[i] if pz_bad[i] else pw[i], 0)
                     else:
                         sweep.fail([alpha, gamma, e, z[i]], lhs[i], rhs[i])
-    return _finish("hitt", {"m": m, "k": k}, sweep, t0)
+    return _finish("hitt", {"m": m, "k": k}, sweep)
 
 
 def check_remark3(m: int) -> CheckOutcome:
     """h(x) = x + 1/x + 1/x^2 permutes T_1; H_{1,1} with k = 1 fixes T_0."""
     if m < 2:
         raise PreconditionFailed(f"m={m} must be >= 2")
-    t0 = time.perf_counter()
     sweep = _Sweep()
     ft = field_tables(m)
     t1 = np.nonzero(ft.tr == 1)[0].astype(np.int64)
@@ -511,13 +497,12 @@ def check_remark3(m: int) -> CheckOutcome:
     t0_idx = np.nonzero(ft.tr == 0)[0].astype(np.int64)
     sweep.compare([t0_idx], htab[t0_idx], t0_idx)
     sweep.compare([t1], htab[t1], h)
-    return _finish("remark3", {"m": m}, sweep, t0)
+    return _finish("remark3", {"m": m}, sweep)
 
 
 def check_remark4(m: int, k: int) -> CheckOutcome:
     if (2 * k) % m != 1:
         raise PreconditionFailed(f"2k = {2 * k} is not 1 mod m = {m}")
-    t0 = time.perf_counter()
     sweep = _Sweep()
     p00 = derive_params(m, k)
     sigma = p00.sigma
@@ -536,13 +521,9 @@ def check_remark4(m: int, k: int) -> CheckOutcome:
     p01 = derive_params(m, k, gamma=1)
     h01 = h_value_table(ft, p01)
     for h, t1_target in ((h00, 0), (h01, 1)):
-        img0, img1 = h[t0_idx], h[t1_idx]
-        sweep.expect(_class_of(ft, img0) == 0
-                     and int(np.unique(img0).size) == t0_idx.size,
-                     [0], _class_of(ft, img0), 0)
-        sweep.expect(_class_of(ft, img1) == t1_target
-                     and int(np.unique(img1).size) == t1_idx.size,
-                     [1], _class_of(ft, img1), t1_target)
+        for e, idx, target in ((0, t0_idx, 0), (1, t1_idx, t1_target)):
+            cls, bijective = _on_class(ft, h, idx)
+            sweep.expect(cls == target and bijective, [e], cls, target)
         sweep.tested += ft.q - 2
     # (c) the simplified 5-term polynomial: a PP that agrees with H_01
     xs = np.arange(ft.q, dtype=np.int64)
@@ -558,7 +539,7 @@ def check_remark4(m: int, k: int) -> CheckOutcome:
     lhs = sp_reduce_mod_field(expand_h(p01), m)
     rhs = sp_reduce_mod_field(five_poly, m)
     sweep.expect(lhs == rhs, [m, k], min(lhs ^ rhs, default=0), 0)
-    return _finish("remark4", {"m": m, "k": k}, sweep, t0)
+    return _finish("remark4", {"m": m, "k": k}, sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +548,6 @@ def check_remark4(m: int, k: int) -> CheckOutcome:
 
 def check_polynomiality(m_max: int) -> CheckOutcome:
     """expand_h never fails exact division; reduced form matches the evaluator."""
-    t0 = time.perf_counter()
     sweep = _Sweep()
     for m in range(2, m_max + 1):
         ft = field_tables(m) if m <= 10 else None
@@ -587,4 +567,50 @@ def check_polynomiality(m_max: int) -> CheckOutcome:
                         for e in sp_reduce_mod_field(poly, m):
                             values ^= ft.pow_vec(xs, e)
                         sweep.compare([xs], values, h_value_table(ft, p))
-    return _finish("polynomiality", {"m_max": m_max}, sweep, t0)
+    return _finish("polynomiality", {"m_max": m_max}, sweep)
+
+
+# ---------------------------------------------------------------------------
+# the registry read by `permpoly verify` and the acceptance tests
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Check:
+    """One named check: its checker, and the argument tuples it sweeps up to a cap."""
+
+    fn: Callable[..., CheckOutcome]
+    grid: Callable[[int], list[tuple]]
+    default_cap: int
+    #: builds extension tables for every m up to the cap, so the cap may
+    #: not exceed tables.EXT_MAX_DEGREE
+    ext_up_to_cap: bool = False
+
+
+def _coprime_grid(cap: int) -> list[tuple]:
+    return [(m, k) for m in range(2, cap + 1) for k in coprime_ks(m)]
+
+
+#: Every check, in `verify --suite all` order.
+CHECKS = {
+    "main_theorem": Check(check_main_theorem_outcome, _coprime_grid, 12),
+    "nobauer": Check(check_nobauer, lambda cap: [(min(cap, 5),)], 5),
+    "fgprop": Check(check_fgprop, _coprime_grid, 12),
+    "hprop": Check(check_hprop, _coprime_grid, 12),
+    "perm_lemma": Check(check_perm_lemma, _coprime_grid, 10, ext_up_to_cap=True),
+    "zsumexp": Check(check_zsumexp, _coprime_grid, 10, ext_up_to_cap=True),
+    "h_dickson": Check(check_h_dickson, _coprime_grid, 10, ext_up_to_cap=True),
+    "hitt": Check(check_hitt, _coprime_grid, 10, ext_up_to_cap=True),
+    "remark3": Check(check_remark3, lambda cap: [(m,) for m in range(2, cap + 1)], 12),
+    "remark4": Check(check_remark4,
+                     lambda cap: [(m, (m + 1) // 2) for m in range(3, cap + 1, 2)], 13),
+    "dickson_linearized": Check(check_dickson_linearized, lambda cap: [(min(cap, 16),)], 16),
+    "dickson_methods": Check(check_dickson_methods, lambda cap: [(min(cap, 5),)], 5),
+    "polynomiality": Check(check_polynomiality, lambda cap: [(cap,)], 12),
+}
+
+
+def run_check(name: str, cap: int):
+    """Yield the outcome of check `name` at every grid point up to `cap`."""
+    check = CHECKS[name]
+    for args in check.grid(cap):
+        yield check.fn(*args)

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage/parameter error, 3 cross-check disagreement,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -16,25 +17,15 @@ from math import gcd
 
 from . import checks
 from .errors import NotDivisible, OutOfRange, PermpolyError
-from .field import (INFINITY, coprime_ks, element_from_hex, element_to_hex,
-                    extension_of, load_field_table, make_field)
+from .field import (INFINITY, element_to_hex, extension_of, load_field_table,
+                    make_field)
 from .maps import (DicksonMethod, eval_dickson, eval_f_alpha, eval_g_beta,
-                   eval_h, eval_tk, phi, tau, w_map)
+                   eval_h, phi, tau, w_map)
 from .params import derive_params
 from .sparsepoly import expand_h, sp_reduce_mod_field, sp_serialize
 from .tables import EXT_MAX_DEGREE
 
 MAP_NAMES = ("f", "g", "tk", "h", "dickson", "phi", "w0", "w1", "tau")
-
-SUITE_DEFAULT_CAP = {
-    "main_theorem": 12, "nobauer": 5, "fgprop": 12, "hprop": 12,
-    "perm_lemma": 10, "zsumexp": 10, "h_dickson": 10, "hitt": 10,
-    "remark3": 12, "remark4": 13, "dickson_linearized": 16,
-    "dickson_methods": 5, "polynomiality": 12,
-}
-
-#: suites that sweep GF(2^2m) for every m up to --m-max
-EXT_SUITES = ("perm_lemma", "zsumexp", "h_dickson", "hitt")
 
 
 def _reduction_for(m: int) -> int | None:
@@ -44,15 +35,28 @@ def _reduction_for(m: int) -> int | None:
     return load_field_table(path).get(m)
 
 
-def _out_stream(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="ascii")
-    return sys.stdout
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, closed when the block ends, or stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", encoding="ascii") as stream:
+        yield stream
+
+
+def _hex_arg(value: str | None, flag: str, bound: int) -> int:
+    """A required hex operand, which must lie in 0..bound-1."""
+    if value is None:
+        raise OutOfRange(f"{flag} is required")
+    x = int(value, 16)
+    if not 0 <= x < bound:
+        raise OutOfRange(f"{flag} {value} is outside 0..{bound - 1:x}")
+    return x
 
 
 def _emit_rows(args, rows: list[dict], header: list[str]) -> None:
-    stream = _out_stream(args)
-    try:
+    with _output(args) as stream:
         if args.format == "json":
             for row in rows:
                 print(json.dumps(row), file=stream)
@@ -63,9 +67,6 @@ def _emit_rows(args, rows: list[dict], header: list[str]) -> None:
         else:
             for row in rows:
                 print(" ".join(f"{key}={row[key]}" for key in header), file=stream)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
 
 
 # ---------------------------------------------------------------------------
@@ -91,26 +92,23 @@ def cmd_eval(args) -> int:
     field = make_field(args.m, _reduction_for(args.m))
     name = args.map
     if name == "dickson":
-        x = element_from_hex(args.x)
-        methods = {"recurrence": DicksonMethod.RECURRENCE,
-                   "closed_form": DicksonMethod.CLOSED_FORM,
-                   "functional": DicksonMethod.FUNCTIONAL}
+        x = _hex_arg(args.x, "--x", field.q)
+        a = _hex_arg(args.a, "--a", field.q)
         if args.cross_check:
-            values = {label: eval_dickson(field, args.n, x, method, a=args.a)
-                      for label, method in methods.items() if args.a == 1 or label == "recurrence"}
+            values = {method.value: eval_dickson(field, args.n, x, method, a=a)
+                      for method in DicksonMethod if a == 1 or method is DicksonMethod.RECURRENCE}
             if len(set(values.values())) != 1:
                 print(f"cross-check disagreement: {values}", file=sys.stderr)
                 return 3
             value = next(iter(values.values()))
         else:
-            value = eval_dickson(field, args.n, x, methods[args.method], a=args.a)
+            value = eval_dickson(field, args.n, x, DicksonMethod(args.method), a=a)
     elif name in ("phi", "w0", "w1"):
         ext = extension_of(field)
-        z = args.z
-        if z == "inf":
+        if args.z == "inf":
             zval = INFINITY
         else:
-            packed = int(z, 16)
+            packed = _hex_arg(args.z, "--z", field.q * field.q)
             zval = (packed & (field.q - 1), packed >> field.m)
         if name == "phi":
             result = phi(ext, zval)
@@ -122,12 +120,14 @@ def cmd_eval(args) -> int:
             return 0
         value = result[0] | (result[1] << field.m)
     elif name == "tau":
-        value = tau(args.v, element_from_hex(args.x))
+        value = tau(args.v, _hex_arg(args.x, "--x", field.q))
     else:
-        p = derive_params(args.m, args.k, alpha=args.alpha, beta=args.beta,
+        # T_k is g_beta with beta = 0, whatever --beta says
+        beta = 0 if name == "tk" else args.beta
+        p = derive_params(args.m, args.k, alpha=args.alpha, beta=beta,
                           gamma=args.gamma, field=field)
-        fn = {"f": eval_f_alpha, "g": eval_g_beta, "tk": eval_tk, "h": eval_h}[name]
-        value = fn(p, element_from_hex(args.x))
+        fn = {"f": eval_f_alpha, "g": eval_g_beta, "tk": eval_g_beta, "h": eval_h}[name]
+        value = fn(p, _hex_arg(args.x, "--x", field.q))
     print(element_to_hex(value))
     return 0
 
@@ -172,54 +172,23 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _suite_outcomes(name: str, m_max: int):
-    if name == "main_theorem":
-        for m in range(2, m_max + 1):
-            for k in coprime_ks(m):
-                yield checks.check_main_theorem_outcome(m, k)
-    elif name == "nobauer":
-        yield checks.check_nobauer(min(m_max, 5))
-    elif name in ("fgprop", "hprop", "perm_lemma", "zsumexp", "h_dickson", "hitt"):
-        fn = getattr(checks, f"check_{name}")
-        for m in range(2, m_max + 1):
-            for k in coprime_ks(m):
-                yield fn(m, k)
-    elif name == "remark3":
-        for m in range(2, m_max + 1):
-            yield checks.check_remark3(m)
-    elif name == "remark4":
-        for m in range(3, m_max + 1, 2):
-            yield checks.check_remark4(m, (m + 1) // 2)
-    elif name == "dickson_linearized":
-        yield checks.check_dickson_linearized(min(m_max, 16))
-    elif name == "dickson_methods":
-        yield checks.check_dickson_methods(min(m_max, 5))
-    elif name == "polynomiality":
-        yield checks.check_polynomiality(m_max)
-    else:  # pragma: no cover - guarded by the caller
-        raise ValueError(name)
-
-
 def cmd_verify(args) -> int:
-    suites = list(SUITE_DEFAULT_CAP) if args.suite == "all" else [args.suite]
-    for suite in suites:
-        if suite not in SUITE_DEFAULT_CAP:
-            print(f"unknown check: {suite}", file=sys.stderr)
-            return 2
-        if suite in EXT_SUITES and args.m_max > EXT_MAX_DEGREE:
+    names = list(checks.CHECKS) if args.suite == "all" else [args.suite]
+    if args.m_max and args.m_max < 2:
+        raise OutOfRange(f"--m-max {args.m_max} is below 2 (0 selects each check's default)")
+    for name in names:
+        if name not in checks.CHECKS:
+            raise OutOfRange(f"unknown check: {name}")
+        if checks.CHECKS[name].ext_up_to_cap and args.m_max > EXT_MAX_DEGREE:
             raise OutOfRange(f"--m-max {args.m_max} exceeds {EXT_MAX_DEGREE}, the largest m "
-                             f"with extension tables, needed by {suite}")
-    stream = _out_stream(args)
+                             f"with extension tables, needed by {name}")
     all_passed = True
-    try:
-        for suite in suites:
-            cap = args.m_max if args.m_max else SUITE_DEFAULT_CAP[suite]
-            for outcome in _suite_outcomes(suite, cap):
+    with _output(args) as stream:
+        for name in names:
+            cap = args.m_max or checks.CHECKS[name].default_cap
+            for outcome in checks.run_check(name, cap):
                 print(json.dumps(outcome.to_json()), file=stream)
                 all_passed = all_passed and outcome.passed
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0 if all_passed else 4
 
 
@@ -233,10 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Permutation-polynomial family over GF(2^m): evaluation and verification.")
     parser.add_argument("--format", choices=("json", "csv", "text"), default="text")
     parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility; sweeps are vectorized in-process")
-    parser.add_argument("--count-all", action="store_true",
-                        help="accepted for compatibility; sweeps always run to completion")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_params = sub.add_parser("params", help="derive r, m', sigma, delta, theta")
@@ -255,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--z", help="extension element as packed hex, or 'inf'")
     p_eval.add_argument("--v", type=int, default=0, choices=(0, 1))
     p_eval.add_argument("--n", type=int, default=1, help="Dickson index")
-    p_eval.add_argument("--a", type=lambda s: int(s, 16), default=1,
+    p_eval.add_argument("--a", default="1",
                         help="Dickson parameter a (hex), recurrence only unless 1")
     p_eval.add_argument("--method", choices=("recurrence", "closed_form", "functional"),
                         default="recurrence")
@@ -281,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification checkers")
     p_verify.add_argument("--suite", default="all")
     p_verify.add_argument("--m-max", type=int, default=0,
-                          help="cap the sweep degree (0 = per-suite default)")
+                          help="cap the sweep degree, at least 2 (0 = per-suite default)")
     p_verify.set_defaults(fn=cmd_verify)
     return parser
 
@@ -291,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (PermpolyError, ValueError) as exc:
+    except (PermpolyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

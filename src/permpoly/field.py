@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .errors import ReducibleModulus, UnsupportedDegree
+from .errors import PermpolyError, ReducibleModulus, UnsupportedDegree
 
 MAX_DEGREE = 24
 
@@ -99,16 +99,20 @@ def load_field_table(path: str) -> dict[int, int]:
     """Parse a reduction-polynomial override file.
 
     Lines have the form ``m=<int> poly=0x<hex>``; blank lines and lines
-    starting with '#' are skipped.
+    starting with '#' are skipped. Any other line raises PermpolyError.
     """
     table: dict[int, int] = {}
     with open(path, encoding="ascii") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = dict(part.split("=", 1) for part in line.split())
-            table[int(fields["m"])] = int(fields["poly"], 16)
+            try:
+                fields = dict(part.split("=", 1) for part in line.split())
+                table[int(fields["m"])] = int(fields["poly"], 16)
+            except (KeyError, ValueError):
+                raise PermpolyError(f"{path}:{lineno}: expected 'm=<int> poly=0x<hex>', "
+                                    f"got {line!r}") from None
     return table
 
 
@@ -181,7 +185,8 @@ class FieldSpec:
         for _ in range(self.m - 1):
             t = self.square(t)
             acc ^= t
-        assert acc in (0, 1)
+        if acc > 1:
+            raise ArithmeticError(f"trace of {x:#x} is {acc:#x}, not in F_2")
         return acc
 
     def elements(self) -> range:
@@ -254,7 +259,8 @@ class ExtField:
     def norm(self, z) -> int:
         """z * conj(z), returned as a base-field element."""
         prod = self.mul(z, self.conj(z))
-        assert prod[1] == 0
+        if prod[1]:
+            raise ArithmeticError(f"norm of {z} is {prod}, not in the base field")
         return prod[0]
 
     def inv(self, z):
@@ -283,7 +289,8 @@ class ExtField:
         for _ in range(2 * self.base.m - 1):
             t = self.square(t)
             acc = self.add(acc, t)
-        assert acc in (self.ZERO, self.ONE)
+        if acc not in (self.ZERO, self.ONE):
+            raise ArithmeticError(f"absolute trace of {z} is {acc}, not in F_2")
         return acc[0]
 
     def elements(self):
@@ -315,7 +322,8 @@ class ExtField:
         for w in self._solve_weights:
             s = self.add(s, self.mul(w, t))
             t = self.square(t)
-        assert self.add(self.square(s), s) == c, "input had absolute trace 1"
+        if self.add(self.square(s), s) != c:
+            raise ArithmeticError(f"s^2 + s = {c} has no root: {c} has absolute trace 1")
         return s
 
 

@@ -43,17 +43,6 @@ def eval_g_beta(p: ParamSet, x: int) -> int:
     return acc
 
 
-def eval_tk(p: ParamSet, x: int) -> int:
-    """The plain k-term linearized map (g with beta = 0)."""
-    f = p.field
-    acc = x
-    t = x
-    for _ in range(p.k - 1):
-        t = f.square(t)
-        acc ^= t
-    return acc
-
-
 def eval_h(p: ParamSet, x: int) -> int:
     """gamma*Tr(x) + f_alpha(x)^(sigma+1) / x^2, with 0 mapped to 0."""
     if x == 0:
@@ -111,7 +100,8 @@ def dickson_exponents(n: int) -> frozenset:
         num = c * (n - 2 * j + 2) * (n - 2 * j + 1)
         den = j * (n - j)
         c, rem = divmod(num, den)
-        assert rem == 0
+        if rem:
+            raise ArithmeticError(f"D_{n}: coefficient {j} is not an integer")
         if c & 1:
             exps.add(n - 2 * j)
     return frozenset(exps)
@@ -147,7 +137,8 @@ def dickson_functional(spec: FieldSpec, n: int, x: int) -> int:
     ext = extension_of(spec)
     z = functional_preimage(ext, x)
     val = ext.add(ext.pow(z, n), ext.pow(ext.inv(z), n))
-    assert val[1] == 0
+    if val[1]:
+        raise ArithmeticError(f"D_{n}({x:#x}) left the base field")
     return val[0]
 
 

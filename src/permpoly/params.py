@@ -50,9 +50,11 @@ def derive_params(m: int, k: int, alpha: int = 0, beta: int = 0, gamma: int = 0,
         raise NotCoprime(f"gcd({k}, {m}) != 1")
     r = pow(k, -1, m)
     m_prime = (k * r - 1) // m
-    assert k * r == 1 + m * m_prime
+    if k * r != 1 + m * m_prime:
+        raise ArithmeticError(f"k*r = {k * r} is not 1 + m*m' for m'={m_prime}")
     delta = (m_prime + alpha * k + beta * r + alpha * beta * m) % 2
-    assert (1 + delta * m) % 2 == ((r + alpha * m) * (k + beta * m)) % 2
+    if (1 + delta * m) % 2 != ((r + alpha * m) * (k + beta * m)) % 2:
+        raise ArithmeticError(f"delta={delta} breaks the composition congruence")
     if lam is None:
         lam = delta
     elif lam not in (0, 1):

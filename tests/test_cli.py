@@ -79,6 +79,29 @@ def test_eval_tau(capsys):
     assert code == 0 and out.strip() == "4"
 
 
+def test_tk_map_ignores_beta(capsys):
+    # Tr(1) = 1 in GF(8), so g_1(1) = 1 while T_2(1) = 1 + 1 = 0
+    code, out, _ = run(capsys, "eval", "tk", "--m", "3", "--k", "2", "--x", "1", "--beta", "1")
+    assert code == 0 and out.strip() == "0"
+    code, out, _ = run(capsys, "eval", "g", "--m", "3", "--k", "2", "--x", "1", "--beta", "1")
+    assert code == 0 and out.strip() == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["h", "--m", "3", "--k", "2"],                    # no --x
+    ["phi", "--m", "3"],                              # no --z
+    ["h", "--m", "3", "--x", "ff"],                   # outside GF(8)
+    ["dickson", "--m", "3", "--n", "3", "--x", "ff"],
+    ["dickson", "--m", "3", "--n", "3", "--x", "2", "--a", "ff"],
+    ["tau", "--m", "3", "--v", "1", "--x", "ff"],
+    ["phi", "--m", "3", "--z", "40"],                 # 0x40 = q^2, outside GF(64)
+])
+def test_eval_rejects_missing_or_out_of_field_operands(capsys, argv):
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
 def test_expand(capsys):
     code, out, _ = run(capsys, "expand", "--m", "3", "--k", "2")
     assert code == 0 and out.strip() == "3,6,15,18"
@@ -137,6 +160,56 @@ def test_verify_refuses_extension_degree_over_ceiling(capsys, suite):
     assert len(err.strip().splitlines()) == 1 and "12" in err
 
 
+@pytest.mark.parametrize("m_max", ["-3", "1"])
+def test_verify_rejects_cap_below_two(capsys, m_max):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--m-max", m_max)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "--m-max" in err
+    code, out, _ = run(capsys, "verify", "--suite", "main_theorem", "--m-max", m_max)
+    assert code == 2 and out == ""
+
+
+#: (check, params, tested) of every `verify --suite all --m-max 4` record;
+#: each passed with no counterexample.
+ALL_AT_M4 = [
+    ("main_theorem", {"m": 2, "k": 1}, 16), ("main_theorem", {"m": 3, "k": 1}, 32),
+    ("main_theorem", {"m": 3, "k": 2}, 32), ("main_theorem", {"m": 4, "k": 1}, 64),
+    ("main_theorem", {"m": 4, "k": 3}, 64),
+    ("nobauer", {"m_max": 4}, 4311),
+    ("fgprop", {"m": 2, "k": 1}, 168), ("fgprop", {"m": 3, "k": 1}, 296),
+    ("fgprop", {"m": 3, "k": 2}, 296), ("fgprop", {"m": 4, "k": 1}, 552),
+    ("fgprop", {"m": 4, "k": 3}, 552),
+    ("hprop", {"m": 2, "k": 1}, 32), ("hprop", {"m": 3, "k": 1}, 64),
+    ("hprop", {"m": 3, "k": 2}, 64), ("hprop", {"m": 4, "k": 1}, 128),
+    ("hprop", {"m": 4, "k": 3}, 128),
+    ("perm_lemma", {"m": 2, "k": 1}, 24), ("perm_lemma", {"m": 3, "k": 1}, 48),
+    ("perm_lemma", {"m": 3, "k": 2}, 48), ("perm_lemma", {"m": 4, "k": 1}, 96),
+    ("perm_lemma", {"m": 4, "k": 3}, 96),
+    ("zsumexp", {"m": 2, "k": 1}, 56), ("zsumexp", {"m": 3, "k": 1}, 248),
+    ("zsumexp", {"m": 3, "k": 2}, 248), ("zsumexp", {"m": 4, "k": 1}, 1016),
+    ("zsumexp", {"m": 4, "k": 3}, 1016),
+    ("h_dickson", {"m": 2, "k": 1}, 18), ("h_dickson", {"m": 3, "k": 1}, 34),
+    ("h_dickson", {"m": 3, "k": 2}, 34), ("h_dickson", {"m": 4, "k": 1}, 66),
+    ("h_dickson", {"m": 4, "k": 3}, 66),
+    ("hitt", {"m": 2, "k": 1}, 36), ("hitt", {"m": 3, "k": 1}, 68),
+    ("hitt", {"m": 3, "k": 2}, 68), ("hitt", {"m": 4, "k": 1}, 132),
+    ("hitt", {"m": 4, "k": 3}, 132),
+    ("remark3", {"m": 2}, 6), ("remark3", {"m": 3}, 12), ("remark3", {"m": 4}, 24),
+    ("remark4", {"m": 3, "k": 2}, 32),
+    ("dickson_linearized", {"k_max": 4}, 18388),
+    ("dickson_methods", {"m_max": 4}, 9344),
+    ("polynomiality", {"m_max": 4}, 228),
+]
+
+
+def test_verify_all_keeps_its_records_and_counts(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--m-max", "4")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert [(r["check"], r["params"], r["passed"], r["tested"], r["counterexample"])
+            for r in records] == [(c, p, True, t, None) for c, p, t in ALL_AT_M4]
+
+
 def test_verify_to_file(tmp_path, capsys):
     path = tmp_path / "out.ndjson"
     code, out, _ = run(capsys, "--out", str(path), "verify",
@@ -157,6 +230,25 @@ def test_field_table_env_override(tmp_path, monkeypatch, capsys):
                                  "--gamma", "1", "--x", "2")
     assert code == 0 and code2 == 0
     assert default_out != override_out  # same bit pattern, different field
+
+
+def test_out_into_missing_directory(tmp_path, capsys):
+    code, out, err = run(capsys, "--out", str(tmp_path / "no" / "out.ndjson"),
+                         "verify", "--suite", "remark3", "--m-max", "3")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("content", [None, "m=3 poly=0xd\nm=4\n"],
+                         ids=["missing_file", "line_without_poly"])
+def test_bad_field_table(tmp_path, monkeypatch, capsys, content):
+    table = tmp_path / "fields.txt"
+    if content is not None:
+        table.write_text(content)
+    monkeypatch.setenv("PERMPOLY_FIELD_TABLE", str(table))
+    code, out, err = run(capsys, "eval", "h", "--m", "3", "--k", "2", "--x", "2")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
 
 
 def test_output_deterministic(capsys):

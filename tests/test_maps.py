@@ -2,7 +2,7 @@ import pytest
 
 from permpoly import (INFINITY, DicksonMethod, ExtField, dickson_exponents,
                       derive_params, eval_dickson, eval_f_alpha, eval_g_beta,
-                      eval_h, eval_h_via_identity, eval_tk, extension_of,
+                      eval_h, eval_h_via_identity, extension_of,
                       make_field, phi, tau, w_map)
 from permpoly.maps import dickson_functional, dickson_recurrence, functional_preimage
 from permpoly.tables import f_alpha_table, field_tables, g_beta_table, h_value_table
@@ -26,10 +26,9 @@ def test_f_alpha_m3_k2_formula():
 
 def test_g_beta_values():
     f = make_field(3)
-    p = derive_params(3, 2)  # k = 2: g_0(x) = x + x^2
+    p = derive_params(3, 2)  # k = 2: g_0(x) = T_2(x) = x + x^2
     for x in f.elements():
         assert eval_g_beta(p, x) == x ^ f.square(x)
-        assert eval_tk(p, x) == x ^ f.square(x)
     p1 = derive_params(3, 1)  # k = 1: g_0 is the identity
     for x in f.elements():
         assert eval_g_beta(p1, x) == x

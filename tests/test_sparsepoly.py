@@ -3,7 +3,7 @@ import random
 import pytest
 
 from permpoly import (NotDivisible, derive_params, eval_f_alpha, eval_g_beta,
-                      eval_h, eval_tk, expand_h, make_field, sp_add,
+                      eval_h, expand_h, make_field, sp_add,
                       sp_div_x2, sp_eval, sp_mul, sp_parse, sp_pow2k,
                       sp_reduce_mod_field, sp_serialize, trace_poly)
 from permpoly.sparsepoly import (ZERO_POLY, f_alpha_poly, g_beta_poly,
@@ -80,6 +80,7 @@ def test_named_polys_match_evaluators():
     for m, k in ((3, 2), (5, 3), (6, 5)):
         f = make_field(m)
         assert trace_poly(m) == frozenset(1 << i for i in range(m))
+        p_tk = derive_params(m, k)  # T_k is g_beta with beta = 0
         for alpha in (0, 1):
             for beta in (0, 1):
                 p = derive_params(m, k, alpha=alpha, beta=beta)
@@ -87,7 +88,7 @@ def test_named_polys_match_evaluators():
                 for x in f.elements():
                     assert sp_eval(fp, f, x) == eval_f_alpha(p, x)
                     assert sp_eval(gp, f, x) == eval_g_beta(p, x)
-                    assert sp_eval(tp, f, x) == eval_tk(p, x)
+                    assert sp_eval(tp, f, x) == eval_g_beta(p_tk, x)
                     assert sp_eval(trace_poly(m), f, x) == f.trace(x)
 
 

@@ -78,13 +78,20 @@ def test_verdicts_survive_optimized_python(suite):
 
 
 def test_table_guard_survives_optimized_python():
+    # the doubling guard in tables.py, and solve_quadratic's root check in
+    # field.py on an input of absolute trace 1
     script = ("import sys\n"
+              "from permpoly.field import extension_of, make_field\n"
               "from permpoly.tables import _exp_by_doubling, field_tables\n"
               "if not sys.flags.optimize: sys.exit('not optimized')\n"
-              "try:\n"
-              "    _exp_by_doubling(4, field_tables(4).spec.mul, 1)\n"
-              "except ArithmeticError:\n"
-              "    print('raised')\n")
+              "ext = extension_of(make_field(3))\n"
+              "c = next(z for z in ext.elements() if ext.trace_abs(z) == 1)\n"
+              "for call in (lambda: _exp_by_doubling(4, field_tables(4).spec.mul, 1),\n"
+              "             lambda: ext.solve_quadratic(c)):\n"
+              "    try:\n"
+              "        call()\n"
+              "    except ArithmeticError:\n"
+              "        print('raised')\n")
     done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, env=ENV, timeout=120)
-    assert done.returncode == 0 and done.stdout.strip() == "raised", done.stderr
+    assert done.returncode == 0 and done.stdout.split() == ["raised", "raised"], done.stderr
