@@ -16,14 +16,17 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotDivisible, OutOfRange, PreconditionFailed
-from .field import FieldSpec, coprime_ks, make_field
+from .field import MAX_DEGREE, FieldSpec, coprime_ks, make_field
 from .maps import dickson_exponents
 from .params import derive_params
 from .sparsepoly import expand_h, sp_add, sp_reduce_mod_field, trace_poly
-from .tables import (PINF, ext_tables, f_alpha_table, field_tables,
-                     g_beta_table, h_value_table)
+from .tables import (EXT_MAX_DEGREE, PINF, ext_tables, f_alpha_table,
+                     field_tables, g_beta_table, h_value_table)
 
 NOT_A_CLASS = -1
+
+#: z values per numpy pass in check_zsumexp, bounding its temporaries
+_ZSUM_CHUNK = 1 << 18
 
 
 @dataclass
@@ -83,6 +86,13 @@ class _Sweep:
             self.counterexample = {"inputs": [_hx(v) for v in inputs],
                                    "lhs": _hx(lhs), "rhs": _hx(rhs)}
 
+    def in_field(self, inputs, values: np.ndarray, q: int) -> bool:
+        """Whether all values lie in GF(q); else records the first outside, counting nothing."""
+        bad = np.flatnonzero(_outside(values, q))
+        if bad.size:
+            self.fail([*inputs, bad[0]], values.flat[bad[0]], q)
+        return not bad.size
+
     def compare(self, inputs, lhs, rhs):
         """Elementwise equality of two numpy arrays."""
         lhs = np.asarray(lhs)
@@ -102,18 +112,26 @@ def _finish(name: str, params: dict, sweep: _Sweep) -> CheckOutcome:
                         ms=(time.perf_counter() - sweep.start) * 1000.0)
 
 
-def is_permutation(mapping, spec: FieldSpec) -> bool:
-    """True iff the image of GF(q) under `mapping` has q distinct values."""
-    return len({mapping(x) for x in spec.elements()}) == spec.q
+def _outside(values: np.ndarray, q: int) -> np.ndarray:
+    """Mask of the values that are not elements of GF(q), that is not in 0..q-1."""
+    return (values < 0) | (values >= q)
 
 
-def _on_class(ft, tab: np.ndarray, idx: np.ndarray) -> tuple[int, bool]:
-    """Where `tab` sends the trace class `idx`: the class holding the whole
-    image (NOT_A_CLASS if it meets both), and whether `tab` is injective there."""
-    image = tab[idx]
+def _injective(values: np.ndarray, q: int) -> bool:
+    """True iff every value lies in GF(q) and none occurs twice, by counting
+    how often each element occurs; on q values, iff they permute GF(q)."""
+    return not _outside(values, q).any() and bool((np.bincount(values, minlength=q) < 2).all())
+
+
+def _on_class(ft, tab: np.ndarray, e: int) -> tuple[int, bool]:
+    """Where `tab` sends the trace class T_e: the class holding the whole image
+    (NOT_A_CLASS if it meets both or leaves GF(q)), and whether `tab` is injective there."""
+    image = tab[ft.tr == e]
+    if _outside(image, ft.q).any():
+        return NOT_A_CLASS, False
     traces = ft.tr[image]
     cls = 0 if not traces.any() else 1 if traces.all() else NOT_A_CLASS
-    return cls, int(np.unique(image).size) == idx.size
+    return cls, _injective(image, ft.q)
 
 
 def _mul_table(spec: FieldSpec) -> np.ndarray:
@@ -138,19 +156,16 @@ def _dickson_rows(mul: np.ndarray, a: int, n_max: int):
 def check_main_theorem(m: int, k: int) -> list[PermutationReport]:
     """Brute-force permutation and trace-class behavior of H for all (alpha, gamma)."""
     ft = field_tables(m)
-    t0_idx = np.nonzero(ft.tr == 0)[0]
-    t1_idx = np.nonzero(ft.tr == 1)[0]
     reports = []
     for alpha in (0, 1):
         for gamma in (0, 1):
             p = derive_params(m, k, alpha=alpha, gamma=gamma)
             h = h_value_table(ft, p)
-            counts = np.bincount(h, minlength=ft.q)
-            class0, bijective0 = _on_class(ft, h, t0_idx)
-            class1, bijective1 = _on_class(ft, h, t1_idx)
+            class0, bijective0 = _on_class(ft, h, 0)
+            class1, bijective1 = _on_class(ft, h, 1)
             reports.append(PermutationReport(
                 m=m, k=k, alpha=alpha, gamma=gamma,
-                is_permutation=bool((counts == 1).all()),
+                is_permutation=_injective(h, ft.q),
                 predicted_by_theorem=(p.r + (alpha + gamma) * m) % 2 == 1,
                 image_of_t0=class0, image_of_t1=class1,
                 t0_bijective=bijective0, t1_bijective=bijective1))
@@ -160,11 +175,10 @@ def check_main_theorem(m: int, k: int) -> list[PermutationReport]:
 def check_main_theorem_outcome(m: int, k: int) -> CheckOutcome:
     sweep = _Sweep()
     for rep in check_main_theorem(m, k):
-        expected_t1 = (derive_params(m, k, alpha=rep.alpha).r
-                       + (rep.alpha + rep.gamma) * m) % 2
+        # the theorem's parity also names the class T_1 is sent to
         ok = (rep.is_permutation == rep.predicted_by_theorem
               and rep.t0_bijective and rep.image_of_t0 == 0
-              and rep.t1_bijective and rep.image_of_t1 == expected_t1)
+              and rep.t1_bijective and rep.image_of_t1 == int(rep.predicted_by_theorem))
         sweep.expect(ok, [rep.alpha, rep.gamma],
                      rep.is_permutation, rep.predicted_by_theorem)
         sweep.tested += (1 << m) - 1
@@ -183,9 +197,11 @@ def check_nobauer(m_max: int) -> CheckOutcome:
     for m in range(2, m_max + 1):
         q = 1 << m
         mul = _mul_table(make_field(m))
+        if not sweep.in_field([m], mul, q):
+            continue
         for a in range(1, q):
             for n, dn in _dickson_rows(mul, a, q * q - 1):
-                observed = int(np.unique(dn).size) == q
+                observed = _injective(dn, q)
                 predicted = gcd(n, q * q - 1) == 1
                 sweep.expect(observed == predicted, [m, a, n], observed, predicted)
     return _finish("nobauer", {"m_max": m_max}, sweep)
@@ -201,14 +217,14 @@ def check_fgprop(m: int, k: int) -> CheckOutcome:
     q = ft.q
     xs = np.arange(q, dtype=np.int64)
     frobk = ft.frobenius_table(k)
-    t0_idx = np.nonzero(ft.tr == 0)[0]
-    t1_idx = np.nonzero(ft.tr == 1)[0]
     g0_tab = g_beta_table(ft, derive_params(m, k, beta=0))
     for alpha in (0, 1):
         for beta in (0, 1):
             p = derive_params(m, k, alpha=alpha, beta=beta)
             fa = f_alpha_table(ft, p)
             g = g_beta_table(ft, p)
+            if not (sweep.in_field([alpha, beta], fa, q) and sweep.in_field([alpha, beta], g, q)):
+                continue
             f_par = (p.r + alpha * m) % 2
             g_par = (k + beta * m) % 2
             # (i), (ii): trace multipliers and the values at 1
@@ -221,10 +237,10 @@ def check_fgprop(m: int, k: int) -> CheckOutcome:
             sweep.compare([xs], ft.sq[g] ^ g, frobk[xs] ^ xs)
             # (iv), (v): trace-class bijectivity and the permutation parity
             for tab, par in ((fa, f_par), (g, g_par)):
-                for e, idx, target in ((0, t0_idx, 0), (1, t1_idx, par)):
-                    cls, bijective = _on_class(ft, tab, idx)
+                for e, target in ((0, 0), (1, par)):
+                    cls, bijective = _on_class(ft, tab, e)
                     sweep.expect(cls == target and bijective, [e], cls, target)
-                observed_pp = int(np.unique(tab).size) == q
+                observed_pp = _injective(tab, q)
                 sweep.expect(observed_pp == (par == 1), [par], observed_pp, par == 1)
             # (vi): composition collapses to x + delta*Tr(x)
             delta = p.delta
@@ -235,7 +251,7 @@ def check_fgprop(m: int, k: int) -> CheckOutcome:
                          [alpha, beta], (1 + delta * m) % 2, (f_par * g_par) % 2)
             # (vii): decomposition through g_0, for both lambda choices
             for lam in (0, 1):
-                theta = (beta + lam * k) % 2
+                theta = derive_params(m, k, alpha=alpha, beta=beta, lam=lam).theta
                 ybar = xs ^ (lam * ft.tr)
                 sweep.compare([xs], g, g0_tab[ybar] ^ (theta * ft.tr))
                 if lam == delta:
@@ -299,14 +315,14 @@ def check_perm_lemma(m: int, k: int) -> CheckOutcome:
     return _finish("perm_lemma", {"m": m, "k": k}, sweep)
 
 
-def check_zsumexp(m: int, k: int, chunk: int = 1 << 18) -> CheckOutcome:
+def check_zsumexp(m: int, k: int) -> CheckOutcome:
     sweep = _Sweep()
     et = ext_tables(m)
     n = et.n
     sigma = 1 << k
     g0 = et.g0_table(k)
-    for lo in range(2, et.Q, chunk):
-        z = np.arange(lo, min(lo + chunk, et.Q), dtype=np.int64)
+    for lo in range(2, et.Q, _ZSUM_CHUNK):
+        z = np.arange(lo, min(lo + _ZSUM_CHUNK, et.Q), dtype=np.int64)
         lz = et.log[z]
         zinv = et.exp[(-lz) % n]
         y = z ^ zinv  # z + 1/z, nonzero since z != 1
@@ -320,13 +336,10 @@ def check_zsumexp(m: int, k: int, chunk: int = 1 << 18) -> CheckOutcome:
         t = w0 ^ w0inv
         rhs = np.where(t == 0, 0, et.exp[(et.log[t] - (sigma + 1) * ly) % n])
         sweep.compare([z], lhs, rhs)
-        # (ii): both displayed identities
+        # (ii): both displayed identities; the first has the right side of (i)
         lphi = (-ly) % n
         gsq = et.sq[g0[et.exp[lphi]]]
-        yw0 = t
-        rhs0 = np.where(yw0 == 0, 0,
-                        et.exp[((sigma + 1) * lphi + et.log[yw0]) % n])
-        sweep.compare([z], gsq, rhs0)
+        sweep.compare([z], gsq, rhs)
         w1 = et.exp[((sigma + 1) * lz) % n]
         w1inv = et.exp[(-(sigma + 1) * lz) % n]
         yw1 = w1 ^ w1inv
@@ -361,20 +374,16 @@ def check_h_dickson(m: int, k: int) -> CheckOutcome:
     lhs = h[gx]
     mid = ft.exp[((p.sigma + 1) * ft.log[xs] - 2 * ft.log[gx]) % n]
     sweep.compare([xs], lhs, mid)
-    # the Dickson form, via z^d + z^-d for z + 1/z = 1/x
+    # the Dickson form D_d(1/x)
     d = (1 << k) - 1 if beta == 0 else (1 << (m - k)) - 1
-    xinv = ft.exp[(-ft.log[xs]) % n]
-    lz = et.log[et.zmap()[xinv]]
-    dval = et.exp[(d * lz) % et.n] ^ et.exp[(-d * lz) % et.n]
-    sweep.expect(bool((dval < q).all()) and bool((dval != 0).all()),
-                 [0], True, True)
+    dval = et.dickson_vec(d, ft.pow_vec(xs, -1))
+    sweep.expect(not _outside(dval, q).any() and bool((dval != 0).all()), [0], True, True)
     exponent = -1 if beta == 0 else -(1 << k)
-    dickson_side = ft.exp[(exponent * ft.log[dval]) % n]
-    sweep.compare([xs], mid, dickson_side)
+    sweep.compare([xs], mid, ft.pow_vec(dval, exponent))
     # permutation status for both alpha choices
     for a in (0, 1):
         h_a = h_value_table(ft, derive_params(m, k, alpha=a))
-        observed = int(np.unique(h_a).size) == q
+        observed = _injective(h_a, q)
         predicted = (p.r + a * m) % 2 == 1
         sweep.expect(observed == predicted, [a], observed, predicted)
         sweep.tested += q - 1
@@ -396,20 +405,12 @@ def check_dickson_linearized(k_max: int) -> CheckOutcome:
         et = ext_tables(m)
         q, n = ft.q, ft.n
         xs = np.arange(1, q, dtype=np.int64)
-        xinv = ft.exp[(-ft.log[xs]) % n]
-        lz = et.log[et.zmap()[xs]]
+        tk, term = np.zeros_like(xs), ft.pow_vec(xs, -1)
         for k in range(1, m + 1):
-            d = (1 << k) - 1
-            dval = et.exp[(d * lz) % et.n] ^ et.exp[(-d * lz) % et.n]
-            tk = xinv.copy()
-            term = xinv.copy()
-            for _ in range(k - 1):
-                term = ft.sq[term]
-                tk ^= term
+            tk, term = tk ^ term, ft.sq[term]  # T_k(1/x), (1/x)^(2^k)
             rhs = np.where(tk == 0, 0,
-                           ft.exp[(((1 << k) + 1) * ft.log[xs]
-                                   + 2 * ft.log[tk]) % n])
-            sweep.compare([xs], dval, rhs)
+                           ft.exp[(((1 << k) + 1) * ft.log[xs] + 2 * ft.log[tk]) % n])
+            sweep.compare([xs], et.dickson_vec((1 << k) - 1, xs), rhs)
     return _finish("dickson_linearized", {"k_max": k_max}, sweep)
 
 
@@ -427,7 +428,6 @@ def check_dickson_methods(m_max: int) -> CheckOutcome:
         pow_rows = [np.ones(q, dtype=np.int64)]
         for _ in range(1, q):
             pow_rows.append(mul[pow_rows[-1], xs])
-        lz = et.log[et.zmap()]
         for n, cur in _dickson_rows(mul, 1, q * q):
             reduced = Counter(e if e == 0 else 1 + (e - 1) % qn
                               for e in dickson_exponents(n))
@@ -435,9 +435,8 @@ def check_dickson_methods(m_max: int) -> CheckOutcome:
             for e, c in reduced.items():
                 if c & 1:
                     closed ^= pow_rows[e]
-            functional = et.exp[(n * lz) % et.n] ^ et.exp[(-n * lz) % et.n]
             sweep.compare([np.full(q, n), xs], cur, closed)
-            sweep.compare([np.full(q, n), xs], cur, functional)
+            sweep.compare([np.full(q, n), xs], cur, et.dickson_vec(n, xs))
     return _finish("dickson_methods", {"m_max": m_max}, sweep)
 
 
@@ -465,8 +464,7 @@ def check_hitt(m: int, k: int) -> CheckOutcome:
                 z = b_sets[(e * (1 + delta * m)) % 2]
                 pz = et.phi_vec(z)
                 pw = et.phi_vec(et.w_vec(sigma, theta * e, z))
-                pz_bad = (pz == PINF) | (pz >= q)
-                pw_bad = (pw == PINF) | (pw >= q)
+                pz_bad, pw_bad = _outside(pz, q), _outside(pw, q)
                 lhs = h[g[np.where(pz_bad, 0, pz) ^ (delta * e)]]
                 rhs = pw ^ (gamma * e)
                 sweep.tested += z.size
@@ -487,9 +485,8 @@ def check_remark3(m: int) -> CheckOutcome:
     sweep = _Sweep()
     ft = field_tables(m)
     t1 = np.nonzero(ft.tr == 1)[0].astype(np.int64)
-    lx = ft.log[t1]
-    h = t1 ^ ft.exp[(-lx) % ft.n] ^ ft.exp[(-2 * lx) % ft.n]
-    ok = bool((ft.tr[h] == 1).all()) and np.array_equal(np.sort(h), t1)
+    h = t1 ^ ft.pow_vec(t1, -1) ^ ft.pow_vec(t1, -2)
+    ok = _injective(h, ft.q) and bool((ft.tr[h] == 1).all())
     sweep.expect(ok, [m], ok, True)
     sweep.tested += t1.size - 1
     p = derive_params(m, 1, alpha=1, gamma=1)
@@ -515,14 +512,12 @@ def check_remark4(m: int, k: int) -> CheckOutcome:
     sweep.tested += len(expected) - 1
     # (b) the trace-class behavior of H_00 and H_01
     ft = field_tables(m)
-    t0_idx = np.nonzero(ft.tr == 0)[0]
-    t1_idx = np.nonzero(ft.tr == 1)[0]
     h00 = h_value_table(ft, p00)
     p01 = derive_params(m, k, gamma=1)
     h01 = h_value_table(ft, p01)
     for h, t1_target in ((h00, 0), (h01, 1)):
-        for e, idx, target in ((0, t0_idx, 0), (1, t1_idx, t1_target)):
-            cls, bijective = _on_class(ft, h, idx)
+        for e, target in ((0, 0), (1, t1_target)):
+            cls, bijective = _on_class(ft, h, e)
             sweep.expect(cls == target and bijective, [e], cls, target)
         sweep.tested += ft.q - 2
     # (c) the simplified 5-term polynomial: a PP that agrees with H_01
@@ -531,7 +526,7 @@ def check_remark4(m: int, k: int) -> CheckOutcome:
             ^ xs ^ ft.pow_vec(xs, sigma))
     sweep.compare([xs], five, h01)
     for name, tab in (("h01", h01), ("five_term", five)):
-        observed = int(np.unique(tab).size) == ft.q
+        observed = _injective(tab, ft.q)
         sweep.expect(observed, [name == "five_term"], observed, True)
     # reduced exponent sets coincide
     five_poly = sp_add(trace_poly(m),
@@ -581,9 +576,9 @@ class Check:
     fn: Callable[..., CheckOutcome]
     grid: Callable[[int], list[tuple]]
     default_cap: int
-    #: builds extension tables for every m up to the cap, so the cap may
-    #: not exceed tables.EXT_MAX_DEGREE
-    ext_up_to_cap: bool = False
+    #: the largest m with tables for every field the grid reaches at this cap
+    #: (EXT_MAX_DEGREE for extension tables); None where the grid clamps the cap
+    max_cap: int | None = MAX_DEGREE
 
 
 def _coprime_grid(cap: int) -> list[tuple]:
@@ -593,18 +588,18 @@ def _coprime_grid(cap: int) -> list[tuple]:
 #: Every check, in `verify --suite all` order.
 CHECKS = {
     "main_theorem": Check(check_main_theorem_outcome, _coprime_grid, 12),
-    "nobauer": Check(check_nobauer, lambda cap: [(min(cap, 5),)], 5),
+    "nobauer": Check(check_nobauer, lambda cap: [(min(cap, 5),)], 5, None),
     "fgprop": Check(check_fgprop, _coprime_grid, 12),
     "hprop": Check(check_hprop, _coprime_grid, 12),
-    "perm_lemma": Check(check_perm_lemma, _coprime_grid, 10, ext_up_to_cap=True),
-    "zsumexp": Check(check_zsumexp, _coprime_grid, 10, ext_up_to_cap=True),
-    "h_dickson": Check(check_h_dickson, _coprime_grid, 10, ext_up_to_cap=True),
-    "hitt": Check(check_hitt, _coprime_grid, 10, ext_up_to_cap=True),
+    "perm_lemma": Check(check_perm_lemma, _coprime_grid, 10, EXT_MAX_DEGREE),
+    "zsumexp": Check(check_zsumexp, _coprime_grid, 10, EXT_MAX_DEGREE),
+    "h_dickson": Check(check_h_dickson, _coprime_grid, 10, EXT_MAX_DEGREE),
+    "hitt": Check(check_hitt, _coprime_grid, 10, EXT_MAX_DEGREE),
     "remark3": Check(check_remark3, lambda cap: [(m,) for m in range(2, cap + 1)], 12),
     "remark4": Check(check_remark4,
                      lambda cap: [(m, (m + 1) // 2) for m in range(3, cap + 1, 2)], 13),
-    "dickson_linearized": Check(check_dickson_linearized, lambda cap: [(min(cap, 16),)], 16),
-    "dickson_methods": Check(check_dickson_methods, lambda cap: [(min(cap, 5),)], 5),
+    "dickson_linearized": Check(check_dickson_linearized, lambda cap: [(min(cap, 16),)], 16, None),
+    "dickson_methods": Check(check_dickson_methods, lambda cap: [(min(cap, 5),)], 5, None),
     "polynomiality": Check(check_polynomiality, lambda cap: [(cap,)], 12),
 }
 

@@ -23,7 +23,6 @@ from .maps import (DicksonMethod, eval_dickson, eval_f_alpha, eval_g_beta,
                    eval_h, phi, tau, w_map)
 from .params import derive_params
 from .sparsepoly import expand_h, sp_reduce_mod_field, sp_serialize
-from .tables import EXT_MAX_DEGREE
 
 MAP_NAMES = ("f", "g", "tk", "h", "dickson", "phi", "w0", "w1", "tau")
 
@@ -113,7 +112,7 @@ def cmd_eval(args) -> int:
         if name == "phi":
             result = phi(ext, zval)
         else:
-            sigma = 1 << args.k
+            sigma = derive_params(args.m, args.k, field=field).sigma
             result = w_map(ext, sigma, 0 if name == "w0" else 1, zval)
         if result is INFINITY:
             print("inf")
@@ -179,9 +178,9 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in checks.CHECKS:
             raise OutOfRange(f"unknown check: {name}")
-        if checks.CHECKS[name].ext_up_to_cap and args.m_max > EXT_MAX_DEGREE:
-            raise OutOfRange(f"--m-max {args.m_max} exceeds {EXT_MAX_DEGREE}, the largest m "
-                             f"with extension tables, needed by {name}")
+        limit = checks.CHECKS[name].max_cap
+        if limit is not None and args.m_max > limit:
+            raise OutOfRange(f"--m-max {args.m_max} exceeds {limit}, the largest m for {name}")
     all_passed = True
     with _output(args) as stream:
         for name in names:

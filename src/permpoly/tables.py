@@ -228,6 +228,11 @@ class ExtTables:
             self._zmap = zm
         return self._zmap
 
+    def dickson_vec(self, n: int, x: np.ndarray) -> np.ndarray:
+        """D_n(x, 1) elementwise over base-field x, as z^n + z^-n for z + 1/z = x."""
+        lz = self.log[self.zmap()[x]]
+        return self.exp[(n * lz) % self.n] ^ self.exp[(-n * lz) % self.n]
+
 
 @lru_cache(maxsize=None)
 def ext_tables(m: int) -> ExtTables:

@@ -1,19 +1,38 @@
-from permpoly import derive_params, make_field
-from permpoly.checks import (NOT_A_CLASS, check_dickson_linearized,
+import copy
+
+import numpy as np
+import pytest
+
+from permpoly import checks
+from permpoly.checks import (NOT_A_CLASS, _injective, check_dickson_linearized,
                              check_dickson_methods, check_fgprop,
                              check_h_dickson, check_hitt, check_hprop,
                              check_main_theorem, check_main_theorem_outcome,
                              check_nobauer, check_perm_lemma,
                              check_polynomiality, check_remark3,
-                             check_remark4, check_zsumexp, is_permutation)
+                             check_remark4, check_zsumexp)
 from permpoly.field import coprime_ks
 
 
-def test_is_permutation():
-    f = make_field(2)
-    assert is_permutation(lambda x: x, f)
-    assert is_permutation(lambda x: f.square(x), f)
-    assert not is_permutation(lambda x: f.pow(x, 3), f)  # x^3 has image {0,1}
+def test_injective_matches_a_set_count():
+    rng = np.random.default_rng(2004)
+    for q in (4, 8, 64):
+        for size in (1, q // 2, q):
+            for _ in range(40):
+                # mostly in GF(q), with collisions, now and then -1 or q
+                values = rng.integers(-1, q + 1, size=size)
+                seen = set(values.tolist())
+                expected = seen <= set(range(q)) and len(seen) == size
+                assert _injective(values, q) == expected, (q, values)
+        perm = rng.permutation(q)
+        assert _injective(perm, q)
+        for bad in (-1, q, 1 << 40):
+            corrupted = perm.copy()
+            corrupted[1] = bad
+            assert not _injective(corrupted, q)
+        collided = perm.copy()
+        collided[0] = collided[1]
+        assert not _injective(collided, q)
 
 
 def test_main_theorem_reports_m3_k2():
@@ -112,3 +131,58 @@ def test_outcome_counterexample_shape():
     s.expect(False, [1, 1], 5, 6)  # only the first is kept
     assert s.counterexample == {"inputs": ["3", "7"], "lhs": "1", "rhs": "0"}
     assert s.tested == 2
+
+
+def _corrupt(monkeypatch, name, i, new):
+    """Make checks.<name> return a copy of its table (for field_tables, of its
+    exp table) with flat entry i set to new(table)."""
+    orig = getattr(checks, name)
+
+    def corrupted(*args):
+        out = orig(*args)
+        if name == "field_tables":
+            out = copy.copy(out)
+            out.exp = tab = out.exp.copy()
+        else:
+            out = tab = out.copy()
+        tab.flat[i] = new(tab)
+        return out
+    monkeypatch.setattr(checks, name, corrupted)
+
+
+#: label -> (checker, its arguments, the table given one collision, entry i,
+#: entry j), and the (passed, tested, counterexample) of the parent commit
+#: with table[i] = table[j]
+CORRUPTED = {
+    "main_theorem": ((check_main_theorem_outcome, (5, 2), "h_value_table", 3, 5),
+                     (False, 128, {"inputs": ["0", "0"], "lhs": "0", "rhs": "1"})),
+    "fgprop_f": ((check_fgprop, (5, 2), "f_alpha_table", 3, 5),
+                 (False, 1064, {"inputs": ["3"], "lhs": "14", "rhs": "6"})),
+    "fgprop_g": ((check_fgprop, (5, 2), "g_beta_table", 3, 5),
+                 (False, 1064, {"inputs": ["3"], "lhs": "9", "rhs": "12"})),
+    "h_dickson": ((check_h_dickson, (5, 2), "h_value_table", 3, 5),
+                  (False, 130, {"inputs": ["8"], "lhs": "c", "rhs": "11"})),
+    "remark3": ((check_remark3, (5,), "field_tables", 5, 1),
+                (False, 48, {"inputs": ["5"], "lhs": "0", "rhs": "1"})),
+    "remark4": ((check_remark4, (5, 3), "h_value_table", 3, 5),
+                (False, 104, {"inputs": ["1"], "lhs": "0", "rhs": "0"})),
+    "nobauer": ((check_nobauer, (3,), "_mul_table", 4, 5),
+                (False, 486, {"inputs": ["2", "1", "4"], "lhs": "0", "rhs": "1"})),
+}
+
+
+@pytest.mark.parametrize("label", CORRUPTED)
+def test_a_collision_fails_the_check(monkeypatch, label):
+    (fn, args, table, i, j), expected = CORRUPTED[label]
+    _corrupt(monkeypatch, table, i, lambda tab: tab.flat[j])
+    out = fn(*args)
+    assert (out.passed, out.tested, out.counterexample) == expected
+
+
+@pytest.mark.parametrize("value", [-1, 1 << 24], ids=["pinf", "far"])
+@pytest.mark.parametrize("label", CORRUPTED)
+def test_an_out_of_field_value_fails_the_check(monkeypatch, label, value):
+    (fn, args, table, i, _), _ = CORRUPTED[label]
+    _corrupt(monkeypatch, table, i, lambda tab: value)
+    out = fn(*args)
+    assert not out.passed and out.counterexample is not None

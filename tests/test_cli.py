@@ -74,6 +74,21 @@ def test_eval_w_fixes_infinity(capsys):
         assert code == 0 and out.strip() == "inf"
 
 
+@pytest.mark.parametrize("argv", [
+    ["w0", "--m", "3", "--k", "0"], ["w1", "--m", "3", "--k", "3"],
+    ["w0", "--m", "3", "--k", "-1"], ["w1", "--m", "4", "--k", "2"],
+], ids=["k_zero", "k_equals_m", "k_negative", "k_not_coprime"])
+def test_eval_w_rejects_invalid_k(capsys, argv):
+    code, out, err = run(capsys, "eval", *argv, "--z", "5")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
+def test_eval_w0_value(capsys):
+    code, out, _ = run(capsys, "eval", "w0", "--m", "5", "--k", "3", "--z", "123")
+    assert code == 0 and out.strip() == "337"
+
+
 def test_eval_tau(capsys):
     code, out, _ = run(capsys, "eval", "tau", "--m", "3", "--v", "1", "--x", "5")
     assert code == 0 and out.strip() == "4"
@@ -158,6 +173,19 @@ def test_verify_refuses_extension_degree_over_ceiling(capsys, suite):
     code, out, err = run(capsys, "verify", "--suite", suite, "--m-max", "13")
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and "12" in err
+
+
+@pytest.mark.parametrize("suite", ["main_theorem", "polynomiality"])
+def test_verify_refuses_cap_over_max_degree(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--m-max", "25")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "24" in err
+
+
+def test_verify_clamped_check_takes_any_cap(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "nobauer", "--m-max", "25")
+    assert code == 0
+    assert [json.loads(line)["params"] for line in out.splitlines()] == [{"m_max": 5}]
 
 
 @pytest.mark.parametrize("m_max", ["-3", "1"])
