@@ -8,7 +8,6 @@ occupancy counting, never by the parity formulas under test.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable
@@ -63,6 +62,9 @@ class CheckOutcome:
 
 
 def _hx(v) -> str:
+    """Hex for an element, `inf` for PINF, `none` for None (no trace class)."""
+    if v is None:
+        return "none"
     v = int(v)
     return "inf" if v == PINF else format(v, "x")
 
@@ -132,6 +134,14 @@ def _on_class(ft, tab: np.ndarray, e: int) -> tuple[int, bool]:
     traces = ft.tr[image]
     cls = 0 if not traces.any() else 1 if traces.all() else NOT_A_CLASS
     return cls, _injective(image, ft.q)
+
+
+def _expect_classes(sweep: _Sweep, ft, tab: np.ndarray, t1_target: int):
+    """`tab` maps T_0 onto T_0 and T_1 onto T_(t1_target), bijectively."""
+    for e, target in ((0, 0), (1, t1_target)):
+        cls, bijective = _on_class(ft, tab, e)
+        sweep.expect(cls == target and bijective, [e],
+                     None if cls == NOT_A_CLASS else cls, target)
 
 
 def _mul_table(spec: FieldSpec) -> np.ndarray:
@@ -237,9 +247,7 @@ def check_fgprop(m: int, k: int) -> CheckOutcome:
             sweep.compare([xs], ft.sq[g] ^ g, frobk[xs] ^ xs)
             # (iv), (v): trace-class bijectivity and the permutation parity
             for tab, par in ((fa, f_par), (g, g_par)):
-                for e, target in ((0, 0), (1, par)):
-                    cls, bijective = _on_class(ft, tab, e)
-                    sweep.expect(cls == target and bijective, [e], cls, target)
+                _expect_classes(sweep, ft, tab, par)
                 observed_pp = _injective(tab, q)
                 sweep.expect(observed_pp == (par == 1), [par], observed_pp, par == 1)
             # (vi): composition collapses to x + delta*Tr(x)
@@ -422,20 +430,10 @@ def check_dickson_methods(m_max: int) -> CheckOutcome:
     for m in range(2, m_max + 1):
         et = ext_tables(m)
         q = et.q
-        qn = q - 1
         mul = _mul_table(make_field(m))
         xs = np.arange(q, dtype=np.int64)
-        pow_rows = [np.ones(q, dtype=np.int64)]
-        for _ in range(1, q):
-            pow_rows.append(mul[pow_rows[-1], xs])
         for n, cur in _dickson_rows(mul, 1, q * q):
-            reduced = Counter(e if e == 0 else 1 + (e - 1) % qn
-                              for e in dickson_exponents(n))
-            closed = np.zeros(q, dtype=np.int64)
-            for e, c in reduced.items():
-                if c & 1:
-                    closed ^= pow_rows[e]
-            sweep.compare([np.full(q, n), xs], cur, closed)
+            sweep.compare([np.full(q, n), xs], cur, et.base.poly_table(dickson_exponents(n)))
             sweep.compare([np.full(q, n), xs], cur, et.dickson_vec(n, xs))
     return _finish("dickson_methods", {"m_max": m_max}, sweep)
 
@@ -516,21 +514,17 @@ def check_remark4(m: int, k: int) -> CheckOutcome:
     p01 = derive_params(m, k, gamma=1)
     h01 = h_value_table(ft, p01)
     for h, t1_target in ((h00, 0), (h01, 1)):
-        for e, target in ((0, 0), (1, t1_target)):
-            cls, bijective = _on_class(ft, h, e)
-            sweep.expect(cls == target and bijective, [e], cls, target)
+        _expect_classes(sweep, ft, h, t1_target)
         sweep.tested += ft.q - 2
     # (c) the simplified 5-term polynomial: a PP that agrees with H_01
-    xs = np.arange(ft.q, dtype=np.int64)
-    five = (ft.tr ^ ft.pow_vec(xs, sigma - 1) ^ ft.pow_vec(xs, 2 * sigma - 2)
-            ^ xs ^ ft.pow_vec(xs, sigma))
-    sweep.compare([xs], five, h01)
+    five_poly = sp_add(trace_poly(m),
+                       frozenset({sigma - 1, 2 * (sigma - 1), 1, sigma}))
+    five = ft.poly_table(five_poly)
+    sweep.compare([np.arange(ft.q)], five, h01)
     for name, tab in (("h01", h01), ("five_term", five)):
         observed = _injective(tab, ft.q)
         sweep.expect(observed, [name == "five_term"], observed, True)
     # reduced exponent sets coincide
-    five_poly = sp_add(trace_poly(m),
-                       frozenset({sigma - 1, 2 * (sigma - 1), 1, sigma}))
     lhs = sp_reduce_mod_field(expand_h(p01), m)
     rhs = sp_reduce_mod_field(five_poly, m)
     sweep.expect(lhs == rhs, [m, k], min(lhs ^ rhs, default=0), 0)
@@ -546,7 +540,6 @@ def check_polynomiality(m_max: int) -> CheckOutcome:
     sweep = _Sweep()
     for m in range(2, m_max + 1):
         ft = field_tables(m) if m <= 10 else None
-        xs = np.arange(1 << m, dtype=np.int64) if ft is not None else None
         for k in coprime_ks(m):
             for alpha in (0, 1):
                 for gamma in (0, 1):
@@ -558,10 +551,8 @@ def check_polynomiality(m_max: int) -> CheckOutcome:
                         continue
                     sweep.expect(0 not in poly, [m, k, alpha, gamma], 0, 0)
                     if ft is not None:
-                        values = np.zeros(ft.q, dtype=np.int64)
-                        for e in sp_reduce_mod_field(poly, m):
-                            values ^= ft.pow_vec(xs, e)
-                        sweep.compare([xs], values, h_value_table(ft, p))
+                        sweep.compare([np.arange(ft.q)], ft.poly_table(poly),
+                                      h_value_table(ft, p))
     return _finish("polynomiality", {"m_max": m_max}, sweep)
 
 

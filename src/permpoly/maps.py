@@ -8,6 +8,7 @@ from functools import lru_cache
 
 from .field import INFINITY, ExtField, FieldSpec, extension_of
 from .params import ParamSet
+from .sparsepoly import sp_eval
 
 
 def frobenius_iter(spec: FieldSpec, x: int, k: int) -> int:
@@ -87,22 +88,16 @@ class DicksonMethod(enum.Enum):
 def dickson_exponents(n: int) -> frozenset:
     """Exponents with odd coefficient in D_n(X, 1) over the integers.
 
-    The j-th coefficient n/(n-j)*C(n-j, j) is carried as an exact integer
-    through the multiplicative recurrence; only its parity is kept.
+    The coefficient of X^(n-2j) is n/(n-j)*C(n-j, j) = C(n-j, j) + C(n-j-1, j-1)
+    for j >= 1, and by Lucas' theorem C(a, b) is odd iff the bits of b are a
+    subset of those of a.
     """
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
-    exps = set()
-    c = 1  # j = 0
-    if c & 1:
-        exps.add(n)
+    exps = {n}
     for j in range(1, n // 2 + 1):
-        num = c * (n - 2 * j + 2) * (n - 2 * j + 1)
-        den = j * (n - j)
-        c, rem = divmod(num, den)
-        if rem:
-            raise ArithmeticError(f"D_{n}: coefficient {j} is not an integer")
-        if c & 1:
+        a = n - j
+        if ((j & a) == j) != (((j - 1) & (a - 1)) == j - 1):
             exps.add(n - 2 * j)
     return frozenset(exps)
 
@@ -150,10 +145,7 @@ def eval_dickson(spec: FieldSpec, n: int, x: int,
     if a != 1:
         raise ValueError(f"method {method.value} supports a=1 only")
     if method is DicksonMethod.CLOSED_FORM:
-        out = 0
-        for e in dickson_exponents(n):
-            out ^= spec.pow(x, e)
-        return out
+        return sp_eval(dickson_exponents(n), spec, x)
     if method is DicksonMethod.FUNCTIONAL:
         return dickson_functional(spec, n, x)
     raise ValueError(f"unknown method {method!r}")

@@ -2,10 +2,13 @@
 
 The checkers sweep whole fields (GF(2^m) and GF(2^2m) for m up to
 EXT_MAX_DEGREE), so per-element work has to be table lookups on numpy arrays.
-Everything here is derived from the reference arithmetic in `field` and
-the reference evaluators in `maps`: linear maps are tabulated from their
-images on the polynomial basis, multiplication goes through discrete
-log/antilog tables built from a primitive element.
+Everything here is derived from the reference arithmetic in `field` and the
+exponent sets in `sparsepoly`: the squaring table is tabulated from
+`FieldSpec.square`, every linearized polynomial (the trace, T_k, f_alpha,
+g_beta, the Frobenius powers) from the squaring table's images of the
+polynomial basis, and multiplication goes through discrete log/antilog
+tables built from a primitive element. The scalar evaluators in `maps` are
+left as an independent oracle for these tables.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import numpy as np
 
 from .errors import OutOfRange
 from .field import FieldSpec, extension_of, make_field
-from .maps import eval_f_alpha, eval_g_beta
 from .params import ParamSet
+from .sparsepoly import f_alpha_poly, g_beta_poly, sp_reduce_mod_field, tk_poly, trace_poly
 
 #: packed-integer stand-in for the point at infinity
 PINF = -1
@@ -48,6 +51,25 @@ def _subset_xor_table(images: list[int]) -> np.ndarray:
         size = 1 << j
         table[size:2 * size] = table[:size] ^ img
     return table
+
+
+def _linearized_table(sq: np.ndarray, poly: frozenset) -> np.ndarray:
+    """Tabulate sum(x^e for e in poly) over the field with squaring table `sq`.
+
+    Every exponent must be a power of 2, so the map is F_2-linear: x^(2^j)
+    of the basis element 1 << i is read off the squaring table, with j taken
+    mod the degree since the Frobenius map has that order.
+    """
+    nbits = len(sq).bit_length() - 1
+    orbit = [1 << np.arange(nbits, dtype=np.int64)]
+    for _ in range(nbits - 1):
+        orbit.append(sq[orbit[-1]])
+    images = np.zeros(nbits, dtype=np.int64)
+    for e in poly:
+        if e < 1 or e & (e - 1):
+            raise ValueError(f"exponent {e} is not a power of 2")
+        images ^= orbit[(e.bit_length() - 1) % nbits]
+    return _subset_xor_table(images.tolist())
 
 
 def _exp_by_doubling(nbits: int, mul, gen: int) -> np.ndarray:
@@ -96,19 +118,24 @@ class FieldTables:
         self.q = spec.q
         self.n = spec.q - 1
         self.exp, self.log = _log_exp(spec.m, spec.mul, spec.pow, 2)
-        self.tr = _subset_xor_table([spec.trace(1 << i) for i in range(spec.m)])
         self.sq = _subset_xor_table([spec.square(1 << i) for i in range(spec.m)])
-
-    def linear_table(self, fn) -> np.ndarray:
-        """Tabulate an F_2-linear map given as a callable on elements."""
-        return _subset_xor_table([fn(1 << i) for i in range(self.spec.m)])
+        self.tr = _linearized_table(self.sq, trace_poly(spec.m))
 
     def frobenius_table(self, k: int) -> np.ndarray:
         """x -> x^(2^k) as a full table."""
-        table = np.arange(self.q, dtype=np.int64)
-        for _ in range(k):
-            table = self.sq[table]
-        return table
+        return _linearized_table(self.sq, frozenset({1 << k}))
+
+    def poly_table(self, poly: frozenset) -> np.ndarray:
+        """The function that the exponent set `poly` induces on GF(q), as a table;
+        x^0 is 1 also at x = 0."""
+        out = np.zeros(self.q, dtype=np.int64)
+        lx = self.log[1:]
+        for e in sp_reduce_mod_field(poly, self.spec.m):
+            if e == 0:
+                out ^= 1
+            else:
+                out[1:] ^= self.exp[(e * lx) % self.n]
+        return out
 
     def pow_vec(self, u: np.ndarray, e: int) -> np.ndarray:
         """u^e elementwise; e may be negative (then u must be nonzero)."""
@@ -124,11 +151,11 @@ def field_tables(m: int) -> FieldTables:
 
 
 def f_alpha_table(ft: FieldTables, p: ParamSet) -> np.ndarray:
-    return ft.linear_table(lambda b: eval_f_alpha(p, b))
+    return _linearized_table(ft.sq, f_alpha_poly(p))
 
 
 def g_beta_table(ft: FieldTables, p: ParamSet) -> np.ndarray:
-    return ft.linear_table(lambda b: eval_g_beta(p, b))
+    return _linearized_table(ft.sq, g_beta_poly(p))
 
 
 def h_value_table(ft: FieldTables, p: ParamSet) -> np.ndarray:
@@ -163,7 +190,6 @@ class ExtTables:
         self.exp, self.log = _log_exp(2 * m, lambda a, b: pack(ext.mul(unpack(a), unpack(b))),
                                       lambda c, e: pack(ext.pow(unpack(c), e)), self.q)
         self.sq = _subset_xor_table([pack(ext.square(unpack(1 << j))) for j in range(2 * m)])
-        self._g0_tables: dict[int, np.ndarray] = {}
         self._zmap = None
 
     # -- projective maps on packed arrays (PINF = infinity) -----------------
@@ -189,17 +215,7 @@ class ExtTables:
 
     def g0_table(self, k: int) -> np.ndarray:
         """The k-term linearized map z + z^2 + ... + z^(2^(k-1)), tabulated."""
-        if k not in self._g0_tables:
-            def g0(z):
-                acc = z
-                t = z
-                for _ in range(k - 1):
-                    t = self.ext.square(t)
-                    acc = self.ext.add(acc, t)
-                return acc
-            self._g0_tables[k] = _subset_xor_table(
-                [self.pack(g0(self.unpack(1 << j))) for j in range(2 * self.m)])
-        return self._g0_tables[k]
+        return _linearized_table(self.sq, tk_poly(k))
 
     def b0_packed(self) -> np.ndarray:
         """B_0 = GF(q) minus {1}, plus PINF."""

@@ -186,3 +186,28 @@ def test_an_out_of_field_value_fails_the_check(monkeypatch, label, value):
     _corrupt(monkeypatch, table, i, lambda tab: value)
     out = fn(*args)
     assert not out.passed and out.counterexample is not None
+
+
+def _no_class_on_t1(monkeypatch):
+    # a table whose T_1 image meets both classes fails fgprop's (i),
+    # Tr(f(x)) = par*Tr(x), before (iv) looks at it, so here the label is faked
+    orig = checks._on_class
+    monkeypatch.setattr(checks, "_on_class",
+                        lambda ft, tab, e: (NOT_A_CLASS, False) if e else orig(ft, tab, e))
+
+
+#: label -> (setup, checker, its arguments, the counterexample)
+NO_CLASS = {
+    "remark4": (lambda mp: _corrupt(mp, "h_value_table", 3, lambda tab: 1 << 24),
+                check_remark4, (5, 3), {"inputs": ["1"], "lhs": "none", "rhs": "0"}),
+    "fgprop": (_no_class_on_t1, check_fgprop, (5, 2),
+               {"inputs": ["1"], "lhs": "none", "rhs": "1"}),
+}
+
+
+@pytest.mark.parametrize("label", NO_CLASS)
+def test_no_class_prints_none_not_inf(monkeypatch, label):
+    setup, fn, args, expected = NO_CLASS[label]
+    setup(monkeypatch)
+    out = fn(*args)
+    assert not out.passed and out.counterexample == expected

@@ -43,6 +43,44 @@ def test_smallest_irreducible_table():
                        for low in range(poly & ((1 << m) - 1)))
 
 
+@pytest.fixture(scope="module")
+def gf2():
+    """sympy's dense GF(p)[X] arithmetic over p = 2: an oracle that shares no
+    code with field.py. Polynomials are coefficient lists, highest first."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
+
+    def to_list(x):
+        return [int(c) for c in format(x, "b")] if x else []
+
+    def to_int(coeffs):
+        return int("".join(map(str, coeffs)) or "0", 2)
+
+    return {"irreducible": lambda f: gf_irreducible_p(to_list(f), 2, ZZ),
+            "mulmod": lambda a, b, f: to_int(gf_rem(gf_mul(to_list(a), to_list(b), 2, ZZ),
+                                                    to_list(f), 2, ZZ))}
+
+
+def test_irreducibility_matches_sympy(gf2):
+    for f in range(2, 1 << 11):  # every polynomial of degree 1..10
+        assert is_irreducible(f) == gf2["irreducible"](f), hex(f)
+
+
+def test_smallest_irreducible_matches_sympy(gf2):
+    for m in range(1, 25):
+        first = next(f for f in range(1 << m, 2 << m) if gf2["irreducible"](f))
+        assert smallest_irreducible(m) == first, m
+
+
+def test_mul_matches_sympy(gf2):
+    rng = random.Random(2404)
+    for m in range(2, 25):
+        f = make_field(m)
+        for _ in range(64):
+            a, b = rng.randrange(f.q), rng.randrange(f.q)
+            assert f.mul(a, b) == gf2["mulmod"](a, b, f.reduction), (m, a, b)
+
+
 def test_gf4_defining_relation():
     f = make_field(2)
     omega = 0b10

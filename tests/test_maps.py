@@ -4,8 +4,12 @@ from permpoly import (INFINITY, DicksonMethod, ExtField, dickson_exponents,
                       derive_params, eval_dickson, eval_f_alpha, eval_g_beta,
                       eval_h, eval_h_via_identity, extension_of,
                       make_field, phi, tau, w_map)
-from permpoly.maps import dickson_functional, dickson_recurrence, functional_preimage
-from permpoly.tables import f_alpha_table, field_tables, g_beta_table, h_value_table
+from permpoly.field import coprime_ks
+from permpoly.maps import (dickson_functional, dickson_recurrence, frobenius_iter,
+                           functional_preimage)
+from permpoly.sparsepoly import expand_h, sp_eval
+from permpoly.tables import (ext_tables, f_alpha_table, field_tables, g_beta_table,
+                             h_value_table)
 
 
 def test_f_alpha_fixed_points():
@@ -73,16 +77,38 @@ def test_h_two_forms_agree():
 
 
 def test_tables_match_reference_evaluators():
-    for m, k in ((6, 5), (10, 3)):
+    # the tables are built from sparsepoly's exponent sets; the scalar maps are
+    # the oracle, on every element, every coprime k and every (alpha, beta),
+    # with gamma = beta so that H meets every (alpha, gamma) too
+    for m in range(2, 9):
         ft = field_tables(m)
-        p = derive_params(m, k, alpha=1, gamma=1)
-        fa = f_alpha_table(ft, p)
-        gb = g_beta_table(ft, p)
-        hv = h_value_table(ft, p)
-        for x in range(0, ft.q, 7):
-            assert fa[x] == eval_f_alpha(p, x)
-            assert gb[x] == eval_g_beta(p, x)
-            assert hv[x] == eval_h(p, x)
+        spec = ft.spec
+        xs = list(spec.elements())
+        assert ft.tr.tolist() == [spec.trace(x) for x in xs]
+        for k in coprime_ks(m):
+            assert ft.frobenius_table(k).tolist() == [frobenius_iter(spec, x, k) for x in xs]
+            for alpha in (0, 1):
+                for beta in (0, 1):
+                    p = derive_params(m, k, alpha=alpha, beta=beta, gamma=beta)
+                    assert f_alpha_table(ft, p).tolist() == [eval_f_alpha(p, x) for x in xs]
+                    assert g_beta_table(ft, p).tolist() == [eval_g_beta(p, x) for x in xs]
+                    assert h_value_table(ft, p).tolist() == [eval_h(p, x) for x in xs]
+        # H, D_n, and a constant term with exponents that reduce mod X^q - X and collide
+        polys = [expand_h(derive_params(m, 1, alpha=1, gamma=1)), dickson_exponents(2 * m + 1),
+                 frozenset({0, 1, 3, ft.q, ft.q + 2, 3 * ft.q - 2})]
+        for poly in polys:
+            assert ft.poly_table(poly).tolist() == [sp_eval(poly, spec, x) for x in xs]
+    for m in range(2, 7):
+        et = ext_tables(m)
+        for k in coprime_ks(m):
+            want = []
+            for z in range(et.Q):
+                acc = t = et.unpack(z)
+                for _ in range(k - 1):
+                    t = et.ext.square(t)
+                    acc = et.ext.add(acc, t)
+                want.append(et.pack(acc))
+            assert et.g0_table(k).tolist() == want
 
 
 def test_tau():
@@ -112,6 +138,15 @@ def test_dickson_exponents():
         assert max(dickson_exponents(n)) == n
     with pytest.raises(ValueError):
         dickson_exponents(0)
+
+
+def test_dickson_exponents_match_the_f2_recurrence():
+    # D_n = X*D_(n-1) + D_(n-2) over F_2 with D_0 = 0, D_1 = X; bit e of
+    # the int masks stands for X^e
+    prev, cur = 0, 0b10
+    for n in range(1, 3001):
+        assert sum(1 << e for e in dickson_exponents(n)) == cur, n
+        prev, cur = cur, (cur << 1) ^ prev
 
 
 def test_dickson_methods_agree_pointwise():

@@ -8,7 +8,7 @@ import pytest
 
 import permpoly
 from permpoly import OutOfRange
-from permpoly.tables import _exp_by_doubling, ext_tables, field_tables
+from permpoly.tables import _exp_by_doubling, _linearized_table, ext_tables, field_tables
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(permpoly.__file__).resolve().parents[1])}
 
@@ -52,6 +52,16 @@ def test_doubling_rejects_non_primitive_elements():
     for base_element in (1, 2, et.q - 1):  # all in GF(q)*, orders divide q - 1
         with pytest.raises(ArithmeticError):
             _exp_by_doubling(6, ext_mul, base_element)
+
+
+def test_linearized_builder_refuses_other_exponents():
+    sq = field_tables(4).sq
+    # x^(2^4) = x and x^(2^9) = x^2 on GF(16)
+    table = _linearized_table(sq, frozenset({1 << 4, 1 << 9}))
+    assert table.tolist() == [x ^ int(sq[x]) for x in range(16)]
+    for poly in ({0}, {3}, {1, 6}):
+        with pytest.raises(ValueError):
+            _linearized_table(sq, frozenset(poly))
 
 
 def test_ext_tables_refuse_degree_over_ceiling():
