@@ -128,13 +128,10 @@ class FieldTables:
     def poly_table(self, poly: frozenset) -> np.ndarray:
         """The function that the exponent set `poly` induces on GF(q), as a table;
         x^0 is 1 also at x = 0."""
+        xs = np.arange(self.q, dtype=np.int64)
         out = np.zeros(self.q, dtype=np.int64)
-        lx = self.log[1:]
         for e in sp_reduce_mod_field(poly, self.spec.m):
-            if e == 0:
-                out ^= 1
-            else:
-                out[1:] ^= self.exp[(e * lx) % self.n]
+            out ^= self.pow_vec(xs, e)
         return out
 
     def pow_vec(self, u: np.ndarray, e: int) -> np.ndarray:

@@ -109,6 +109,16 @@ def test_tables_match_reference_evaluators():
                     acc = et.ext.add(acc, t)
                 want.append(et.pack(acc))
             assert et.g0_table(k).tolist() == want
+    # one larger field, sampled
+    ft = field_tables(10)
+    p = derive_params(10, 3, alpha=1, gamma=1)
+    fa = f_alpha_table(ft, p)
+    gb = g_beta_table(ft, p)
+    hv = h_value_table(ft, p)
+    for x in range(0, ft.q, 7):
+        assert fa[x] == eval_f_alpha(p, x)
+        assert gb[x] == eval_g_beta(p, x)
+        assert hv[x] == eval_h(p, x)
 
 
 def test_tau():
