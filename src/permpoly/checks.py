@@ -7,6 +7,7 @@ occupancy counting, never by the parity formulas under test.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from math import gcd
@@ -24,8 +25,11 @@ from .tables import (EXT_MAX_DEGREE, PINF, ext_tables, f_alpha_table,
 
 NOT_A_CLASS = -1
 
-#: z values per numpy pass in check_zsumexp, bounding its temporaries
-_ZSUM_CHUNK = 1 << 18
+#: z values per chunk of check_zsumexp. Workers x _ZSUM_CHUNK elements are in
+#: flight at once, each with about twenty int64 temporaries. Fixed rather than
+#: derived from the worker count, so the first counterexample (first failing
+#: chunk, then comparison, then z) is the same on every machine.
+_ZSUM_CHUNK = 1 << 15
 
 
 @dataclass
@@ -105,6 +109,12 @@ class _Sweep:
             if bad.size:
                 i = int(bad[0])
                 self.fail([a[i] if np.ndim(a) else a for a in inputs], lhs[i], rhs[i])
+
+    def merge(self, part: _Sweep):
+        """Fold in a sweep of later inputs: add its count, keep the first counterexample."""
+        self.tested += part.tested
+        if self.counterexample is None:
+            self.counterexample = part.counterexample
 
 
 def _finish(name: str, params: dict, sweep: _Sweep) -> CheckOutcome:
@@ -323,39 +333,62 @@ def check_perm_lemma(m: int, k: int) -> CheckOutcome:
     return _finish("perm_lemma", {"m": m, "k": k}, sweep)
 
 
-def check_zsumexp(m: int, k: int) -> CheckOutcome:
+def _workers() -> int:
+    """The number of CPUs this process may run on (`taskset` narrows it)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _zsum_chunk(et, k: int, g0: np.ndarray, lo: int, hi: int) -> _Sweep:
+    """The identities of check_zsumexp for the packed z in lo..hi-1 (lo >= 2)."""
     sweep = _Sweep()
-    et = ext_tables(m)
     n = et.n
     sigma = 1 << k
+    z = np.arange(lo, hi, dtype=np.int64)
+    lz = et.log[z]
+    zinv = et.exp[(-lz) % n]
+    y = z ^ zinv  # z + 1/z, nonzero since z != 1
+    ly = et.log[y]
+    # (i)
+    lhs = np.zeros(len(z), dtype=np.int64)
+    for j in range(1, k + 1):
+        lhs ^= et.exp[(-(1 << j) * ly) % n]
+    w0 = et.exp[((sigma - 1) * lz) % n]
+    w0inv = et.exp[((1 - sigma) * lz) % n]
+    t = w0 ^ w0inv
+    rhs = np.where(t == 0, 0, et.exp[(et.log[t] - (sigma + 1) * ly) % n])
+    sweep.compare([z], lhs, rhs)
+    # (ii): both displayed identities; the first has the right side of (i)
+    lphi = (-ly) % n
+    gsq = et.sq[g0[et.exp[lphi]]]
+    sweep.compare([z], gsq, rhs)
+    w1 = et.exp[((sigma + 1) * lz) % n]
+    w1inv = et.exp[(-(sigma + 1) * lz) % n]
+    yw1 = w1 ^ w1inv
+    rhs1 = np.where(yw1 == 0, 0,
+                    et.exp[((sigma + 1) * lphi + et.log[yw1]) % n])
+    sweep.compare([z], 1 ^ gsq, rhs1)
+    # the expansion of (z + 1/z)^(sigma+1) used to prove (ii)
+    sweep.compare([z], et.exp[((sigma + 1) * ly) % n], w1 ^ w0 ^ w0inv ^ w1inv)
+    return sweep
+
+
+def check_zsumexp(m: int, k: int) -> CheckOutcome:
+    """Identities (i) and (ii) at every z of GF(q^2) other than 0 and 1, chunk
+    by chunk on a thread pool (numpy's gathers release the GIL); the parts are
+    folded in chunk order, so the outcome is the serial one."""
+    # imported here: concurrent.futures loads logging, about 0.5 MB that no
+    # other check needs
+    from concurrent.futures import ThreadPoolExecutor
+    sweep = _Sweep()
+    et = ext_tables(m)
     g0 = et.g0_table(k)
-    for lo in range(2, et.Q, _ZSUM_CHUNK):
-        z = np.arange(lo, min(lo + _ZSUM_CHUNK, et.Q), dtype=np.int64)
-        lz = et.log[z]
-        zinv = et.exp[(-lz) % n]
-        y = z ^ zinv  # z + 1/z, nonzero since z != 1
-        ly = et.log[y]
-        # (i)
-        lhs = np.zeros(len(z), dtype=np.int64)
-        for j in range(1, k + 1):
-            lhs ^= et.exp[(-(1 << j) * ly) % n]
-        w0 = et.exp[((sigma - 1) * lz) % n]
-        w0inv = et.exp[((1 - sigma) * lz) % n]
-        t = w0 ^ w0inv
-        rhs = np.where(t == 0, 0, et.exp[(et.log[t] - (sigma + 1) * ly) % n])
-        sweep.compare([z], lhs, rhs)
-        # (ii): both displayed identities; the first has the right side of (i)
-        lphi = (-ly) % n
-        gsq = et.sq[g0[et.exp[lphi]]]
-        sweep.compare([z], gsq, rhs)
-        w1 = et.exp[((sigma + 1) * lz) % n]
-        w1inv = et.exp[(-(sigma + 1) * lz) % n]
-        yw1 = w1 ^ w1inv
-        rhs1 = np.where(yw1 == 0, 0,
-                        et.exp[((sigma + 1) * lphi + et.log[yw1]) % n])
-        sweep.compare([z], 1 ^ gsq, rhs1)
-        # the expansion of (z + 1/z)^(sigma+1) used to prove (ii)
-        sweep.compare([z], et.exp[((sigma + 1) * ly) % n], w1 ^ w0 ^ w0inv ^ w1inv)
+    starts = range(2, et.Q, _ZSUM_CHUNK)
+    with ThreadPoolExecutor(max_workers=min(_workers(), len(starts))) as pool:
+        for part in pool.map(lambda lo: _zsum_chunk(et, k, g0, lo, min(lo + _ZSUM_CHUNK, et.Q)),
+                             starts):
+            sweep.merge(part)
     return _finish("zsumexp", {"m": m, "k": k}, sweep)
 
 
@@ -377,17 +410,18 @@ def check_h_dickson(m: int, k: int) -> CheckOutcome:
     h = h_value_table(ft, p)
     q, n = ft.q, ft.n
     xs = np.arange(1, q, dtype=np.int64)
-    gx = g[xs]
-    sweep.expect(bool((gx != 0).all()), [0], bool((gx != 0).all()), True)
-    lhs = h[gx]
-    mid = ft.exp[((p.sigma + 1) * ft.log[xs] - 2 * ft.log[gx]) % n]
-    sweep.compare([xs], lhs, mid)
-    # the Dickson form D_d(1/x)
-    d = (1 << k) - 1 if beta == 0 else (1 << (m - k)) - 1
-    dval = et.dickson_vec(d, ft.pow_vec(xs, -1))
-    sweep.expect(not _outside(dval, q).any() and bool((dval != 0).all()), [0], True, True)
-    exponent = -1 if beta == 0 else -(1 << k)
-    sweep.compare([xs], mid, ft.pow_vec(dval, exponent))
+    if sweep.in_field([], g, q) and sweep.in_field([], ft.exp, q):
+        gx = g[xs]
+        sweep.expect(bool((gx != 0).all()), [0], bool((gx != 0).all()), True)
+        lhs = h[gx]
+        mid = ft.exp[((p.sigma + 1) * ft.log[xs] - 2 * ft.log[gx]) % n]
+        sweep.compare([xs], lhs, mid)
+        # the Dickson form D_d(1/x)
+        d = (1 << k) - 1 if beta == 0 else (1 << (m - k)) - 1
+        dval = et.dickson_vec(d, ft.pow_vec(xs, -1))
+        sweep.expect(not _outside(dval, q).any() and bool((dval != 0).all()), [0], True, True)
+        exponent = -1 if beta == 0 else -(1 << k)
+        sweep.compare([xs], mid, ft.pow_vec(dval, exponent))
     # permutation status for both alpha choices
     for a in (0, 1):
         h_a = h_value_table(ft, derive_params(m, k, alpha=a))
@@ -412,6 +446,8 @@ def check_dickson_linearized(k_max: int) -> CheckOutcome:
         ft = field_tables(m)
         et = ext_tables(m)
         q, n = ft.q, ft.n
+        if not sweep.in_field([m], ft.exp, q):
+            continue
         xs = np.arange(1, q, dtype=np.int64)
         tk, term = np.zeros_like(xs), ft.pow_vec(xs, -1)
         for k in range(1, m + 1):
@@ -431,6 +467,8 @@ def check_dickson_methods(m_max: int) -> CheckOutcome:
         et = ext_tables(m)
         q = et.q
         mul = _mul_table(make_field(m))
+        if not sweep.in_field([m], mul, q):
+            continue
         xs = np.arange(q, dtype=np.int64)
         for n, cur in _dickson_rows(mul, 1, q * q):
             sweep.compare([np.full(q, n), xs], cur, et.base.poly_table(dickson_exponents(n)))

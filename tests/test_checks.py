@@ -12,6 +12,7 @@ from permpoly.checks import (NOT_A_CLASS, _injective, check_dickson_linearized,
                              check_polynomiality, check_remark3,
                              check_remark4, check_zsumexp)
 from permpoly.field import coprime_ks
+from permpoly.tables import ExtTables
 
 
 def test_injective_matches_a_set_count():
@@ -80,9 +81,11 @@ def test_fgprop_hprop():
 
 
 def test_perm_lemma_and_zsum():
-    for m, k in ((2, 1), (3, 2), (5, 3)):
+    # at m = 8 and 9, zsumexp sweeps GF(q^2) in several chunks
+    for m, k in ((2, 1), (3, 2), (5, 3), (8, 3), (9, 2)):
         assert check_perm_lemma(m, k).passed
-        assert check_zsumexp(m, k).passed
+        zsum = check_zsumexp(m, k)
+        assert zsum.passed and zsum.tested == 4 * ((1 << 2 * m) - 2), (m, k)
 
 
 # (passed, tested) of the scalar-loop implementation these checks replaced:
@@ -211,3 +214,61 @@ def test_no_class_prints_none_not_inf(monkeypatch, label):
     setup(monkeypatch)
     out = fn(*args)
     assert not out.passed and out.counterexample == expected
+
+
+#: label -> (checker, its arguments, a table that feeds an identity rather than
+#: a permutation verdict, entry i), and the (passed, tested, counterexample)
+#: with table[i] = 2^24; without the in_field guard each call raises IndexError
+IDENTITY_TABLES = {
+    "h_dickson_g": ((check_h_dickson, (5, 2), "g_beta_table", 3),
+                    (False, 66, {"inputs": ["3"], "lhs": "1000000", "rhs": "20"})),
+    "h_dickson_exp": ((check_h_dickson, (5, 2), "field_tables", 2),
+                      (False, 66, {"inputs": ["2"], "lhs": "1000000", "rhs": "20"})),
+    "dickson_linearized_exp": ((check_dickson_linearized, (6,), "field_tables", 2),
+                               (False, 21, {"inputs": ["2", "2"], "lhs": "1000000",
+                                            "rhs": "4"})),
+    "dickson_methods_mul": ((check_dickson_methods, (3,), "_mul_table", 5),
+                            (False, 0, {"inputs": ["2", "5"], "lhs": "1000000",
+                                        "rhs": "4"})),
+}
+
+
+@pytest.mark.parametrize("label", IDENTITY_TABLES)
+def test_an_out_of_field_value_in_an_identity_table_fails_the_check(monkeypatch, label):
+    (fn, args, table, i), expected = IDENTITY_TABLES[label]
+    _corrupt(monkeypatch, table, i, lambda tab: 1 << 24)
+    out = fn(*args)
+    assert (out.passed, out.tested, out.counterexample) == expected
+
+
+#: label -> (ExtTables(9) table, entries, k, the new value or None to flip
+#: bit 0), and the counterexample (None: the check raises IndexError); every
+#: entry lies past the first zsumexp chunk
+ZSUM_CORRUPTED = {
+    "sq": (("sq", (150000,), 2, None),
+           {"inputs": ["13352"], "lhs": "32d69", "rhs": "32d68"}),
+    "sq_twice": (("sq", (40000, 250000), 5, None),
+                 {"inputs": ["10400"], "lhs": "9855", "rhs": "9854"}),
+    "exp_twice": (("exp", (70000, 200000), 2, None),
+                  {"inputs": ["21c2"], "lhs": "275a3", "rhs": "275a2"}),
+    "exp_out_of_range": (("exp", (100000,), 2, 1 << 18), None),
+}
+
+
+@pytest.mark.parametrize("label", ZSUM_CORRUPTED)
+def test_zsumexp_outcome_does_not_depend_on_the_worker_count(monkeypatch, label):
+    (name, entries, k, value), expected = ZSUM_CORRUPTED[label]
+    et = ExtTables(9)  # not the cached ext_tables(9), which other tests read
+    tab = getattr(et, name)
+    for i in entries:
+        tab[i] = tab[i] ^ 1 if value is None else value
+    monkeypatch.setattr(checks, "ext_tables", lambda m: et)
+    for workers in (1, 8):  # 8 runs all eight chunks of GF(2^18) at once
+        monkeypatch.setattr(checks, "_workers", lambda: workers)
+        if expected is None:
+            with pytest.raises(IndexError):
+                check_zsumexp(9, k)
+        else:
+            out = check_zsumexp(9, k)
+            assert (out.passed, out.tested, out.counterexample) == \
+                (False, 4 * ((1 << 18) - 2), expected), workers
