@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gcd
 from typing import Callable
 
@@ -60,9 +60,7 @@ class CheckOutcome:
     ms: float = 0.0
 
     def to_json(self) -> dict:
-        return {"check": self.check, "params": self.params, "passed": self.passed,
-                "tested": self.tested, "counterexample": self.counterexample,
-                "ms": self.ms}
+        return asdict(self)
 
 
 def _hx(v) -> str:
@@ -500,17 +498,9 @@ def check_hitt(m: int, k: int) -> CheckOutcome:
                 z = b_sets[(e * (1 + delta * m)) % 2]
                 pz = et.phi_vec(z)
                 pw = et.phi_vec(et.w_vec(sigma, theta * e, z))
-                pz_bad, pw_bad = _outside(pz, q), _outside(pw, q)
-                lhs = h[g[np.where(pz_bad, 0, pz) ^ (delta * e)]]
-                rhs = pw ^ (gamma * e)
-                sweep.tested += z.size
-                bad = np.nonzero(pz_bad | pw_bad | (lhs != rhs))[0]
-                if bad.size:
-                    i = int(bad[0])
-                    if pz_bad[i] or pw_bad[i]:
-                        sweep.fail([z[i]], pz[i] if pz_bad[i] else pw[i], 0)
-                    else:
-                        sweep.fail([alpha, gamma, e, z[i]], lhs[i], rhs[i])
+                inputs = [alpha, gamma, e]
+                if sweep.in_field(inputs, pz, q) and sweep.in_field(inputs, pw, q):
+                    sweep.compare([*inputs, z], h[g[pz ^ (delta * e)]], pw ^ (gamma * e))
     return _finish("hitt", {"m": m, "k": k}, sweep)
 
 

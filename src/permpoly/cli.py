@@ -73,7 +73,7 @@ def _emit_rows(args, rows: list[dict], header: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_params(args) -> int:
-    field = make_field(args.m, _reduction_for(args.m))
+    field = make_field(args.m)
     rows = []
     for alpha in (0, 1):
         for beta in (0, 1):
@@ -114,10 +114,7 @@ def cmd_eval(args) -> int:
         else:
             sigma = derive_params(args.m, args.k, field=field).sigma
             result = w_map(ext, sigma, 0 if name == "w0" else 1, zval)
-        if result is INFINITY:
-            print("inf")
-            return 0
-        value = result[0] | (result[1] << field.m)
+        value = result if result is INFINITY else result[0] | (result[1] << field.m)
     elif name == "tau":
         value = tau(args.v, _hex_arg(args.x, "--x", field.q))
     else:
@@ -127,7 +124,8 @@ def cmd_eval(args) -> int:
                           gamma=args.gamma, field=field)
         fn = {"f": eval_f_alpha, "g": eval_g_beta, "tk": eval_g_beta, "h": eval_h}[name]
         value = fn(p, _hex_arg(args.x, "--x", field.q))
-    print(element_to_hex(value))
+    with _output(args) as stream:
+        print(element_to_hex(value), file=stream)
     return 0
 
 
@@ -157,7 +155,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    field = make_field(args.m, _reduction_for(args.m))
+    field = make_field(args.m)
     p = derive_params(args.m, args.k, alpha=args.alpha, gamma=args.gamma,
                       field=field)
     try:
@@ -167,7 +165,8 @@ def cmd_expand(args) -> int:
         return 5
     if args.reduce:
         poly = sp_reduce_mod_field(poly, args.m)
-    print(sp_serialize(poly))
+    with _output(args) as stream:
+        print(sp_serialize(poly), file=stream)
     return 0
 
 

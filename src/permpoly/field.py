@@ -194,7 +194,9 @@ class FieldSpec:
         return range(self.q)
 
 
+@lru_cache(maxsize=None)
 def make_field(m: int, reduction: int | None = None) -> FieldSpec:
+    """The GF(2^m) context, built and tested for irreducibility once per modulus."""
     return FieldSpec(m, reduction)
 
 
@@ -202,12 +204,6 @@ def element_to_hex(x) -> str:
     if x is INFINITY:
         return "inf"
     return format(x, "x")
-
-
-def element_from_hex(s: str):
-    if s == "inf":
-        return INFINITY
-    return int(s, 16)
 
 
 # ---------------------------------------------------------------------------

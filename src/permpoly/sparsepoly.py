@@ -63,22 +63,11 @@ def sp_eval(a: frozenset, spec: FieldSpec, x: int) -> int:
     return out
 
 
-def sp_degree(a: frozenset) -> int | None:
-    """Degree, or None for the zero polynomial."""
-    return max(a) if a else None
-
-
 def sp_serialize(a: frozenset) -> str:
     """Sorted comma-separated exponents; the zero polynomial is "0"."""
     if not a:
         return "0"
     return ",".join(str(e) for e in sorted(a))
-
-
-def sp_parse(s: str) -> frozenset:
-    if s.strip() == "0":
-        return ZERO_POLY
-    return frozenset(int(part) for part in s.split(","))
 
 
 # ---------------------------------------------------------------------------

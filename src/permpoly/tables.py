@@ -108,7 +108,19 @@ def _log_exp(nbits: int, mul, pow_, start: int) -> tuple[np.ndarray, np.ndarray]
     return exp, log
 
 
-class FieldTables:
+class _LogTables:
+    """Elementwise powers through the discrete log/antilog tables `exp`, `log`
+    of a field with `n` nonzero elements (log[0] is a sentinel)."""
+
+    def pow_vec(self, u: np.ndarray, e: int) -> np.ndarray:
+        """u^e elementwise; e may be negative (then u must be nonzero)."""
+        out = self.exp[(e * self.log[u]) % self.n]
+        if e > 0:
+            out = np.where(u == 0, 0, out)
+        return out
+
+
+class FieldTables(_LogTables):
     """log/exp/trace tables for one GF(2^m), m >= 2."""
 
     def __init__(self, spec: FieldSpec):
@@ -132,13 +144,6 @@ class FieldTables:
         out = np.zeros(self.q, dtype=np.int64)
         for e in sp_reduce_mod_field(poly, self.spec.m):
             out ^= self.pow_vec(xs, e)
-        return out
-
-    def pow_vec(self, u: np.ndarray, e: int) -> np.ndarray:
-        """u^e elementwise; e may be negative (then u must be nonzero)."""
-        out = self.exp[(e * self.log[u]) % self.n]
-        if e > 0:
-            out = np.where(u == 0, 0, out)
         return out
 
 
@@ -167,7 +172,7 @@ def h_value_table(ft: FieldTables, p: ParamSet) -> np.ndarray:
     return h
 
 
-class ExtTables:
+class ExtTables(_LogTables):
     """Packed log/exp tables for GF(q^2), elements encoded as a | (b << m)."""
 
     def __init__(self, m: int):
@@ -195,17 +200,16 @@ class ExtTables:
         """1/(z + 1/z) elementwise; PINF and 0 map to 0, 1 to PINF."""
         out = np.zeros(z.shape, dtype=np.int64)
         sel = z > 1
-        y = z[sel] ^ self.exp[(-self.log[z[sel]]) % self.n]
-        out[sel] = self.exp[(-self.log[y]) % self.n]
+        y = z[sel] ^ self.pow_vec(z[sel], -1)
+        out[sel] = self.pow_vec(y, -1)
         out[z == 1] = PINF
         return out
 
     def w_vec(self, sigma: int, e: int, z: np.ndarray) -> np.ndarray:
         """z^(sigma - 1) for e = 0, z^(sigma + 1) for e = 1; fixes 0 and PINF."""
-        s = sigma - 1 if e == 0 else sigma + 1
         out = np.array(z, dtype=np.int64)
         sel = out > 0
-        out[sel] = self.exp[(s * self.log[out[sel]]) % self.n]
+        out[sel] = self.pow_vec(out[sel], sigma - 1 if e == 0 else sigma + 1)
         return out
 
     # -- derived tables ------------------------------------------------------
@@ -223,19 +227,20 @@ class ExtTables:
         members = self.exp[((self.q - 1) * np.arange(1, self.q + 1)) % self.n]
         if np.unique(members).size != self.q or (members == 1).any():
             raise ArithmeticError(f"B_1 powers are not q = {self.q} elements other than 1")
-        if not (self.exp[((self.q + 1) * self.log[members]) % self.n] == 1).all():
+        if not (self.pow_vec(members, self.q + 1) == 1).all():
             raise ArithmeticError("a B_1 power has norm other than 1")
         return members
 
     def zmap(self) -> np.ndarray:
-        """For each base-field x, one packed z with z + 1/z = x."""
+        """For each base-field x, one packed z with z + 1/z = x. Such z lie in
+        GF(q)* or B_1, since z + 1/z is in GF(q) iff z^(q-1) = 1 or z^(q+1) = 1."""
         if self._zmap is None:
-            z = np.arange(1, self.Q, dtype=np.int64)
-            zinv = self.exp[(-self.log[z]) % self.n]
-            y = z ^ zinv
-            mask = y < self.q
+            z = np.concatenate((np.arange(1, self.q, dtype=np.int64), self.b1_packed()))
+            y = z ^ self.pow_vec(z, -1)
+            if ((y < 0) | (y >= self.q)).any():
+                raise ArithmeticError("some z in GF(q)* or B_1 has z + 1/z outside GF(q)")
             zm = np.zeros(self.q, dtype=np.int64)
-            zm[y[mask]] = z[mask]
+            zm[y] = z
             if not (zm > 0).all():
                 raise ArithmeticError("some base-field x has no z with z + 1/z = x")
             self._zmap = zm
@@ -243,8 +248,8 @@ class ExtTables:
 
     def dickson_vec(self, n: int, x: np.ndarray) -> np.ndarray:
         """D_n(x, 1) elementwise over base-field x, as z^n + z^-n for z + 1/z = x."""
-        lz = self.log[self.zmap()[x]]
-        return self.exp[(n * lz) % self.n] ^ self.exp[(-n * lz) % self.n]
+        z = self.zmap()[x]
+        return self.pow_vec(z, n) ^ self.pow_vec(z, -n)
 
 
 @lru_cache(maxsize=None)

@@ -247,6 +247,21 @@ def test_verify_to_file(tmp_path, capsys):
     assert rows and all(r["passed"] for r in rows)
 
 
+@pytest.mark.parametrize("argv, expected, bad_argv", [
+    (["eval", "h", "--m", "3", "--k", "2", "--x", "2"], "2",
+     ["eval", "h", "--m", "3", "--k", "2", "--x", "9"]),
+    (["expand", "--m", "3", "--k", "2"], "3,6,15,18", ["expand", "--m", "4", "--k", "2"]),
+], ids=["eval", "expand"])
+def test_eval_and_expand_write_to_out(tmp_path, capsys, argv, expected, bad_argv):
+    path = tmp_path / "out.txt"
+    code, out, _ = run(capsys, "--out", str(path), *argv)
+    assert code == 0 and out == "" and path.read_text() == expected + "\n"
+    # a usage error is reported before the file is opened
+    bad_path = tmp_path / "bad.txt"
+    code, out, _ = run(capsys, "--out", str(bad_path), *bad_argv)
+    assert code == 2 and out == "" and not bad_path.exists()
+
+
 def test_field_table_env_override(tmp_path, monkeypatch, capsys):
     # GF(8) built on X^3+X^2+1 instead of the default X^3+X+1
     table = tmp_path / "fields.txt"

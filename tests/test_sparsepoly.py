@@ -4,10 +4,9 @@ import pytest
 
 from permpoly import (NotDivisible, derive_params, eval_f_alpha, eval_g_beta,
                       eval_h, expand_h, make_field, sp_add,
-                      sp_div_x2, sp_eval, sp_mul, sp_parse, sp_pow2k,
+                      sp_div_x2, sp_eval, sp_mul, sp_pow2k,
                       sp_reduce_mod_field, sp_serialize, trace_poly)
-from permpoly.sparsepoly import (ZERO_POLY, f_alpha_poly, g_beta_poly,
-                                 sp_degree, tk_poly)
+from permpoly.sparsepoly import ZERO_POLY, f_alpha_poly, g_beta_poly, tk_poly
 
 X = frozenset({1})
 
@@ -64,7 +63,7 @@ def test_reduce_preserves_function():
         for _ in range(40):
             poly = frozenset(rng.randrange(1 << 12) for _ in range(6))
             red = sp_reduce_mod_field(poly, m)
-            assert sp_degree(red) is None or sp_degree(red) < f.q
+            assert max(red, default=0) < f.q
             for x in f.elements():
                 assert sp_eval(poly, f, x) == sp_eval(red, f, x)
 
@@ -72,8 +71,6 @@ def test_reduce_preserves_function():
 def test_serialize_parse():
     assert sp_serialize(frozenset({18, 3, 15, 6})) == "3,6,15,18"
     assert sp_serialize(ZERO_POLY) == "0"
-    assert sp_parse("3,6,15,18") == frozenset({3, 6, 15, 18})
-    assert sp_parse("0") == ZERO_POLY
 
 
 def test_named_polys_match_evaluators():

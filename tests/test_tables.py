@@ -4,11 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import permpoly
-from permpoly import OutOfRange
-from permpoly.tables import _exp_by_doubling, _linearized_table, ext_tables, field_tables
+from permpoly import INFINITY, OutOfRange, build_b_set, coprime_ks, phi, w_map
+from permpoly.maps import dickson_recurrence
+from permpoly.tables import (PINF, _exp_by_doubling, _linearized_table, ext_tables,
+                             field_tables)
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(permpoly.__file__).resolve().parents[1])}
 
@@ -38,6 +41,30 @@ def test_ext_exp_matches_scalar_powers(m):
     powers, cycle = _powers(et.ext.mul, et.ext.ONE, gen, et.n)
     assert [et.unpack(int(z)) for z in et.exp] == powers
     assert cycle == et.ext.ONE
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_ext_projective_helpers_match_scalar_maps(m):
+    """B_0, B_1, phi, w and the Dickson values on whole fields, against the
+    scalar maps on (a, b) pairs."""
+    et = ext_tables(m)
+    ext, q = et.ext, et.q
+
+    def pack(z):
+        return PINF if z is INFINITY else et.pack(z)
+
+    for e, packed in ((0, et.b0_packed()), (1, et.b1_packed())):
+        assert sorted(packed.tolist()) == sorted(pack(z) for z in build_b_set(et.spec, e))
+    zs = np.arange(PINF, et.Q, dtype=np.int64)
+    points = [INFINITY] + [et.unpack(z) for z in range(et.Q)]
+    assert et.phi_vec(zs).tolist() == [pack(phi(ext, z)) for z in points]
+    for k in coprime_ks(m):
+        for e in (0, 1):
+            assert et.w_vec(1 << k, e, zs).tolist() == \
+                [pack(w_map(ext, 1 << k, e, z)) for z in points]
+    for n in (1, 2, 3, q - 1, q + 1, q * q - 2):
+        assert et.dickson_vec(n, np.arange(q)).tolist() == \
+            [dickson_recurrence(et.spec, n, x) for x in range(q)]
 
 
 def test_doubling_rejects_non_primitive_elements():
