@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict, dataclass
-from math import gcd
+from math import gcd, prod
 from typing import Callable
 
 import numpy as np
@@ -24,6 +24,11 @@ from .tables import (EXT_MAX_DEGREE, PINF, ext_tables, f_alpha_table,
                      field_tables, g_beta_table, h_value_table)
 
 NOT_A_CLASS = -1
+
+#: the largest m_max of nobauer and dickson_methods (q x q products, n up to q^2)
+MUL_TABLE_M_MAX = 5
+#: the largest k_max of dickson_linearized
+LINEARIZED_K_MAX = 16
 
 #: z values per chunk of check_zsumexp. Workers x _ZSUM_CHUNK elements are in
 #: flight at once, each with about twenty int64 temporaries. Fixed rather than
@@ -97,6 +102,17 @@ class _Sweep:
             self.fail([*inputs, bad[0]], values.flat[bad[0]], q)
         return not bad.size
 
+    def guard_holds(self, inputs, guarded) -> bool:
+        """Whether guarded() passes its table guard, else records why, counting nothing."""
+        try:
+            guarded()
+        except ArithmeticError as exc:
+            if self.counterexample is None:
+                self.counterexample = {"inputs": [_hx(v) for v in inputs],
+                                       "guard": f"{guarded.__name__}: {exc}"}
+            return False
+        return True
+
     def compare(self, inputs, lhs, rhs):
         """Elementwise equality of two numpy arrays."""
         lhs = np.asarray(lhs)
@@ -127,10 +143,19 @@ def _outside(values: np.ndarray, q: int) -> np.ndarray:
     return (values < 0) | (values >= q)
 
 
-def _injective(values: np.ndarray, q: int) -> bool:
-    """True iff every value lies in GF(q) and none occurs twice, by counting
-    how often each element occurs; on q values, iff they permute GF(q)."""
-    return not _outside(values, q).any() and bool((np.bincount(values, minlength=q) < 2).all())
+def _injective(values: np.ndarray, q: int):
+    """Along the last axis: whether every value lies in GF(q) and none occurs
+    twice, by one bincount of how often each element occurs in each row; on q
+    values, whether they permute GF(q)."""
+    lead = values.shape[:-1]
+    inside = (values.min(axis=-1, initial=0) >= 0) & (values.max(axis=-1, initial=0) < q)
+    # a row with a value outside GF(q) has failed; clipping keeps its keys in range
+    keys = values if inside.all() else np.clip(values, 0, q - 1)
+    if lead:  # row i counts in bins i*q .. i*q + q - 1
+        keys = keys + q * np.arange(prod(lead)).reshape(*lead, 1)
+    counts = np.bincount(keys.ravel(), minlength=q * prod(lead)).reshape(*lead, q)
+    ok = inside & (counts < 2).all(axis=-1)
+    return ok if lead else bool(ok)
 
 
 def _on_class(ft, tab: np.ndarray, e: int) -> tuple[int, bool]:
@@ -158,10 +183,12 @@ def _mul_table(spec: FieldSpec) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _dickson_rows(mul: np.ndarray, a: int, n_max: int):
-    """(n, D_n(x, a) for every x) for n = 1..n_max, by D_n = x*D_(n-1) + a*D_(n-2)."""
+def _dickson_rows(mul: np.ndarray, a, n_max: int):
+    """(n, D_n(x, a) for every x) for n = 1..n_max, by D_n = x*D_(n-1) + a*D_(n-2);
+    for a column of a values, one row per a."""
     xs = np.arange(len(mul), dtype=np.int64)
-    prev, cur = np.zeros_like(xs), xs
+    cur = np.broadcast_to(xs, np.broadcast(a, xs).shape)
+    prev = np.zeros_like(cur)
     for n in range(1, n_max + 1):
         yield n, cur
         prev, cur = cur, mul[xs, cur] ^ mul[a, prev]
@@ -209,19 +236,21 @@ def check_main_theorem_outcome(m: int, k: int) -> CheckOutcome:
 
 def check_nobauer(m_max: int) -> CheckOutcome:
     """Permutation status of D_n(X, a) against gcd(n, q^2 - 1) = 1."""
-    if m_max > 5:
-        raise OutOfRange(f"m_max={m_max} exceeds the runtime guard 5")
+    if m_max > MUL_TABLE_M_MAX:
+        raise OutOfRange(f"m_max={m_max} exceeds the runtime guard {MUL_TABLE_M_MAX}")
     sweep = _Sweep()
     for m in range(2, m_max + 1):
         q = 1 << m
         mul = _mul_table(make_field(m))
         if not sweep.in_field([m], mul, q):
             continue
-        for a in range(1, q):
-            for n, dn in _dickson_rows(mul, a, q * q - 1):
-                observed = _injective(dn, q)
-                predicted = gcd(n, q * q - 1) == 1
-                sweep.expect(observed == predicted, [m, a, n], observed, predicted)
+        a, ns = np.arange(1, q), np.arange(1, q * q)
+        observed = np.empty((q - 1, q * q - 1), dtype=bool)  # observed[a - 1, n - 1]
+        for n, dn in _dickson_rows(mul, a[:, None], q * q - 1):  # one recurrence for all a
+            observed[:, n - 1] = _injective(dn, q)
+        predicted = np.gcd(ns, q * q - 1) == 1
+        for a_row, row in zip(a, observed):  # a-major, as a loop over a and then n
+            sweep.compare([m, a_row, ns], row, predicted)
     return _finish("nobauer", {"m_max": m_max}, sweep)
 
 
@@ -288,10 +317,8 @@ def check_hprop(m: int, k: int) -> CheckOutcome:
             p = derive_params(m, k, alpha=alpha, gamma=gamma)
             fa = f_alpha_table(ft, p)
             h = h_value_table(ft, p)
-            ratio = np.where(fa == 0, 0, ft.exp[(ft.log[fa] - ft.log[xs]) % ft.n])
-            ratio[0] = 0
+            ratio = ft.pow_vec((fa, 1), (xs, -1))  # 0 at x = 0, where fa is 0
             alt = ft.sq[ratio] ^ ratio ^ fa ^ (gamma * ft.tr)
-            alt[0] = 0
             sweep.compare([xs], h, alt)
             par = (p.r + (alpha + gamma) * m) % 2
             sweep.compare([xs], ft.tr[h], par * ft.tr)
@@ -308,6 +335,8 @@ def check_perm_lemma(m: int, k: int) -> CheckOutcome:
     ft = et.base
     q = et.q
     sigma = 1 << k
+    if not sweep.guard_holds([], et.b1_packed):
+        return _finish("perm_lemma", {"m": m, "k": k}, sweep)
     b_sets = {0: et.b0_packed(), 1: et.b1_packed()}
     # (i): phi is two-to-one from B_e onto T_e
     for e in (0, 1):
@@ -406,20 +435,21 @@ def check_h_dickson(m: int, k: int) -> CheckOutcome:
     sweep.expect((k + beta * m) % 2 == 1, [beta], (k + beta * m) % 2, 1)
     g = g_beta_table(ft, p)
     h = h_value_table(ft, p)
-    q, n = ft.q, ft.n
+    q = ft.q
     xs = np.arange(1, q, dtype=np.int64)
-    if sweep.in_field([], g, q) and sweep.in_field([], ft.exp, q):
+    if (sweep.in_field([], g, q) and sweep.in_field([], ft.exp, q)
+            and sweep.guard_holds([], et.zmap)):
         gx = g[xs]
         sweep.expect(bool((gx != 0).all()), [0], bool((gx != 0).all()), True)
         lhs = h[gx]
-        mid = ft.exp[((p.sigma + 1) * ft.log[xs] - 2 * ft.log[gx]) % n]
+        mid = ft.pow_vec((xs, p.sigma + 1), (gx, -2))
         sweep.compare([xs], lhs, mid)
         # the Dickson form D_d(1/x)
         d = (1 << k) - 1 if beta == 0 else (1 << (m - k)) - 1
-        dval = et.dickson_vec(d, ft.pow_vec(xs, -1))
+        dval = et.dickson_vec(d, ft.pow_vec((xs, -1)))
         sweep.expect(not _outside(dval, q).any() and bool((dval != 0).all()), [0], True, True)
         exponent = -1 if beta == 0 else -(1 << k)
-        sweep.compare([xs], mid, ft.pow_vec(dval, exponent))
+        sweep.compare([xs], mid, ft.pow_vec((dval, exponent)))
     # permutation status for both alpha choices
     for a in (0, 1):
         h_a = h_value_table(ft, derive_params(m, k, alpha=a))
@@ -432,8 +462,8 @@ def check_h_dickson(m: int, k: int) -> CheckOutcome:
 
 def check_dickson_linearized(k_max: int) -> CheckOutcome:
     """Symbolic and pointwise forms of D_{2^k-1} = X^(2^k+1) * T_k(1/X)^2."""
-    if k_max > 16:
-        raise OutOfRange(f"k_max={k_max} exceeds the guard 16")
+    if k_max > LINEARIZED_K_MAX:
+        raise OutOfRange(f"k_max={k_max} exceeds the guard {LINEARIZED_K_MAX}")
     sweep = _Sweep()
     for k in range(1, k_max + 1):
         lhs = set(dickson_exponents((1 << k) - 1))
@@ -443,29 +473,27 @@ def check_dickson_linearized(k_max: int) -> CheckOutcome:
     for m in range(2, 11):
         ft = field_tables(m)
         et = ext_tables(m)
-        q, n = ft.q, ft.n
-        if not sweep.in_field([m], ft.exp, q):
+        if not (sweep.in_field([m], ft.exp, ft.q) and sweep.guard_holds([m], et.zmap)):
             continue
-        xs = np.arange(1, q, dtype=np.int64)
-        tk, term = np.zeros_like(xs), ft.pow_vec(xs, -1)
+        xs = np.arange(1, ft.q, dtype=np.int64)
+        tk, term = np.zeros_like(xs), ft.pow_vec((xs, -1))
         for k in range(1, m + 1):
             tk, term = tk ^ term, ft.sq[term]  # T_k(1/x), (1/x)^(2^k)
-            rhs = np.where(tk == 0, 0,
-                           ft.exp[(((1 << k) + 1) * ft.log[xs] + 2 * ft.log[tk]) % n])
+            rhs = ft.pow_vec((xs, (1 << k) + 1), (tk, 2))
             sweep.compare([xs], et.dickson_vec((1 << k) - 1, xs), rhs)
     return _finish("dickson_linearized", {"k_max": k_max}, sweep)
 
 
 def check_dickson_methods(m_max: int) -> CheckOutcome:
     """Recurrence / closed-form / functional evaluation agree on all x, n <= q^2."""
-    if m_max > 5:
-        raise OutOfRange(f"m_max={m_max} exceeds the runtime guard 5")
+    if m_max > MUL_TABLE_M_MAX:
+        raise OutOfRange(f"m_max={m_max} exceeds the runtime guard {MUL_TABLE_M_MAX}")
     sweep = _Sweep()
     for m in range(2, m_max + 1):
         et = ext_tables(m)
         q = et.q
         mul = _mul_table(make_field(m))
-        if not sweep.in_field([m], mul, q):
+        if not (sweep.in_field([m], mul, q) and sweep.guard_holds([m], et.zmap)):
             continue
         xs = np.arange(q, dtype=np.int64)
         for n, cur in _dickson_rows(mul, 1, q * q):
@@ -486,6 +514,8 @@ def check_hitt(m: int, k: int) -> CheckOutcome:
     q = et.q
     sigma = 1 << k
     beta = 0 if k % 2 == 1 else 1
+    if not sweep.guard_holds([], et.b1_packed):
+        return _finish("hitt", {"m": m, "k": k}, sweep)
     b_sets = {0: et.b0_packed(), 1: et.b1_packed()}
     for alpha in (0, 1):
         for gamma in (0, 1):
@@ -511,7 +541,7 @@ def check_remark3(m: int) -> CheckOutcome:
     sweep = _Sweep()
     ft = field_tables(m)
     t1 = np.nonzero(ft.tr == 1)[0].astype(np.int64)
-    h = t1 ^ ft.pow_vec(t1, -1) ^ ft.pow_vec(t1, -2)
+    h = t1 ^ ft.pow_vec((t1, -1)) ^ ft.pow_vec((t1, -2))
     ok = _injective(h, ft.q) and bool((ft.tr[h] == 1).all())
     sweep.expect(ok, [m], ok, True)
     sweep.tested += t1.size - 1
@@ -604,10 +634,15 @@ def _coprime_grid(cap: int) -> list[tuple]:
     return [(m, k) for m in range(2, cap + 1) for k in coprime_ks(m)]
 
 
+def _clamped(fn: Callable[[int], CheckOutcome], limit: int) -> Check:
+    """A check run once at min(cap, limit), by default at its limit, that takes any cap."""
+    return Check(fn, lambda cap: [(min(cap, limit),)], limit, None)
+
+
 #: Every check, in `verify --suite all` order.
 CHECKS = {
     "main_theorem": Check(check_main_theorem_outcome, _coprime_grid, 12),
-    "nobauer": Check(check_nobauer, lambda cap: [(min(cap, 5),)], 5, None),
+    "nobauer": _clamped(check_nobauer, MUL_TABLE_M_MAX),
     "fgprop": Check(check_fgprop, _coprime_grid, 12),
     "hprop": Check(check_hprop, _coprime_grid, 12),
     "perm_lemma": Check(check_perm_lemma, _coprime_grid, 10, EXT_MAX_DEGREE),
@@ -617,8 +652,8 @@ CHECKS = {
     "remark3": Check(check_remark3, lambda cap: [(m,) for m in range(2, cap + 1)], 12),
     "remark4": Check(check_remark4,
                      lambda cap: [(m, (m + 1) // 2) for m in range(3, cap + 1, 2)], 13),
-    "dickson_linearized": Check(check_dickson_linearized, lambda cap: [(min(cap, 16),)], 16, None),
-    "dickson_methods": Check(check_dickson_methods, lambda cap: [(min(cap, 5),)], 5, None),
+    "dickson_linearized": _clamped(check_dickson_linearized, LINEARIZED_K_MAX),
+    "dickson_methods": _clamped(check_dickson_methods, MUL_TABLE_M_MAX),
     "polynomiality": Check(check_polynomiality, lambda cap: [(cap,)], 12),
 }
 

@@ -53,10 +53,6 @@ def polymod(a: int, f: int) -> int:
     return a
 
 
-def polymulmod(a: int, b: int, f: int) -> int:
-    return polymod(clmul(a, b), f)
-
-
 def polygcd(a: int, b: int) -> int:
     while b:
         a, b = b, polymod(a, b)
@@ -72,7 +68,7 @@ def is_irreducible(f: int) -> bool:
     def frob_power(t: int) -> int:
         h = 0b10  # X
         for _ in range(t):
-            h = polymulmod(h, h, f)
+            h = polymod(clmul(h, h), f)
         return h
 
     x = polymod(0b10, f)  # X itself, reduced (matters only for degree 1)
@@ -120,10 +116,39 @@ def load_field_table(path: str) -> dict[int, int]:
 # base field
 # ---------------------------------------------------------------------------
 
-class FieldSpec:
+class _FieldArithmetic:
+    """Powers and Frobenius sums, shared by the base field and its extension,
+    from a subclass's ONE, add, mul, square and inv."""
+
+    __slots__ = ()
+
+    def pow(self, x, n: int):
+        if n < 0:
+            return self.pow(self.inv(x), -n)
+        out = self.ONE
+        base = x
+        while n:
+            if n & 1:
+                out = self.mul(out, base)
+            base = self.mul(base, base)
+            n >>= 1
+        return out
+
+    def frobenius_sum(self, x, terms: int, s: int = 1):
+        """x + x^(2^s) + x^(2^(2s)) + ..., `terms` terms."""
+        acc = t = x
+        for _ in range(terms - 1):
+            for _ in range(s):
+                t = self.square(t)
+            acc = self.add(acc, t)
+        return acc
+
+
+class FieldSpec(_FieldArithmetic):
     """Immutable GF(2^m) context: degree plus reduction polynomial."""
 
     __slots__ = ("m", "reduction", "q")
+    ONE = 1
 
     def __init__(self, m: int, reduction: int | None = None):
         if not 1 <= m <= MAX_DEGREE:
@@ -167,24 +192,8 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of 0 in GF(2^m)")
         return self.pow(x, self.q - 2)
 
-    def pow(self, x: int, n: int) -> int:
-        if n < 0:
-            return self.pow(self.inv(x), -n)
-        out = 1
-        base = x
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
     def trace(self, x: int) -> int:
-        acc = x
-        t = x
-        for _ in range(self.m - 1):
-            t = self.square(t)
-            acc ^= t
+        acc = self.frobenius_sum(x, self.m)
         if acc > 1:
             raise ArithmeticError(f"trace of {x:#x} is {acc:#x}, not in F_2")
         return acc
@@ -210,7 +219,7 @@ def element_to_hex(x) -> str:
 # quadratic extension
 # ---------------------------------------------------------------------------
 
-class ExtField:
+class ExtField(_FieldArithmetic):
     """GF(2^{2m}) as a degree-2 tower over a FieldSpec.
 
     Elements are (a, b) tuples meaning a + b*u with u^2 = u + nu.
@@ -225,9 +234,6 @@ class ExtField:
         self.base = base
         self.nu = next(x for x in base.elements() if base.trace(x) == 1)
         self._solve_weights = None
-
-    def make(self, a: int, b: int = 0) -> tuple[int, int]:
-        return (a, b)
 
     def add(self, z1, z2):
         return (z1[0] ^ z2[0], z1[1] ^ z2[1])
@@ -266,25 +272,9 @@ class ExtField:
         c = self.conj(z)
         return (self.base.mul(c[0], n_inv), self.base.mul(c[1], n_inv))
 
-    def pow(self, z, n: int):
-        if n < 0:
-            return self.pow(self.inv(z), -n)
-        out = self.ONE
-        base = z
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
     def trace_abs(self, z) -> int:
         """Absolute trace GF(2^{2m}) -> F_2."""
-        acc = z
-        t = z
-        for _ in range(2 * self.base.m - 1):
-            t = self.square(t)
-            acc = self.add(acc, t)
+        acc = self.frobenius_sum(z, 2 * self.base.m)
         if acc not in (self.ZERO, self.ONE):
             raise ArithmeticError(f"absolute trace of {z} is {acc}, not in F_2")
         return acc[0]
@@ -303,16 +293,10 @@ class ExtField:
         if self._solve_weights is None:
             n = 2 * self.base.m
             delta = next(z for z in self.elements() if self.trace_abs(z) == 1)
-            powers = [delta]
-            for _ in range(n - 1):
-                powers.append(self.square(powers[-1]))
-            weights = []
-            for i in range(n):
-                w = self.ZERO
-                for j in range(i + 1, n):
-                    w = self.add(w, powers[j])
-                weights.append(w)
-            self._solve_weights = weights
+            # weight i is delta^(2^(i+1)) + ... + delta^(2^(n-1)), the whole
+            # sum (the trace, 1) less its first i + 1 terms
+            self._solve_weights = [self.add(self.ONE, self.frobenius_sum(delta, i + 1))
+                                   for i in range(n)]
         s = self.ZERO
         t = c
         for w in self._solve_weights:

@@ -11,21 +11,10 @@ from .params import ParamSet
 from .sparsepoly import sp_eval
 
 
-def frobenius_iter(spec: FieldSpec, x: int, k: int) -> int:
-    """x^(2^k) by k squarings."""
-    for _ in range(k):
-        x = spec.square(x)
-    return x
-
-
 def eval_f_alpha(p: ParamSet, x: int) -> int:
     """alpha*Tr(x) + sum_{i=0}^{r-1} x^(sigma^i)."""
     f = p.field
-    acc = x
-    t = x
-    for _ in range(p.r - 1):
-        t = frobenius_iter(f, t, p.k)
-        acc ^= t
+    acc = f.frobenius_sum(x, p.r, p.k)
     if p.alpha:
         acc ^= f.trace(x)
     return acc
@@ -34,11 +23,7 @@ def eval_f_alpha(p: ParamSet, x: int) -> int:
 def eval_g_beta(p: ParamSet, x: int) -> int:
     """beta*Tr(x) + sum_{j=0}^{k-1} x^(2^j)."""
     f = p.field
-    acc = x
-    t = x
-    for _ in range(p.k - 1):
-        t = f.square(t)
-        acc ^= t
+    acc = f.frobenius_sum(x, p.k)
     if p.beta:
         acc ^= f.trace(x)
     return acc
@@ -117,11 +102,11 @@ def functional_preimage(ext: ExtField, x: int):
     if x == 0:
         return ExtField.ONE
     base = ext.base
-    c = ext.make(base.square(base.inv(x)))  # 1/x^2, absolute trace 0
+    c = (base.square(base.inv(x)), 0)  # 1/x^2, absolute trace 0
     s = ext.solve_quadratic(c)
-    z = ext.mul(ext.make(x), s)
+    z = ext.mul((x, 0), s)
     if z == ExtField.ZERO:  # the other root of s^2 + s = c
-        z = ext.make(x)
+        z = (x, 0)
     return z
 
 

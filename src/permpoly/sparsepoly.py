@@ -75,13 +75,8 @@ def sp_serialize(a: frozenset) -> str:
 # ---------------------------------------------------------------------------
 
 def trace_poly(m: int) -> frozenset:
-    """X + X^2 + ... + X^(2^(m-1))."""
+    """X + X^2 + ... + X^(2^(m-1)): the trace of GF(2^m), and T_m in any field."""
     return frozenset(1 << i for i in range(m))
-
-
-def tk_poly(k: int) -> frozenset:
-    """X + X^2 + ... + X^(2^(k-1))."""
-    return frozenset(1 << j for j in range(k))
 
 
 def f_alpha_poly(p: ParamSet) -> frozenset:
@@ -92,7 +87,7 @@ def f_alpha_poly(p: ParamSet) -> frozenset:
 
 
 def g_beta_poly(p: ParamSet) -> frozenset:
-    poly = tk_poly(p.k)
+    poly = trace_poly(p.k)
     if p.beta:
         poly = sp_add(poly, trace_poly(p.m))
     return poly

@@ -3,12 +3,12 @@
 The checkers sweep whole fields (GF(2^m) and GF(2^2m) for m up to
 EXT_MAX_DEGREE), so per-element work has to be table lookups on numpy arrays.
 Everything here is derived from the reference arithmetic in `field` and the
-exponent sets in `sparsepoly`: the squaring table is tabulated from
-`FieldSpec.square`, every linearized polynomial (the trace, T_k, f_alpha,
+exponent sets in `sparsepoly`: the squaring table is tabulated from the
+field's scalar `square`, every linearized polynomial (the trace, T_k, f_alpha,
 g_beta, the Frobenius powers) from the squaring table's images of the
-polynomial basis, and multiplication goes through discrete log/antilog
-tables built from a primitive element. The scalar evaluators in `maps` are
-left as an independent oracle for these tables.
+polynomial basis, and products of powers go through discrete log/antilog
+tables built from a primitive element (`_LogTables.pow_vec`). The scalar
+evaluators in `maps` are left as an independent oracle for these tables.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import OutOfRange
 from .field import FieldSpec, extension_of, make_field
 from .params import ParamSet
-from .sparsepoly import f_alpha_poly, g_beta_poly, sp_reduce_mod_field, tk_poly, trace_poly
+from .sparsepoly import f_alpha_poly, g_beta_poly, sp_reduce_mod_field, trace_poly
 
 #: packed-integer stand-in for the point at infinity
 PINF = -1
@@ -96,27 +96,33 @@ def _exp_by_doubling(nbits: int, mul, gen: int) -> np.ndarray:
     return exp
 
 
-def _log_exp(nbits: int, mul, pow_, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """exp/log (log[0] a sentinel) from the first primitive element >= start."""
-    n = (1 << nbits) - 1
-    primes = _prime_factors(n)
-    gen = next(c for c in range(start, n + 1)
-               if all(pow_(c, n // p) != 1 for p in primes))
-    exp = _exp_by_doubling(nbits, mul, gen)
-    log = np.zeros(n + 1, dtype=np.int64)
-    log[exp] = np.arange(n, dtype=np.int64)
-    return exp, log
-
-
 class _LogTables:
-    """Elementwise powers through the discrete log/antilog tables `exp`, `log`
-    of a field with `n` nonzero elements (log[0] is a sentinel)."""
+    """Antilog, log (log[0] a sentinel) and squaring tables `exp`, `log`, `sq` of
+    GF(2^nbits), with n nonzero elements, from its product `mul`, powers `pow_` and
+    squaring `square` on bit patterns; `exp` from the first primitive element >= start."""
 
-    def pow_vec(self, u: np.ndarray, e: int) -> np.ndarray:
-        """u^e elementwise; e may be negative (then u must be nonzero)."""
-        out = self.exp[(e * self.log[u]) % self.n]
-        if e > 0:
-            out = np.where(u == 0, 0, out)
+    def __init__(self, nbits: int, mul, pow_, square, start: int):
+        n = self.n = (1 << nbits) - 1
+        primes = _prime_factors(n)
+        gen = next(c for c in range(start, n + 1)
+                   if all(pow_(c, n // p) != 1 for p in primes))
+        self.exp = _exp_by_doubling(nbits, mul, gen)
+        self.log = np.zeros(n + 1, dtype=np.int64)
+        self.log[self.exp] = np.arange(n, dtype=np.int64)
+        self.sq = _subset_xor_table([square(1 << j) for j in range(nbits)])
+
+    def pow_vec(self, *factors) -> np.ndarray:
+        """The elementwise product of u^e over the (u, e) factors: 0 wherever
+        a u with e > 0 is 0. Elsewhere each u with e < 0 must be nonzero, and
+        u^0 is 1 also at u = 0."""
+        (u, e), *rest = factors
+        logs = e * self.log[u]
+        for v, f in rest:
+            logs += f * self.log[v]
+        out = self.exp[logs % self.n]
+        for u, e in factors:
+            if e > 0:
+                out[u == 0] = 0
         return out
 
 
@@ -128,9 +134,7 @@ class FieldTables(_LogTables):
             raise ValueError("tables need m >= 2")
         self.spec = spec
         self.q = spec.q
-        self.n = spec.q - 1
-        self.exp, self.log = _log_exp(spec.m, spec.mul, spec.pow, 2)
-        self.sq = _subset_xor_table([spec.square(1 << i) for i in range(spec.m)])
+        super().__init__(spec.m, spec.mul, spec.pow, spec.square, 2)
         self.tr = _linearized_table(self.sq, trace_poly(spec.m))
 
     def frobenius_table(self, k: int) -> np.ndarray:
@@ -143,7 +147,7 @@ class FieldTables(_LogTables):
         xs = np.arange(self.q, dtype=np.int64)
         out = np.zeros(self.q, dtype=np.int64)
         for e in sp_reduce_mod_field(poly, self.spec.m):
-            out ^= self.pow_vec(xs, e)
+            out ^= self.pow_vec((xs, e))
         return out
 
 
@@ -161,14 +165,12 @@ def g_beta_table(ft: FieldTables, p: ParamSet) -> np.ndarray:
 
 
 def h_value_table(ft: FieldTables, p: ParamSet) -> np.ndarray:
-    """H values over the whole field, index = element bit pattern."""
+    """H values over the whole field, index = element bit pattern; 0 at x = 0,
+    where f_alpha is 0."""
     fa = f_alpha_table(ft, p)
-    x = np.arange(ft.q, dtype=np.int64)
-    quot = ft.exp[((p.sigma + 1) * ft.log[fa] - 2 * ft.log[x]) % ft.n]
-    h = np.where(fa == 0, 0, quot)
+    h = ft.pow_vec((fa, p.sigma + 1), (np.arange(ft.q, dtype=np.int64), -2))
     if p.gamma:
-        h = h ^ ft.tr
-    h[0] = 0
+        h ^= ft.tr
     return h
 
 
@@ -181,7 +183,6 @@ class ExtTables(_LogTables):
         self.m = m
         self.q = 1 << m
         self.Q = self.q * self.q
-        self.n = self.Q - 1
         self.spec = make_field(m)
         ext = self.ext = extension_of(self.spec)
         self.base = field_tables(m)
@@ -189,9 +190,9 @@ class ExtTables(_LogTables):
         self.pack = pack = lambda t: t[0] | (t[1] << m)
         # every element below q lies in GF(q)*, whose order divides q - 1,
         # so no primitive element of GF(q^2) is skipped by starting at q
-        self.exp, self.log = _log_exp(2 * m, lambda a, b: pack(ext.mul(unpack(a), unpack(b))),
-                                      lambda c, e: pack(ext.pow(unpack(c), e)), self.q)
-        self.sq = _subset_xor_table([pack(ext.square(unpack(1 << j))) for j in range(2 * m)])
+        super().__init__(2 * m, lambda a, b: pack(ext.mul(unpack(a), unpack(b))),
+                         lambda c, e: pack(ext.pow(unpack(c), e)),
+                         lambda a: pack(ext.square(unpack(a))), self.q)
         self._zmap = None
 
     # -- projective maps on packed arrays (PINF = infinity) -----------------
@@ -200,23 +201,22 @@ class ExtTables(_LogTables):
         """1/(z + 1/z) elementwise; PINF and 0 map to 0, 1 to PINF."""
         out = np.zeros(z.shape, dtype=np.int64)
         sel = z > 1
-        y = z[sel] ^ self.pow_vec(z[sel], -1)
-        out[sel] = self.pow_vec(y, -1)
+        y = z[sel] ^ self.pow_vec((z[sel], -1))
+        out[sel] = self.pow_vec((y, -1))
         out[z == 1] = PINF
         return out
 
     def w_vec(self, sigma: int, e: int, z: np.ndarray) -> np.ndarray:
         """z^(sigma - 1) for e = 0, z^(sigma + 1) for e = 1; fixes 0 and PINF."""
-        out = np.array(z, dtype=np.int64)
-        sel = out > 0
-        out[sel] = self.pow_vec(out[sel], sigma - 1 if e == 0 else sigma + 1)
+        out = self.pow_vec((z, sigma - 1 if e == 0 else sigma + 1))  # 0 at 0, as sigma > 1
+        out[z == PINF] = PINF
         return out
 
     # -- derived tables ------------------------------------------------------
 
     def g0_table(self, k: int) -> np.ndarray:
         """The k-term linearized map z + z^2 + ... + z^(2^(k-1)), tabulated."""
-        return _linearized_table(self.sq, tk_poly(k))
+        return _linearized_table(self.sq, trace_poly(k))
 
     def b0_packed(self) -> np.ndarray:
         """B_0 = GF(q) minus {1}, plus PINF."""
@@ -227,7 +227,7 @@ class ExtTables(_LogTables):
         members = self.exp[((self.q - 1) * np.arange(1, self.q + 1)) % self.n]
         if np.unique(members).size != self.q or (members == 1).any():
             raise ArithmeticError(f"B_1 powers are not q = {self.q} elements other than 1")
-        if not (self.pow_vec(members, self.q + 1) == 1).all():
+        if not (self.pow_vec((members, self.q + 1)) == 1).all():
             raise ArithmeticError("a B_1 power has norm other than 1")
         return members
 
@@ -236,7 +236,7 @@ class ExtTables(_LogTables):
         GF(q)* or B_1, since z + 1/z is in GF(q) iff z^(q-1) = 1 or z^(q+1) = 1."""
         if self._zmap is None:
             z = np.concatenate((np.arange(1, self.q, dtype=np.int64), self.b1_packed()))
-            y = z ^ self.pow_vec(z, -1)
+            y = z ^ self.pow_vec((z, -1))
             if ((y < 0) | (y >= self.q)).any():
                 raise ArithmeticError("some z in GF(q)* or B_1 has z + 1/z outside GF(q)")
             zm = np.zeros(self.q, dtype=np.int64)
@@ -249,7 +249,7 @@ class ExtTables(_LogTables):
     def dickson_vec(self, n: int, x: np.ndarray) -> np.ndarray:
         """D_n(x, 1) elementwise over base-field x, as z^n + z^-n for z + 1/z = x."""
         z = self.zmap()[x]
-        return self.pow_vec(z, n) ^ self.pow_vec(z, -n)
+        return self.pow_vec((z, n)) ^ self.pow_vec((z, -n))
 
 
 @lru_cache(maxsize=None)

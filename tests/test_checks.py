@@ -1,10 +1,12 @@
 import copy
+import json
 
 import numpy as np
 import pytest
 
-from permpoly import checks
-from permpoly.checks import (NOT_A_CLASS, _injective, check_dickson_linearized,
+from permpoly import OutOfRange, checks, cli
+from permpoly.checks import (CHECKS, LINEARIZED_K_MAX, MUL_TABLE_M_MAX,
+                             NOT_A_CLASS, _injective, check_dickson_linearized,
                              check_dickson_methods, check_fgprop,
                              check_h_dickson, check_hitt, check_hprop,
                              check_main_theorem, check_main_theorem_outcome,
@@ -19,12 +21,19 @@ def test_injective_matches_a_set_count():
     rng = np.random.default_rng(2004)
     for q in (4, 8, 64):
         for size in (1, q // 2, q):
+            rows, verdicts = [], []
             for _ in range(40):
                 # mostly in GF(q), with collisions, now and then -1 or q
                 values = rng.integers(-1, q + 1, size=size)
                 seen = set(values.tolist())
                 expected = seen <= set(range(q)) and len(seen) == size
-                assert _injective(values, q) == expected, (q, values)
+                assert _injective(values, q) is expected, (q, values)
+                rows.append(values)
+                verdicts.append(expected)
+            # the same rows at once, also as a 2 x 20 grid of rows
+            assert _injective(np.array(rows), q).tolist() == verdicts
+            assert _injective(np.array(rows).reshape(2, 20, size), q).tolist() == \
+                [verdicts[:20], verdicts[20:]]
         perm = rng.permutation(q)
         assert _injective(perm, q)
         for bad in (-1, q, 1 << 40):
@@ -72,6 +81,17 @@ def test_class_labels():
 def test_nobauer_small():
     out = check_nobauer(3)
     assert out.passed and out.tested > 0
+
+
+@pytest.mark.parametrize("name, limit", [("nobauer", MUL_TABLE_M_MAX),
+                                         ("dickson_methods", MUL_TABLE_M_MAX),
+                                         ("dickson_linearized", LINEARIZED_K_MAX)])
+def test_a_clamped_cap_has_one_limit(name, limit):
+    check = CHECKS[name]
+    assert check.default_cap == limit and check.max_cap is None
+    assert check.grid(limit + 20) == [(limit,)] and check.grid(3) == [(3,)]
+    with pytest.raises(OutOfRange):
+        check.fn(limit + 1)
 
 
 def test_fgprop_hprop():
@@ -272,3 +292,43 @@ def test_zsumexp_outcome_does_not_depend_on_the_worker_count(monkeypatch, label)
             out = check_zsumexp(9, k)
             assert (out.passed, out.tested, out.counterexample) == \
                 (False, 4 * ((1 << 18) - 2), expected), workers
+
+
+def _b1_guard_tripped():
+    """A fresh ExtTables(4) whose B_1 powers repeat: theta^(2(q-1)) reads 1."""
+    et = ExtTables(4)
+    et.exp[2 * (et.q - 1) % et.n] = 1
+    return et
+
+
+#: checker, its arguments, and its (passed, tested, the ExtTables method and
+#: the inputs its counterexample names) when ext_tables(4) trips the B_1
+#: guard; unguarded, each call raises ArithmeticError
+GUARDED = {
+    "perm_lemma": (check_perm_lemma, (4, 1), (False, 0, "b1_packed")),
+    "hitt": (check_hitt, (4, 1), (False, 0, "b1_packed")),
+    "h_dickson": (check_h_dickson, (4, 1), (False, 34, "zmap")),
+    "dickson_linearized": (check_dickson_linearized, (6,), (False, 18339, "zmap", "4")),
+    "dickson_methods": (check_dickson_methods, (4,), (False, 1152, "zmap", "4")),
+}
+
+
+@pytest.mark.parametrize("label", GUARDED)
+def test_a_tripped_table_guard_fails_the_check(monkeypatch, label):
+    fn, args, (passed, tested, guard, *inputs) = GUARDED[label]
+    et, orig = _b1_guard_tripped(), checks.ext_tables
+    monkeypatch.setattr(checks, "ext_tables", lambda m: et if m == 4 else orig(m))
+    out = fn(*args)
+    assert (out.passed, out.tested) == (passed, tested)
+    assert out.counterexample == {
+        "inputs": inputs,
+        "guard": f"{guard}: B_1 powers are not q = 16 elements other than 1"}
+
+
+def test_verify_exits_4_on_a_tripped_table_guard(monkeypatch, capsys):
+    et, orig = _b1_guard_tripped(), checks.ext_tables
+    monkeypatch.setattr(checks, "ext_tables", lambda m: et if m == 4 else orig(m))
+    code = cli.main(["--format", "json", "verify", "--suite", "hitt", "--m-max", "4"])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 4
+    assert [r["passed"] for r in records] == [True, True, True, False, False]

@@ -6,7 +6,7 @@ from permpoly import (NotDivisible, derive_params, eval_f_alpha, eval_g_beta,
                       eval_h, expand_h, make_field, sp_add,
                       sp_div_x2, sp_eval, sp_mul, sp_pow2k,
                       sp_reduce_mod_field, sp_serialize, trace_poly)
-from permpoly.sparsepoly import ZERO_POLY, f_alpha_poly, g_beta_poly, tk_poly
+from permpoly.sparsepoly import ZERO_POLY, f_alpha_poly, g_beta_poly
 
 X = frozenset({1})
 
@@ -81,7 +81,7 @@ def test_named_polys_match_evaluators():
         for alpha in (0, 1):
             for beta in (0, 1):
                 p = derive_params(m, k, alpha=alpha, beta=beta)
-                fp, gp, tp = f_alpha_poly(p), g_beta_poly(p), tk_poly(k)
+                fp, gp, tp = f_alpha_poly(p), g_beta_poly(p), trace_poly(k)
                 for x in f.elements():
                     assert sp_eval(fp, f, x) == eval_f_alpha(p, x)
                     assert sp_eval(gp, f, x) == eval_g_beta(p, x)

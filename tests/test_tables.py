@@ -43,6 +43,42 @@ def test_ext_exp_matches_scalar_powers(m):
     assert cycle == et.ext.ONE
 
 
+#: exponent lists for the product kernel: one, two and three factors
+FACTOR_EXPONENTS = [(0,), (1,), (3,), (7,), (-1,), (-2,), (1, -1), (3, -2), (2, 1), (-1, 0),
+                    (1, -1, 2)]
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("layer", ["base", "ext"])
+def test_pow_vec_matches_scalar_arithmetic(m, layer):
+    """Products of powers through the log tables, on every element, against
+    square-and-multiply in field.py: 0 wherever a factor with e > 0 is 0, and
+    a factor with e < 0 compared on nonzero elements only."""
+    if layer == "base":
+        tabs = field_tables(m)
+        field, pack, unpack = tabs.spec, int, int
+    else:
+        tabs = ext_tables(m)
+        field, pack, unpack = tabs.ext, tabs.pack, tabs.unpack
+    size = tabs.n + 1
+    # the factors: x, 5x + 3 and 3x + 1 mod size, each a permutation of the field
+    bases = [np.arange(size, dtype=np.int64)]
+    bases += [(c * bases[0] + d) % size for c, d in ((5, 3), (3, 1))]
+    powers = {e: [pack(field.pow(unpack(x), e)) if x or e >= 0 else None for x in range(size)]
+              for e in {e for es in FACTOR_EXPONENTS for e in es}}
+    for exps in FACTOR_EXPONENTS:
+        factors = list(zip(bases, exps))
+        got = tabs.pow_vec(*factors).tolist()
+        for i in range(size):
+            if any(u[i] == 0 for u, e in factors if e > 0):
+                assert got[i] == 0, (exps, i)
+            elif all(u[i] for u, e in factors if e < 0):
+                want = field.ONE
+                for u, e in factors:
+                    want = field.mul(want, unpack(powers[e][u[i]]))
+                assert got[i] == pack(want), (exps, i)
+
+
 @pytest.mark.parametrize("m", range(2, 6))
 def test_ext_projective_helpers_match_scalar_maps(m):
     """B_0, B_1, phi, w and the Dickson values on whole fields, against the
