@@ -20,8 +20,8 @@ from .field import MAX_DEGREE, FieldSpec, coprime_ks, make_field
 from .maps import dickson_exponents
 from .params import derive_params
 from .sparsepoly import expand_h, sp_add, sp_reduce_mod_field, trace_poly
-from .tables import (EXT_MAX_DEGREE, PINF, ext_tables, f_alpha_table,
-                     field_tables, g_beta_table, h_value_table)
+from .tables import (EXT_MAX_DEGREE, ext_tables, f_alpha_table, field_tables,
+                     g_beta_table, h_value_table)
 
 NOT_A_CLASS = -1
 
@@ -69,11 +69,8 @@ class CheckOutcome:
 
 
 def _hx(v) -> str:
-    """Hex for an element, `inf` for PINF, `none` for None (no trace class)."""
-    if v is None:
-        return "none"
-    v = int(v)
-    return "inf" if v == PINF else format(v, "x")
+    """Hex for an element, `none` for None (no trace class)."""
+    return "none" if v is None else format(int(v), "x")
 
 
 class _Sweep:
@@ -329,19 +326,33 @@ def check_hprop(m: int, k: int) -> CheckOutcome:
 # extension-field lemmas
 # ---------------------------------------------------------------------------
 
+def _b_sets(et) -> dict:
+    """(indices, phi, w) for B_0 and B_1. B_0 is the line indices 0..q without 1, q
+    standing for infinity; B_1 the exponents 1..q of theta^i. phi = 1/(z + 1/z) is a
+    (q+1)-entry table, x/(x + 1)^2 on the line and 1/c[i] on the circle, with
+    phi(1) = infinity stored as q. w(s, .) is z^s: x^s fixing infinity, i -> s*i mod (q+1)."""
+    q, base, c = et.q, et.base, et.circle()[0]
+    xs = np.arange(q, dtype=np.int64)
+    phi0 = np.append(base.pow_vec((xs, 1), (xs ^ 1, -2)), 0)
+    phi1 = base.pow_vec((c, -1))
+    phi0[1] = phi1[0] = q
+    line = np.arange(q + 1, dtype=np.int64)
+    return {0: (np.delete(line, 1), phi0, lambda s, z: np.append(base.pow_vec((xs, s)), q)[z]),
+            1: (line[1:], phi1, lambda s, i: s * i % (q + 1))}
+
+
 def check_perm_lemma(m: int, k: int) -> CheckOutcome:
     sweep = _Sweep()
     et = ext_tables(m)
-    ft = et.base
     q = et.q
     sigma = 1 << k
-    if not sweep.guard_holds([], et.b1_packed):
+    if not sweep.guard_holds([], et.circle):
         return _finish("perm_lemma", {"m": m, "k": k}, sweep)
-    b_sets = {0: et.b0_packed(), 1: et.b1_packed()}
+    b_sets = _b_sets(et)
     # (i): phi is two-to-one from B_e onto T_e
-    for e in (0, 1):
-        values, counts = np.unique(et.phi_vec(b_sets[e]), return_counts=True)
-        ok = np.array_equal(values, np.nonzero(ft.tr == e)[0]) and bool((counts == 2).all())
+    for e, (b, phi, _) in b_sets.items():
+        values, counts = np.unique(phi[b], return_counts=True)
+        ok = np.array_equal(values, np.nonzero(et.base.tr == e)[0]) and bool((counts == 2).all())
         sweep.expect(ok, [e], counts.min(), 2)
         sweep.tested += q - 1
     # (ii), (iii): the power maps, checked three ways
@@ -349,9 +360,8 @@ def check_perm_lemma(m: int, k: int) -> CheckOutcome:
               (1, 0): m % 2 == 1, (1, 1): (m + k) % 2 == 1}
     for widx in (0, 1):
         s = sigma - 1 if widx == 0 else sigma + 1
-        for e in (0, 1):
-            b = b_sets[e]
-            observed = np.array_equal(np.unique(et.w_vec(sigma, widx, b)), np.unique(b))
+        for e, (b, _, w) in b_sets.items():
+            observed = np.array_equal(np.unique(w(s, b)), b)
             gcd_cond = gcd(s, q - 1 if e == 0 else q + 1) == 1
             predicted = parity[(widx, e)]
             sweep.expect(observed == gcd_cond == predicted,
@@ -411,6 +421,9 @@ def check_zsumexp(m: int, k: int) -> CheckOutcome:
     sweep = _Sweep()
     et = ext_tables(m)
     g0 = et.g0_table(k)
+    # the exp and g0 values are the only ones _zsum_chunk uses as indices
+    if not (sweep.in_field([], et.exp, et.Q) and sweep.in_field([], g0, et.Q)):
+        return _finish("zsumexp", {"m": m, "k": k}, sweep)
     starts = range(2, et.Q, _ZSUM_CHUNK)
     with ThreadPoolExecutor(max_workers=min(_workers(), len(starts))) as pool:
         for part in pool.map(lambda lo: _zsum_chunk(et, k, g0, lo, min(lo + _ZSUM_CHUNK, et.Q)),
@@ -438,7 +451,7 @@ def check_h_dickson(m: int, k: int) -> CheckOutcome:
     q = ft.q
     xs = np.arange(1, q, dtype=np.int64)
     if (sweep.in_field([], g, q) and sweep.in_field([], ft.exp, q)
-            and sweep.guard_holds([], et.zmap)):
+            and sweep.guard_holds([], et.circle)):
         gx = g[xs]
         sweep.expect(bool((gx != 0).all()), [0], bool((gx != 0).all()), True)
         lhs = h[gx]
@@ -473,7 +486,7 @@ def check_dickson_linearized(k_max: int) -> CheckOutcome:
     for m in range(2, 11):
         ft = field_tables(m)
         et = ext_tables(m)
-        if not (sweep.in_field([m], ft.exp, ft.q) and sweep.guard_holds([m], et.zmap)):
+        if not (sweep.in_field([m], ft.exp, ft.q) and sweep.guard_holds([m], et.circle)):
             continue
         xs = np.arange(1, ft.q, dtype=np.int64)
         tk, term = np.zeros_like(xs), ft.pow_vec((xs, -1))
@@ -493,7 +506,7 @@ def check_dickson_methods(m_max: int) -> CheckOutcome:
         et = ext_tables(m)
         q = et.q
         mul = _mul_table(make_field(m))
-        if not (sweep.in_field([m], mul, q) and sweep.guard_holds([m], et.zmap)):
+        if not (sweep.in_field([m], mul, q) and sweep.guard_holds([m], et.circle)):
             continue
         xs = np.arange(q, dtype=np.int64)
         for n, cur in _dickson_rows(mul, 1, q * q):
@@ -514,9 +527,9 @@ def check_hitt(m: int, k: int) -> CheckOutcome:
     q = et.q
     sigma = 1 << k
     beta = 0 if k % 2 == 1 else 1
-    if not sweep.guard_holds([], et.b1_packed):
+    if not sweep.guard_holds([], et.circle):
         return _finish("hitt", {"m": m, "k": k}, sweep)
-    b_sets = {0: et.b0_packed(), 1: et.b1_packed()}
+    b_sets = _b_sets(et)
     for alpha in (0, 1):
         for gamma in (0, 1):
             p = derive_params(m, k, alpha=alpha, beta=beta, gamma=gamma)
@@ -525,9 +538,9 @@ def check_hitt(m: int, k: int) -> CheckOutcome:
             h = h_value_table(ft, p)
             delta, theta = p.delta, p.theta
             for e in (0, 1):
-                z = b_sets[(e * (1 + delta * m)) % 2]
-                pz = et.phi_vec(z)
-                pw = et.phi_vec(et.w_vec(sigma, theta * e, z))
+                z, phi, w = b_sets[(e * (1 + delta * m)) % 2]
+                pz = phi[z]
+                pw = phi[w(sigma - 1 if theta * e == 0 else sigma + 1, z)]
                 inputs = [alpha, gamma, e]
                 if sweep.in_field(inputs, pz, q) and sweep.in_field(inputs, pw, q):
                     sweep.compare([*inputs, z], h[g[pz ^ (delta * e)]], pw ^ (gamma * e))

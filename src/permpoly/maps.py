@@ -4,7 +4,6 @@ permutation family H, Dickson polynomials, and the projective helper maps."""
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 
 from .field import INFINITY, ExtField, FieldSpec, extension_of
 from .params import ParamSet
@@ -69,7 +68,6 @@ class DicksonMethod(enum.Enum):
     FUNCTIONAL = "functional"
 
 
-@lru_cache(maxsize=None)
 def dickson_exponents(n: int) -> frozenset:
     """Exponents with odd coefficient in D_n(X, 1) over the integers.
 

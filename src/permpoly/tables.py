@@ -22,9 +22,6 @@ from .field import FieldSpec, extension_of, make_field
 from .params import ParamSet
 from .sparsepoly import f_alpha_poly, g_beta_poly, sp_reduce_mod_field, trace_poly
 
-#: packed-integer stand-in for the point at infinity
-PINF = -1
-
 #: largest m for which GF(2^2m) tables are built; at m = 12 the exp, log and
 #: squaring tables alone take about 0.4 GB
 EXT_MAX_DEGREE = 12
@@ -175,7 +172,7 @@ def h_value_table(ft: FieldTables, p: ParamSet) -> np.ndarray:
 
 
 class ExtTables(_LogTables):
-    """Packed log/exp tables for GF(q^2), elements encoded as a | (b << m)."""
+    """Packed log/exp tables for GF(q^2) (elements a | (b << m)), and GF(q) circle tables."""
 
     def __init__(self, m: int):
         if not 2 <= m <= EXT_MAX_DEGREE:
@@ -193,37 +190,14 @@ class ExtTables(_LogTables):
         super().__init__(2 * m, lambda a, b: pack(ext.mul(unpack(a), unpack(b))),
                          lambda c, e: pack(ext.pow(unpack(c), e)),
                          lambda a: pack(ext.square(unpack(a))), self.q)
-        self._zmap = None
-
-    # -- projective maps on packed arrays (PINF = infinity) -----------------
-
-    def phi_vec(self, z: np.ndarray) -> np.ndarray:
-        """1/(z + 1/z) elementwise; PINF and 0 map to 0, 1 to PINF."""
-        out = np.zeros(z.shape, dtype=np.int64)
-        sel = z > 1
-        y = z[sel] ^ self.pow_vec((z[sel], -1))
-        out[sel] = self.pow_vec((y, -1))
-        out[z == 1] = PINF
-        return out
-
-    def w_vec(self, sigma: int, e: int, z: np.ndarray) -> np.ndarray:
-        """z^(sigma - 1) for e = 0, z^(sigma + 1) for e = 1; fixes 0 and PINF."""
-        out = self.pow_vec((z, sigma - 1 if e == 0 else sigma + 1))  # 0 at 0, as sigma > 1
-        out[z == PINF] = PINF
-        return out
-
-    # -- derived tables ------------------------------------------------------
+        self._circle = None
 
     def g0_table(self, k: int) -> np.ndarray:
         """The k-term linearized map z + z^2 + ... + z^(2^(k-1)), tabulated."""
         return _linearized_table(self.sq, trace_poly(k))
 
-    def b0_packed(self) -> np.ndarray:
-        """B_0 = GF(q) minus {1}, plus PINF."""
-        return np.concatenate(([0], np.arange(2, self.q), [PINF])).astype(np.int64)
-
     def b1_packed(self) -> np.ndarray:
-        """B_1 as powers theta^((q-1)i), checked against the norm-1 form."""
+        """B_1 as theta^i for i = 1..q, theta = g^(q-1); checked against the norm-1 form."""
         members = self.exp[((self.q - 1) * np.arange(1, self.q + 1)) % self.n]
         if np.unique(members).size != self.q or (members == 1).any():
             raise ArithmeticError(f"B_1 powers are not q = {self.q} elements other than 1")
@@ -231,25 +205,38 @@ class ExtTables(_LogTables):
             raise ArithmeticError("a B_1 power has norm other than 1")
         return members
 
+    def circle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """GF(q) tables for x = z + 1/z: c[i] = theta^i + theta^(q+1-i), i = 0..q;
+        idx[x], the i <= q/2 with c[i] = x, else 0; z0[x], a z in GF(q)* with
+        z + 1/z = x, else 0. Raises ArithmeticError unless the two halves split GF(q)."""
+        if self._circle is None:
+            q = self.q
+            b1 = self.b1_packed()
+            c = np.append(0, b1 ^ b1[::-1])
+            z = np.arange(1, q, dtype=np.int64)
+            y = z ^ self.base.pow_vec((z, -1))
+            if not ((0 <= c) & (c < q)).all() or not ((0 <= y) & (y < q)).all():
+                raise ArithmeticError("some theta^i + theta^-i or z + 1/z lies outside GF(q)")
+            half = c[1:q // 2 + 1]
+            idx, z0 = np.zeros(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
+            idx[half], z0[y] = np.arange(1, half.size + 1), z
+            if not (np.bincount(half, minlength=q) + (z0 > 0) == 1).all():
+                raise ArithmeticError("c[1..q/2] and z + 1/z on GF(q)* do not split GF(q)")
+            self._circle = c, idx, z0
+        return self._circle
+
     def zmap(self) -> np.ndarray:
-        """For each base-field x, one packed z with z + 1/z = x. Such z lie in
-        GF(q)* or B_1, since z + 1/z is in GF(q) iff z^(q-1) = 1 or z^(q+1) = 1."""
-        if self._zmap is None:
-            z = np.concatenate((np.arange(1, self.q, dtype=np.int64), self.b1_packed()))
-            y = z ^ self.pow_vec((z, -1))
-            if ((y < 0) | (y >= self.q)).any():
-                raise ArithmeticError("some z in GF(q)* or B_1 has z + 1/z outside GF(q)")
-            zm = np.zeros(self.q, dtype=np.int64)
-            zm[y] = z
-            if not (zm > 0).all():
-                raise ArithmeticError("some base-field x has no z with z + 1/z = x")
-            self._zmap = zm
-        return self._zmap
+        """For each base-field x, one packed z with z + 1/z = x, from `circle`."""
+        _, idx, z0 = self.circle()
+        return np.where(idx > 0, self.b1_packed()[idx - 1], z0)
 
     def dickson_vec(self, n: int, x: np.ndarray) -> np.ndarray:
-        """D_n(x, 1) elementwise over base-field x, as z^n + z^-n for z + 1/z = x."""
-        z = self.zmap()[x]
-        return self.pow_vec((z, n)) ^ self.pow_vec((z, -n))
+        """D_n(x, 1) elementwise over base-field x, as z^n + z^-n for z + 1/z = x:
+        c[n*i mod (q+1)] for z = theta^i, base-field powers for z in GF(q)*."""
+        c, idx, z0 = self.circle()
+        i, z = idx[x], z0[x]
+        return np.where(i > 0, c[n * i % (self.q + 1)],
+                        self.base.pow_vec((z, n)) ^ self.base.pow_vec((z, -n)))
 
 
 @lru_cache(maxsize=None)

@@ -13,8 +13,8 @@ from permpoly.checks import (CHECKS, LINEARIZED_K_MAX, MUL_TABLE_M_MAX,
                              check_nobauer, check_perm_lemma,
                              check_polynomiality, check_remark3,
                              check_remark4, check_zsumexp)
-from permpoly.field import coprime_ks
-from permpoly.tables import ExtTables
+from permpoly.field import coprime_ks, make_field
+from permpoly.tables import ExtTables, FieldTables
 
 
 def test_injective_matches_a_set_count():
@@ -236,6 +236,16 @@ def test_no_class_prints_none_not_inf(monkeypatch, label):
     assert not out.passed and out.counterexample == expected
 
 
+def test_a_corrupted_minus_one_prints_as_minus_one(monkeypatch):
+    # no value stands for the point at infinity, so -1 prints as itself
+    ft = FieldTables(make_field(4))
+    ft.sq[0] = -1
+    monkeypatch.setattr(checks, "field_tables", lambda m: ft)
+    out = check_hprop(4, 1)
+    assert (out.passed, out.counterexample) == \
+        (False, {"inputs": ["0"], "lhs": "0", "rhs": "-1"})
+
+
 #: label -> (checker, its arguments, a table that feeds an identity rather than
 #: a permutation verdict, entry i), and the (passed, tested, counterexample)
 #: with table[i] = 2^24; without the in_field guard each call raises IndexError
@@ -261,17 +271,22 @@ def test_an_out_of_field_value_in_an_identity_table_fails_the_check(monkeypatch,
     assert (out.passed, out.tested, out.counterexample) == expected
 
 
+#: every comparison of zsumexp at m = 9
+ZSUM_TESTED = 4 * ((1 << 18) - 2)
+
 #: label -> (ExtTables(9) table, entries, k, the new value or None to flip
-#: bit 0), and the counterexample (None: the check raises IndexError); every
-#: entry lies past the first zsumexp chunk
+#: bit 0), and the (tested, counterexample); every entry lies past the first
+#: zsumexp chunk. An exp value outside GF(2^18) fails the check before the
+#: sweep, where it used to raise IndexError in a chunk.
 ZSUM_CORRUPTED = {
     "sq": (("sq", (150000,), 2, None),
-           {"inputs": ["13352"], "lhs": "32d69", "rhs": "32d68"}),
+           (ZSUM_TESTED, {"inputs": ["13352"], "lhs": "32d69", "rhs": "32d68"})),
     "sq_twice": (("sq", (40000, 250000), 5, None),
-                 {"inputs": ["10400"], "lhs": "9855", "rhs": "9854"}),
+                 (ZSUM_TESTED, {"inputs": ["10400"], "lhs": "9855", "rhs": "9854"})),
     "exp_twice": (("exp", (70000, 200000), 2, None),
-                  {"inputs": ["21c2"], "lhs": "275a3", "rhs": "275a2"}),
-    "exp_out_of_range": (("exp", (100000,), 2, 1 << 18), None),
+                  (ZSUM_TESTED, {"inputs": ["21c2"], "lhs": "275a3", "rhs": "275a2"})),
+    "exp_out_of_range": (("exp", (100000,), 2, 1 << 18),
+                         (0, {"inputs": ["186a0"], "lhs": "40000", "rhs": "40000"})),
 }
 
 
@@ -285,13 +300,19 @@ def test_zsumexp_outcome_does_not_depend_on_the_worker_count(monkeypatch, label)
     monkeypatch.setattr(checks, "ext_tables", lambda m: et)
     for workers in (1, 8):  # 8 runs all eight chunks of GF(2^18) at once
         monkeypatch.setattr(checks, "_workers", lambda: workers)
-        if expected is None:
-            with pytest.raises(IndexError):
-                check_zsumexp(9, k)
-        else:
-            out = check_zsumexp(9, k)
-            assert (out.passed, out.tested, out.counterexample) == \
-                (False, 4 * ((1 << 18) - 2), expected), workers
+        out = check_zsumexp(9, k)
+        assert (out.passed, out.tested, out.counterexample) == (False, *expected), workers
+
+
+def test_an_out_of_field_g0_value_fails_zsumexp(monkeypatch):
+    et = ExtTables(5)
+    g0 = et.g0_table(2)
+    g0[7] = 1 << 24
+    monkeypatch.setattr(et, "g0_table", lambda k: g0)
+    monkeypatch.setattr(checks, "ext_tables", lambda m: et)
+    out = check_zsumexp(5, 2)
+    assert (out.passed, out.tested, out.counterexample) == \
+        (False, 0, {"inputs": ["7"], "lhs": "1000000", "rhs": "400"})
 
 
 def _b1_guard_tripped():
@@ -301,28 +322,68 @@ def _b1_guard_tripped():
     return et
 
 
-#: checker, its arguments, and its (passed, tested, the ExtTables method and
-#: the inputs its counterexample names) when ext_tables(4) trips the B_1
-#: guard; unguarded, each call raises ArithmeticError
-GUARDED = {
-    "perm_lemma": (check_perm_lemma, (4, 1), (False, 0, "b1_packed")),
-    "hitt": (check_hitt, (4, 1), (False, 0, "b1_packed")),
-    "h_dickson": (check_h_dickson, (4, 1), (False, 34, "zmap")),
-    "dickson_linearized": (check_dickson_linearized, (6,), (False, 18339, "zmap", "4")),
-    "dickson_methods": (check_dickson_methods, (4,), (False, 1152, "zmap", "4")),
+def _circle_powers_swapped():
+    """A fresh ExtTables(4) whose B_1 powers theta and theta^2 trade places: B_1
+    passes its guard, but c[1] = theta^2 + theta^-1 lies outside GF(q)."""
+    et = ExtTables(4)
+    i, j = et.q - 1, 2 * (et.q - 1)
+    et.exp[[i, j]] = et.exp[[j, i]]
+    return et
+
+
+def _circle_split_broken():
+    """A fresh ExtTables(4) over a copy of the GF(16) tables whose exp[1] reads
+    1, which gives one z of GF(q)* a wrong 1/z: the values z + 1/z and
+    c[1..q/2] no longer split GF(q)."""
+    et = ExtTables(4)
+    et.base = copy.copy(et.base)
+    et.base.exp = et.base.exp.copy()
+    et.base.exp[1] = 1
+    return et
+
+
+#: corruptions of ext_tables(4) that pass the B_1 guard, and the message of
+#: the circle's guard that each trips
+CIRCLE_CORRUPTIONS = {
+    "powers_swapped": (_circle_powers_swapped,
+                       "some theta^i + theta^-i or z + 1/z lies outside GF(q)"),
+    "split_broken": (_circle_split_broken,
+                     "c[1..q/2] and z + 1/z on GF(q)* do not split GF(q)"),
 }
+
+
+#: checker, its arguments, and its (passed, tested, the inputs its
+#: counterexample names) when ext_tables(4) trips the guard of
+#: ExtTables.circle; unguarded, each call raises ArithmeticError
+GUARDED = {
+    "perm_lemma": (check_perm_lemma, (4, 1), (False, 0)),
+    "hitt": (check_hitt, (4, 1), (False, 0)),
+    "h_dickson": (check_h_dickson, (4, 1), (False, 34)),
+    "dickson_linearized": (check_dickson_linearized, (6,), (False, 18339, "4")),
+    "dickson_methods": (check_dickson_methods, (4,), (False, 1152, "4")),
+}
+
+
+def _expect_guard(monkeypatch, label, corrupted, message):
+    fn, args, (passed, tested, *inputs) = GUARDED[label]
+    orig = checks.ext_tables
+    monkeypatch.setattr(checks, "ext_tables", lambda m: corrupted if m == 4 else orig(m))
+    out = fn(*args)
+    assert (out.passed, out.tested) == (passed, tested)
+    assert out.counterexample == {"inputs": inputs, "guard": f"circle: {message}"}
 
 
 @pytest.mark.parametrize("label", GUARDED)
 def test_a_tripped_table_guard_fails_the_check(monkeypatch, label):
-    fn, args, (passed, tested, guard, *inputs) = GUARDED[label]
-    et, orig = _b1_guard_tripped(), checks.ext_tables
-    monkeypatch.setattr(checks, "ext_tables", lambda m: et if m == 4 else orig(m))
-    out = fn(*args)
-    assert (out.passed, out.tested) == (passed, tested)
-    assert out.counterexample == {
-        "inputs": inputs,
-        "guard": f"{guard}: B_1 powers are not q = 16 elements other than 1"}
+    _expect_guard(monkeypatch, label, _b1_guard_tripped(),
+                  "B_1 powers are not q = 16 elements other than 1")
+
+
+@pytest.mark.parametrize("corruption", CIRCLE_CORRUPTIONS)
+@pytest.mark.parametrize("label", GUARDED)
+def test_a_corrupted_circle_fails_the_check(monkeypatch, label, corruption):
+    make, message = CIRCLE_CORRUPTIONS[corruption]
+    _expect_guard(monkeypatch, label, make(), message)
 
 
 def test_verify_exits_4_on_a_tripped_table_guard(monkeypatch, capsys):

@@ -9,9 +9,9 @@ import pytest
 
 import permpoly
 from permpoly import INFINITY, OutOfRange, build_b_set, coprime_ks, phi, w_map
+from permpoly.checks import _b_sets
 from permpoly.maps import dickson_recurrence
-from permpoly.tables import (PINF, _exp_by_doubling, _linearized_table, ext_tables,
-                             field_tables)
+from permpoly.tables import _exp_by_doubling, _linearized_table, ext_tables, field_tables
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(permpoly.__file__).resolve().parents[1])}
 
@@ -81,23 +81,31 @@ def test_pow_vec_matches_scalar_arithmetic(m, layer):
 
 @pytest.mark.parametrize("m", range(2, 6))
 def test_ext_projective_helpers_match_scalar_maps(m):
-    """B_0, B_1, phi, w and the Dickson values on whole fields, against the
-    scalar maps on (a, b) pairs."""
+    """The index view of B_0, B_1, phi and w, the circle tables, zmap and the
+    Dickson values, on every element, against the scalar maps on (a, b) pairs."""
     et = ext_tables(m)
     ext, q = et.ext, et.q
+    theta = et.unpack(int(et.b1_packed()[0]))
 
-    def pack(z):
-        return PINF if z is INFINITY else et.pack(z)
+    def line_point(x):  # a B_0 index or a phi value: q stands for infinity
+        return INFINITY if x == q else (x, 0)
 
-    for e, packed in ((0, et.b0_packed()), (1, et.b1_packed())):
-        assert sorted(packed.tolist()) == sorted(pack(z) for z in build_b_set(et.spec, e))
-    zs = np.arange(PINF, et.Q, dtype=np.int64)
-    points = [INFINITY] + [et.unpack(z) for z in range(et.Q)]
-    assert et.phi_vec(zs).tolist() == [pack(phi(ext, z)) for z in points]
-    for k in coprime_ks(m):
-        for e in (0, 1):
-            assert et.w_vec(1 << k, e, zs).tolist() == \
-                [pack(w_map(ext, 1 << k, e, z)) for z in points]
+    points = {0: line_point, 1: lambda i: ext.pow(theta, i)}
+    for e, (members, phi_tab, w) in _b_sets(et).items():
+        point = points[e]
+        zs = [point(i) for i in members.tolist()]
+        assert len(set(zs)) == q and set(zs) == build_b_set(et.spec, e)
+        assert [line_point(v) for v in phi_tab[members].tolist()] == [phi(ext, z) for z in zs]
+        for k in coprime_ks(m):
+            for widx, s in ((0, (1 << k) - 1), (1, (1 << k) + 1)):
+                assert [point(i) for i in w(s, members).tolist()] == \
+                    [w_map(ext, 1 << k, widx, z) for z in zs]
+    c = et.circle()[0]
+    powers = [ext.pow(theta, i) for i in range(q + 1)]
+    assert c.tolist() == [et.pack(ext.add(z, ext.inv(z))) for z in powers]
+    for x, z in enumerate(et.zmap().tolist()):
+        z = et.unpack(z)
+        assert z != ext.ZERO and ext.add(z, ext.inv(z)) == (x, 0)
     for n in (1, 2, 3, q - 1, q + 1, q * q - 2):
         assert et.dickson_vec(n, np.arange(q)).tolist() == \
             [dickson_recurrence(et.spec, n, x) for x in range(q)]
