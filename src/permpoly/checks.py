@@ -31,8 +31,8 @@ MUL_TABLE_M_MAX = 5
 LINEARIZED_K_MAX = 16
 
 #: z values per chunk of check_zsumexp. Workers x _ZSUM_CHUNK elements are in
-#: flight at once, each with about twenty int64 temporaries. Fixed rather than
-#: derived from the worker count, so the first counterexample (first failing
+#: flight at once, each with about twenty temporaries of 4 or 8 bytes. Fixed rather
+#: than derived from the worker count, so the first counterexample (first failing
 #: chunk, then comparison, then z) is the same on every machine.
 _ZSUM_CHUNK = 1 << 15
 
@@ -383,10 +383,10 @@ def _zsum_chunk(et, k: int, g0: np.ndarray, lo: int, hi: int) -> _Sweep:
     n = et.n
     sigma = 1 << k
     z = np.arange(lo, hi, dtype=np.int64)
-    lz = et.log[z]
+    lz = et.log[z].astype(np.int64)  # widened: sigma * lz passes 2^31 from m = 11
     zinv = et.exp[(-lz) % n]
     y = z ^ zinv  # z + 1/z, nonzero since z != 1
-    ly = et.log[y]
+    ly = et.log[y].astype(np.int64)
     # (i)
     lhs = np.zeros(len(z), dtype=np.int64)
     for j in range(1, k + 1):

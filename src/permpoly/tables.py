@@ -9,6 +9,11 @@ g_beta, the Frobenius powers) from the squaring table's images of the
 polynomial basis, and products of powers go through discrete log/antilog
 tables built from a primitive element (`_LogTables.pow_vec`). The scalar
 evaluators in `maps` are left as an independent oracle for these tables.
+
+Every table is int32, since no element or log reaches 2^24; signed, so a
+corrupted entry of -1 still reads as outside the field. A log is widened to
+int64 before it is multiplied by an exponent: such a product passes 2^31 in
+GF(2^m) from about m = 16 and in GF(2^2m) from m = 11.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .params import ParamSet
 from .sparsepoly import f_alpha_poly, g_beta_poly, sp_reduce_mod_field, trace_poly
 
 #: largest m for which GF(2^2m) tables are built; at m = 12 the exp, log and
-#: squaring tables alone take about 0.4 GB
+#: squaring tables alone take about 0.2 GB
 EXT_MAX_DEGREE = 12
 
 
@@ -43,7 +48,7 @@ def _prime_factors(n: int) -> list[int]:
 
 def _subset_xor_table(images: list[int]) -> np.ndarray:
     """Tabulate an F_2-linear map from its images on the basis bits."""
-    table = np.zeros(1 << len(images), dtype=np.int64)
+    table = np.zeros(1 << len(images), dtype=np.int32)
     for j, img in enumerate(images):
         size = 1 << j
         table[size:2 * size] = table[:size] ^ img
@@ -78,7 +83,7 @@ def _exp_by_doubling(nbits: int, mul, gen: int) -> np.ndarray:
     """
     n = (1 << nbits) - 1
     half = nbits // 2
-    exp = np.empty(n, dtype=np.int64)
+    exp = np.empty(n, dtype=np.int32)
     exp[0] = 1
     size, step = 1, gen
     while size < n:
@@ -87,8 +92,11 @@ def _exp_by_doubling(nbits: int, mul, gen: int) -> np.ndarray:
         src = exp[:min(size, n - size)]
         exp[size:size + src.size] = lo[src & ((1 << half) - 1)] ^ hi[src >> half]
         size, step = size + src.size, mul(step, step)
-    counts = np.bincount(exp, minlength=n + 1)
-    if counts[0] or not (counts[1:] == 1).all():
+    # n powers that meet all n nonzero elements meet each once; a bool mask,
+    # unlike a bincount, makes no 8-byte copy or count per element
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[exp] = True
+    if seen[0] or not seen[1:].all():
         raise ArithmeticError(f"{gen:#x} is not primitive in GF(2^{nbits})")
     return exp
 
@@ -104,8 +112,8 @@ class _LogTables:
         gen = next(c for c in range(start, n + 1)
                    if all(pow_(c, n // p) != 1 for p in primes))
         self.exp = _exp_by_doubling(nbits, mul, gen)
-        self.log = np.zeros(n + 1, dtype=np.int64)
-        self.log[self.exp] = np.arange(n, dtype=np.int64)
+        self.log = np.zeros(n + 1, dtype=np.int32)
+        self.log[self.exp] = np.arange(n, dtype=np.int32)
         self.sq = _subset_xor_table([square(1 << j) for j in range(nbits)])
 
     def pow_vec(self, *factors) -> np.ndarray:
@@ -113,9 +121,9 @@ class _LogTables:
         a u with e > 0 is 0. Elsewhere each u with e < 0 must be nonzero, and
         u^0 is 1 also at u = 0."""
         (u, e), *rest = factors
-        logs = e * self.log[u]
+        logs = e * self.log[u].astype(np.int64)
         for v, f in rest:
-            logs += f * self.log[v]
+            logs += f * self.log[v].astype(np.int64)
         out = self.exp[logs % self.n]
         for u, e in factors:
             if e > 0:
@@ -142,7 +150,7 @@ class FieldTables(_LogTables):
         """The function that the exponent set `poly` induces on GF(q), as a table;
         x^0 is 1 also at x = 0."""
         xs = np.arange(self.q, dtype=np.int64)
-        out = np.zeros(self.q, dtype=np.int64)
+        out = np.zeros(self.q, dtype=np.int32)
         for e in sp_reduce_mod_field(poly, self.spec.m):
             out ^= self.pow_vec((xs, e))
         return out
@@ -212,13 +220,13 @@ class ExtTables(_LogTables):
         if self._circle is None:
             q = self.q
             b1 = self.b1_packed()
-            c = np.append(0, b1 ^ b1[::-1])
+            c = np.append(np.int32(0), b1 ^ b1[::-1])
             z = np.arange(1, q, dtype=np.int64)
             y = z ^ self.base.pow_vec((z, -1))
             if not ((0 <= c) & (c < q)).all() or not ((0 <= y) & (y < q)).all():
                 raise ArithmeticError("some theta^i + theta^-i or z + 1/z lies outside GF(q)")
             half = c[1:q // 2 + 1]
-            idx, z0 = np.zeros(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
+            idx, z0 = np.zeros(q, dtype=np.int32), np.zeros(q, dtype=np.int32)
             idx[half], z0[y] = np.arange(1, half.size + 1), z
             if not (np.bincount(half, minlength=q) + (z0 > 0) == 1).all():
                 raise ArithmeticError("c[1..q/2] and z + 1/z on GF(q)* do not split GF(q)")
@@ -235,7 +243,8 @@ class ExtTables(_LogTables):
         c[n*i mod (q+1)] for z = theta^i, base-field powers for z in GF(q)*."""
         c, idx, z0 = self.circle()
         i, z = idx[x], z0[x]
-        return np.where(i > 0, c[n * i % (self.q + 1)],
+        # n reduced first, so that the int32 product n * i cannot wrap
+        return np.where(i > 0, c[n % (self.q + 1) * i % (self.q + 1)],
                         self.base.pow_vec((z, n)) ^ self.base.pow_vec((z, -n)))
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from permpoly import OutOfRange, checks, cli
-from permpoly.checks import (CHECKS, LINEARIZED_K_MAX, MUL_TABLE_M_MAX,
-                             NOT_A_CLASS, _injective, check_dickson_linearized,
+from permpoly.checks import (_ZSUM_CHUNK, CHECKS, LINEARIZED_K_MAX, MUL_TABLE_M_MAX,
+                             NOT_A_CLASS, _injective, _zsum_chunk, check_dickson_linearized,
                              check_dickson_methods, check_fgprop,
                              check_h_dickson, check_hitt, check_hprop,
                              check_main_theorem, check_main_theorem_outcome,
@@ -106,6 +106,13 @@ def test_perm_lemma_and_zsum():
         assert check_perm_lemma(m, k).passed
         zsum = check_zsumexp(m, k)
         assert zsum.passed and zsum.tested == 4 * ((1 << 2 * m) - 2), (m, k)
+
+
+def test_zsum_top_chunk_where_int32_log_products_would_wrap():
+    # at m = 11, k = 10 the last chunk has sigma * log z > 2^31
+    et = ExtTables(11)  # not cached: 48 MB of tables no other test reads
+    part = _zsum_chunk(et, 10, et.g0_table(10), et.Q - _ZSUM_CHUNK, et.Q)
+    assert (part.counterexample, part.tested) == (None, 4 * _ZSUM_CHUNK)
 
 
 # (passed, tested) of the scalar-loop implementation these checks replaced:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 import permpoly
-from permpoly import INFINITY, OutOfRange, build_b_set, coprime_ks, phi, w_map
+from permpoly import INFINITY, OutOfRange, build_b_set, coprime_ks, derive_params, phi, w_map
 from permpoly.checks import _b_sets
-from permpoly.maps import dickson_recurrence
-from permpoly.tables import _exp_by_doubling, _linearized_table, ext_tables, field_tables
+from permpoly.maps import dickson_recurrence, eval_h
+from permpoly.tables import (_exp_by_doubling, _linearized_table, ext_tables, f_alpha_table,
+                             field_tables, g_beta_table, h_value_table)
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(permpoly.__file__).resolve().parents[1])}
 
@@ -138,6 +140,47 @@ def test_linearized_builder_refuses_other_exponents():
 def test_ext_tables_refuse_degree_over_ceiling():
     with pytest.raises(OutOfRange):
         ext_tables(13)
+
+
+def test_every_table_is_int32():
+    ft, et = field_tables(5), ext_tables(5)
+    p = derive_params(5, 2, alpha=1, beta=1, gamma=1)
+    xs = np.arange(ft.q)
+    tables = {
+        "exp": ft.exp, "log": ft.log, "sq": ft.sq, "tr": ft.tr,
+        "frobenius_table": ft.frobenius_table(2), "f_alpha_table": f_alpha_table(ft, p),
+        "g_beta_table": g_beta_table(ft, p), "h_value_table": h_value_table(ft, p),
+        "poly_table": ft.poly_table(frozenset({0, 3, 5})),
+        "pow_vec": ft.pow_vec((xs, 3), (xs, -1)),
+        "ext exp": et.exp, "ext log": et.log, "ext sq": et.sq, "g0_table": et.g0_table(2),
+        "ext pow_vec": et.pow_vec((np.arange(et.Q), 3)), "b1_packed": et.b1_packed(),
+        "circle c": et.circle()[0], "circle idx": et.circle()[1], "circle z0": et.circle()[2],
+        "zmap": et.zmap(), "dickson_vec": et.dickson_vec(5, xs),
+    }
+    assert {name: str(t.dtype) for name, t in tables.items()} == dict.fromkeys(tables, "int32")
+    # 4 bytes for each of the 2^20 - 1 powers, 2^20 logs and 2^20 squares
+    et = ext_tables(10)
+    assert et.exp.nbytes + et.log.nbytes + et.sq.nbytes == 4 * (3 * (1 << 20) - 1) == 12_582_908
+
+
+def test_dickson_vec_of_a_degree_past_int32():
+    # z^(q^2 - 1) = 1 for every z of GF(q^2)*, so D_n depends on n mod q^2 - 1 only
+    et = ext_tables(6)
+    xs = np.arange(et.q)
+    n = 5 + (et.Q - 1) * (1 << 40)
+    assert et.dickson_vec(n, xs).tolist() == et.dickson_vec(5, xs).tolist()
+
+
+@pytest.mark.parametrize("m", [18, 20])
+def test_h_value_table_where_int32_log_products_would_wrap(m):
+    """With k = m - 1, (sigma + 1) * log f_alpha(x) reaches 2^(2m - 1), past 2^31."""
+    ft = field_tables(m)
+    xs = random.Random(m).sample(range(ft.q), 64)
+    for alpha in (0, 1):
+        for gamma in (0, 1):
+            p = derive_params(m, m - 1, alpha=alpha, gamma=gamma)
+            h = h_value_table(ft, p)
+            assert [int(h[x]) for x in xs] == [eval_h(p, x) for x in xs], (alpha, gamma)
 
 
 def _cli(*flags, suite):
