@@ -1,12 +1,14 @@
 """Exhaustive checkers for every claimed identity and bijection.
 
-Each checker sweeps a whole field (or extension field) and returns a
-structured CheckOutcome; permutation status is always decided by
-occupancy counting, never by the parity formulas under test.
+Each checker sweeps a whole field (or extension field) and fills in the
+CheckOutcome that its `@_check` registration hands it; permutation status is
+always decided by occupancy counting, never by the parity formulas under test.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -57,29 +59,22 @@ class PermutationReport:
 
 @dataclass
 class CheckOutcome:
+    """One check's record: a comparison count and the first counterexample, which fails it."""
+
     check: str
     params: dict
-    passed: bool
-    tested: int
+    passed: bool = True
+    tested: int = 0
     counterexample: dict | None = None
     ms: float = 0.0
 
     def to_json(self) -> dict:
         return asdict(self)
 
-
-def _hx(v) -> str:
-    """Hex for an element, `none` for None (no trace class)."""
-    return "none" if v is None else format(int(v), "x")
-
-
-class _Sweep:
-    """Counts comparisons, records the first counterexample, and times the check."""
-
-    def __init__(self):
-        self.start = time.perf_counter()
-        self.tested = 0
-        self.counterexample = None
+    def _keep(self, counterexample: dict):
+        """Hold `counterexample`, which fails the check, unless one is held already."""
+        if self.passed:
+            self.passed, self.counterexample = False, counterexample
 
     def expect(self, ok: bool, inputs, lhs, rhs):
         self.tested += 1
@@ -88,9 +83,7 @@ class _Sweep:
 
     def fail(self, inputs, lhs, rhs):
         """Record a counterexample unless one is held already; counts nothing."""
-        if self.counterexample is None:
-            self.counterexample = {"inputs": [_hx(v) for v in inputs],
-                                   "lhs": _hx(lhs), "rhs": _hx(rhs)}
+        self._keep({"inputs": [_hx(v) for v in inputs], "lhs": _hx(lhs), "rhs": _hx(rhs)})
 
     def in_field(self, inputs, values: np.ndarray, q: int) -> bool:
         """Whether all values lie in GF(q); else records the first outside, counting nothing."""
@@ -104,9 +97,8 @@ class _Sweep:
         try:
             guarded()
         except ArithmeticError as exc:
-            if self.counterexample is None:
-                self.counterexample = {"inputs": [_hx(v) for v in inputs],
-                                       "guard": f"{guarded.__name__}: {exc}"}
+            self._keep({"inputs": [_hx(v) for v in inputs],
+                        "guard": f"{guarded.__name__}: {exc}"})
             return False
         return True
 
@@ -115,24 +107,22 @@ class _Sweep:
         lhs = np.asarray(lhs)
         rhs = np.asarray(rhs)
         self.tested += int(lhs.size)
-        if self.counterexample is None:
+        if self.passed:
             bad = np.nonzero(lhs != rhs)[0]
             if bad.size:
                 i = int(bad[0])
                 self.fail([a[i] if np.ndim(a) else a for a in inputs], lhs[i], rhs[i])
 
-    def merge(self, part: _Sweep):
-        """Fold in a sweep of later inputs: add its count, keep the first counterexample."""
+    def merge(self, part: CheckOutcome):
+        """Fold in a record of later inputs: add its count, keep the first counterexample."""
         self.tested += part.tested
-        if self.counterexample is None:
-            self.counterexample = part.counterexample
+        if not part.passed:
+            self._keep(part.counterexample)
 
 
-def _finish(name: str, params: dict, sweep: _Sweep) -> CheckOutcome:
-    return CheckOutcome(check=name, params=params,
-                        passed=sweep.counterexample is None,
-                        tested=sweep.tested, counterexample=sweep.counterexample,
-                        ms=(time.perf_counter() - sweep.start) * 1000.0)
+def _hx(v) -> str:
+    """Hex for an element, `none` for None (no trace class)."""
+    return "none" if v is None else format(int(v), "x")
 
 
 def _outside(values: np.ndarray, q: int) -> np.ndarray:
@@ -166,7 +156,7 @@ def _on_class(ft, tab: np.ndarray, e: int) -> tuple[int, bool]:
     return cls, _injective(image, ft.q)
 
 
-def _expect_classes(sweep: _Sweep, ft, tab: np.ndarray, t1_target: int):
+def _expect_classes(sweep: CheckOutcome, ft, tab: np.ndarray, t1_target: int):
     """`tab` maps T_0 onto T_0 and T_1 onto T_(t1_target), bijectively."""
     for e, target in ((0, 0), (1, t1_target)):
         cls, bijective = _on_class(ft, tab, e)
@@ -192,6 +182,66 @@ def _dickson_rows(mul: np.ndarray, a, n_max: int):
 
 
 # ---------------------------------------------------------------------------
+# the registry read by `permpoly verify` and the acceptance tests
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Check:
+    """One named check: its checker, and the argument tuples it sweeps up to a cap."""
+
+    fn: Callable[..., CheckOutcome]
+    grid: Callable[[int], list[tuple]]
+    default_cap: int
+    #: the largest m with tables for every field the grid reaches at this cap
+    #: (EXT_MAX_DEGREE for extension tables); None where the grid clamps the cap
+    max_cap: int | None
+
+
+#: Every check, in `verify --suite all` order: the order of the @_check definitions
+#: below, which the benchmark's pinned records follow index by index.
+CHECKS: dict[str, Check] = {}
+
+
+def _check(name: str, grid: Callable[[int], list[tuple]], default_cap: int,
+           max_cap: int | None = MAX_DEGREE):
+    """Register as check `name` a checker that fills in the record it is given first.
+    The registered function takes the other arguments and returns the record, with
+    them as its params and the checker's time (lazy table builds included) as its ms."""
+    def register(body):
+        sig = inspect.signature(body)
+        sig = sig.replace(parameters=list(sig.parameters.values())[1:],
+                          return_annotation=CheckOutcome)
+
+        @functools.wraps(body)
+        def run(*args, **kwargs):
+            sweep = CheckOutcome(name, dict(sig.bind(*args, **kwargs).arguments))
+            start = time.perf_counter()
+            body(sweep, **sweep.params)
+            sweep.ms = (time.perf_counter() - start) * 1000.0
+            return sweep
+        run.__signature__ = sig
+        CHECKS[name] = Check(run, grid, default_cap, max_cap)
+        return run
+    return register
+
+
+def _coprime_grid(cap: int) -> list[tuple]:
+    return [(m, k) for m in range(2, cap + 1) for k in coprime_ks(m)]
+
+
+def _clamped(limit: int) -> Callable[[int], list[tuple]]:
+    """The grid of a check run once at min(cap, limit), so that it takes any cap."""
+    return lambda cap: [(min(cap, limit),)]
+
+
+def run_check(name: str, cap: int):
+    """Yield the outcome of check `name` at every grid point up to `cap`."""
+    check = CHECKS[name]
+    for args in check.grid(cap):
+        yield check.fn(*args)
+
+
+# ---------------------------------------------------------------------------
 # main theorem
 # ---------------------------------------------------------------------------
 
@@ -200,9 +250,9 @@ def check_main_theorem(m: int, k: int) -> list[PermutationReport]:
     ft = field_tables(m)
     reports = []
     for alpha in (0, 1):
-        for gamma in (0, 1):
-            p = derive_params(m, k, alpha=alpha, gamma=gamma)
-            h = h_value_table(ft, p)
+        p = derive_params(m, k, alpha=alpha)
+        h_alpha = h_value_table(ft, p)
+        for gamma, h in enumerate((h_alpha, h_alpha ^ ft.tr)):
             class0, bijective0 = _on_class(ft, h, 0)
             class1, bijective1 = _on_class(ft, h, 1)
             reports.append(PermutationReport(
@@ -214,8 +264,8 @@ def check_main_theorem(m: int, k: int) -> list[PermutationReport]:
     return reports
 
 
-def check_main_theorem_outcome(m: int, k: int) -> CheckOutcome:
-    sweep = _Sweep()
+@_check("main_theorem", _coprime_grid, 12)
+def check_main_theorem_outcome(sweep: CheckOutcome, m: int, k: int):
     for rep in check_main_theorem(m, k):
         # the theorem's parity also names the class T_1 is sent to
         ok = (rep.is_permutation == rep.predicted_by_theorem
@@ -224,18 +274,17 @@ def check_main_theorem_outcome(m: int, k: int) -> CheckOutcome:
         sweep.expect(ok, [rep.alpha, rep.gamma],
                      rep.is_permutation, rep.predicted_by_theorem)
         sweep.tested += (1 << m) - 1
-    return _finish("main_theorem", {"m": m, "k": k}, sweep)
 
 
 # ---------------------------------------------------------------------------
 # Dickson permutation criterion
 # ---------------------------------------------------------------------------
 
-def check_nobauer(m_max: int) -> CheckOutcome:
+@_check("nobauer", _clamped(MUL_TABLE_M_MAX), MUL_TABLE_M_MAX, None)
+def check_nobauer(sweep: CheckOutcome, m_max: int):
     """Permutation status of D_n(X, a) against gcd(n, q^2 - 1) = 1."""
     if m_max > MUL_TABLE_M_MAX:
         raise OutOfRange(f"m_max={m_max} exceeds the runtime guard {MUL_TABLE_M_MAX}")
-    sweep = _Sweep()
     for m in range(2, m_max + 1):
         q = 1 << m
         mul = _mul_table(make_field(m))
@@ -248,25 +297,23 @@ def check_nobauer(m_max: int) -> CheckOutcome:
         predicted = np.gcd(ns, q * q - 1) == 1
         for a_row, row in zip(a, observed):  # a-major, as a loop over a and then n
             sweep.compare([m, a_row, ns], row, predicted)
-    return _finish("nobauer", {"m_max": m_max}, sweep)
 
 
 # ---------------------------------------------------------------------------
 # properties of the linearized map pair
 # ---------------------------------------------------------------------------
 
-def check_fgprop(m: int, k: int) -> CheckOutcome:
-    sweep = _Sweep()
+@_check("fgprop", _coprime_grid, 12)
+def check_fgprop(sweep: CheckOutcome, m: int, k: int):
     ft = field_tables(m)
     q = ft.q
     xs = np.arange(q, dtype=np.int64)
     frobk = ft.frobenius_table(k)
-    g0_tab = g_beta_table(ft, derive_params(m, k, beta=0))
-    for alpha in (0, 1):
-        for beta in (0, 1):
+    fas = [f_alpha_table(ft, derive_params(m, k, alpha=alpha)) for alpha in (0, 1)]
+    gs = [g_beta_table(ft, derive_params(m, k, beta=beta)) for beta in (0, 1)]
+    for alpha, fa in enumerate(fas):
+        for beta, g in enumerate(gs):
             p = derive_params(m, k, alpha=alpha, beta=beta)
-            fa = f_alpha_table(ft, p)
-            g = g_beta_table(ft, p)
             if not (sweep.in_field([alpha, beta], fa, q) and sweep.in_field([alpha, beta], g, q)):
                 continue
             f_par = (p.r + alpha * m) % 2
@@ -295,31 +342,29 @@ def check_fgprop(m: int, k: int) -> CheckOutcome:
             for lam in (0, 1):
                 theta = derive_params(m, k, alpha=alpha, beta=beta, lam=lam).theta
                 ybar = xs ^ (lam * ft.tr)
-                sweep.compare([xs], g, g0_tab[ybar] ^ (theta * ft.tr))
+                sweep.compare([xs], g, gs[0][ybar] ^ (theta * ft.tr))
                 if lam == delta:
                     # the stated theta congruence is the lambda = delta instance
                     lhs = (m * theta) % 2
                     rhs = (k + beta * m + k * (1 + delta * m)) % 2
                     sweep.expect(lhs == rhs, [alpha, beta, lam], lhs, rhs)
-    return _finish("fgprop", {"m": m, "k": k}, sweep)
 
 
-def check_hprop(m: int, k: int) -> CheckOutcome:
+@_check("hprop", _coprime_grid, 12)
+def check_hprop(sweep: CheckOutcome, m: int, k: int):
     """Both claims: the rewritten H form, and the trace multiplier of H."""
-    sweep = _Sweep()
     ft = field_tables(m)
     xs = np.arange(ft.q, dtype=np.int64)
     for alpha in (0, 1):
-        for gamma in (0, 1):
-            p = derive_params(m, k, alpha=alpha, gamma=gamma)
-            fa = f_alpha_table(ft, p)
-            h = h_value_table(ft, p)
-            ratio = ft.pow_vec((fa, 1), (xs, -1))  # 0 at x = 0, where fa is 0
+        p = derive_params(m, k, alpha=alpha)
+        fa = f_alpha_table(ft, p)
+        h_alpha = h_value_table(ft, p)
+        ratio = ft.pow_vec((fa, 1), (xs, -1))  # 0 at x = 0, where fa is 0
+        for gamma, h in enumerate((h_alpha, h_alpha ^ ft.tr)):
             alt = ft.sq[ratio] ^ ratio ^ fa ^ (gamma * ft.tr)
             sweep.compare([xs], h, alt)
             par = (p.r + (alpha + gamma) * m) % 2
             sweep.compare([xs], ft.tr[h], par * ft.tr)
-    return _finish("hprop", {"m": m, "k": k}, sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +386,13 @@ def _b_sets(et) -> dict:
             1: (line[1:], phi1, lambda s, i: s * i % (q + 1))}
 
 
-def check_perm_lemma(m: int, k: int) -> CheckOutcome:
-    sweep = _Sweep()
+@_check("perm_lemma", _coprime_grid, 10, EXT_MAX_DEGREE)
+def check_perm_lemma(sweep: CheckOutcome, m: int, k: int):
     et = ext_tables(m)
     q = et.q
     sigma = 1 << k
     if not sweep.guard_holds([], et.circle):
-        return _finish("perm_lemma", {"m": m, "k": k}, sweep)
+        return
     b_sets = _b_sets(et)
     # (i): phi is two-to-one from B_e onto T_e
     for e, (b, phi, _) in b_sets.items():
@@ -367,7 +412,6 @@ def check_perm_lemma(m: int, k: int) -> CheckOutcome:
             sweep.expect(observed == gcd_cond == predicted,
                          [widx, e], observed, predicted)
             sweep.tested += q - 1
-    return _finish("perm_lemma", {"m": m, "k": k}, sweep)
 
 
 def _workers() -> int:
@@ -377,9 +421,9 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _zsum_chunk(et, k: int, g0: np.ndarray, lo: int, hi: int) -> _Sweep:
+def _zsum_chunk(et, k: int, g0: np.ndarray, lo: int, hi: int) -> CheckOutcome:
     """The identities of check_zsumexp for the packed z in lo..hi-1 (lo >= 2)."""
-    sweep = _Sweep()
+    sweep = CheckOutcome("zsum_chunk", {"k": k, "lo": lo, "hi": hi})
     n = et.n
     sigma = 1 << k
     z = np.arange(lo, hi, dtype=np.int64)
@@ -411,33 +455,32 @@ def _zsum_chunk(et, k: int, g0: np.ndarray, lo: int, hi: int) -> _Sweep:
     return sweep
 
 
-def check_zsumexp(m: int, k: int) -> CheckOutcome:
+@_check("zsumexp", _coprime_grid, 10, EXT_MAX_DEGREE)
+def check_zsumexp(sweep: CheckOutcome, m: int, k: int):
     """Identities (i) and (ii) at every z of GF(q^2) other than 0 and 1, chunk
     by chunk on a thread pool (numpy's gathers release the GIL); the parts are
     folded in chunk order, so the outcome is the serial one."""
     # imported here: concurrent.futures loads logging, about 0.5 MB that no
     # other check needs
     from concurrent.futures import ThreadPoolExecutor
-    sweep = _Sweep()
     et = ext_tables(m)
     g0 = et.g0_table(k)
     # the exp and g0 values are the only ones _zsum_chunk uses as indices
     if not (sweep.in_field([], et.exp, et.Q) and sweep.in_field([], g0, et.Q)):
-        return _finish("zsumexp", {"m": m, "k": k}, sweep)
+        return
     starts = range(2, et.Q, _ZSUM_CHUNK)
     with ThreadPoolExecutor(max_workers=min(_workers(), len(starts))) as pool:
         for part in pool.map(lambda lo: _zsum_chunk(et, k, g0, lo, min(lo + _ZSUM_CHUNK, et.Q)),
                              starts):
             sweep.merge(part)
-    return _finish("zsumexp", {"m": m, "k": k}, sweep)
 
 
 # ---------------------------------------------------------------------------
 # the Dickson connection
 # ---------------------------------------------------------------------------
 
-def check_h_dickson(m: int, k: int) -> CheckOutcome:
-    sweep = _Sweep()
+@_check("h_dickson", _coprime_grid, 10, EXT_MAX_DEGREE)
+def check_h_dickson(sweep: CheckOutcome, m: int, k: int):
     ft = field_tables(m)
     et = ext_tables(m)
     base = derive_params(m, k)
@@ -447,14 +490,14 @@ def check_h_dickson(m: int, k: int) -> CheckOutcome:
     sweep.expect((p.r + alpha * m) % 2 == 1, [alpha], (p.r + alpha * m) % 2, 1)
     sweep.expect((k + beta * m) % 2 == 1, [beta], (k + beta * m) % 2, 1)
     g = g_beta_table(ft, p)
-    h = h_value_table(ft, p)
+    hs = [h_value_table(ft, derive_params(m, k, alpha=a)) for a in (0, 1)]
     q = ft.q
     xs = np.arange(1, q, dtype=np.int64)
     if (sweep.in_field([], g, q) and sweep.in_field([], ft.exp, q)
-            and sweep.guard_holds([], et.circle)):
+        and sweep.guard_holds([], et.circle)):
         gx = g[xs]
         sweep.expect(bool((gx != 0).all()), [0], bool((gx != 0).all()), True)
-        lhs = h[gx]
+        lhs = hs[alpha][gx]
         mid = ft.pow_vec((xs, p.sigma + 1), (gx, -2))
         sweep.compare([xs], lhs, mid)
         # the Dickson form D_d(1/x)
@@ -465,19 +508,104 @@ def check_h_dickson(m: int, k: int) -> CheckOutcome:
         sweep.compare([xs], mid, ft.pow_vec((dval, exponent)))
     # permutation status for both alpha choices
     for a in (0, 1):
-        h_a = h_value_table(ft, derive_params(m, k, alpha=a))
-        observed = _injective(h_a, q)
+        observed = _injective(hs[a], q)
         predicted = (p.r + a * m) % 2 == 1
         sweep.expect(observed == predicted, [a], observed, predicted)
         sweep.tested += q - 1
-    return _finish("h_dickson", {"m": m, "k": k}, sweep)
 
 
-def check_dickson_linearized(k_max: int) -> CheckOutcome:
+# ---------------------------------------------------------------------------
+# the remarks
+# ---------------------------------------------------------------------------
+
+@_check("hitt", _coprime_grid, 10, EXT_MAX_DEGREE)
+def check_hitt(sweep: CheckOutcome, m: int, k: int):
+    """The single equation covering injectivity on both trace classes."""
+    ft = field_tables(m)
+    et = ext_tables(m)
+    q = et.q
+    sigma = 1 << k
+    beta = 0 if k % 2 == 1 else 1
+    if not sweep.guard_holds([], et.circle):
+        return
+    b_sets = _b_sets(et)
+    g = g_beta_table(ft, derive_params(m, k, beta=beta))
+    for alpha in (0, 1):
+        p = derive_params(m, k, alpha=alpha, beta=beta)
+        h_alpha = h_value_table(ft, p)
+        delta, theta = p.delta, p.theta
+        for gamma, h in enumerate((h_alpha, h_alpha ^ ft.tr)):
+            sweep.expect((k + beta * m) % 2 == 1, [beta], (k + beta * m) % 2, 1)
+            for e in (0, 1):
+                z, phi, w = b_sets[(e * (1 + delta * m)) % 2]
+                pz = phi[z]
+                pw = phi[w(sigma - 1 if theta * e == 0 else sigma + 1, z)]
+                inputs = [alpha, gamma, e]
+                if sweep.in_field(inputs, pz, q) and sweep.in_field(inputs, pw, q):
+                    sweep.compare([*inputs, z], h[g[pz ^ (delta * e)]], pw ^ (gamma * e))
+
+
+@_check("remark3", lambda cap: [(m,) for m in range(2, cap + 1)], 12)
+def check_remark3(sweep: CheckOutcome, m: int):
+    """h(x) = x + 1/x + 1/x^2 permutes T_1; H_{1,1} with k = 1 fixes T_0."""
+    if m < 2:
+        raise PreconditionFailed(f"m={m} must be >= 2")
+    ft = field_tables(m)
+    t1 = np.nonzero(ft.tr == 1)[0].astype(np.int64)
+    h = t1 ^ ft.pow_vec((t1, -1)) ^ ft.pow_vec((t1, -2))
+    ok = _injective(h, ft.q) and bool((ft.tr[h] == 1).all())
+    sweep.expect(ok, [m], ok, True)
+    sweep.tested += t1.size - 1
+    p = derive_params(m, 1, alpha=1, gamma=1)
+    htab = h_value_table(ft, p)
+    t0_idx = np.nonzero(ft.tr == 0)[0].astype(np.int64)
+    sweep.compare([t0_idx], htab[t0_idx], t0_idx)
+    sweep.compare([t1], htab[t1], h)
+
+
+@_check("remark4", lambda cap: [(m, (m + 1) // 2) for m in range(3, cap + 1, 2)], 13)
+def check_remark4(sweep: CheckOutcome, m: int, k: int):
+    if (2 * k) % m != 1:
+        raise PreconditionFailed(f"2k = {2 * k} is not 1 mod m = {m}")
+    p00 = derive_params(m, k)
+    sigma = p00.sigma
+    sweep.expect(p00.r == 2, [m, k], p00.r, 2)
+    # (a) the quoted 4-term expansion
+    expected = {sigma - 1, 2 * (sigma - 1), sigma * sigma - 1,
+                sigma * sigma + sigma - 2}
+    got = set(expand_h(p00))
+    sweep.expect(got == expected, [m, k], min(got ^ expected, default=0), 0)
+    sweep.tested += len(expected) - 1
+    # (b) the trace-class behavior of H_00 and H_01
+    ft = field_tables(m)
+    h00 = h_value_table(ft, p00)
+    h01 = h00 ^ ft.tr
+    for h, t1_target in ((h00, 0), (h01, 1)):
+        _expect_classes(sweep, ft, h, t1_target)
+        sweep.tested += ft.q - 2
+    # (c) the simplified 5-term polynomial: a PP that agrees with H_01
+    five_poly = sp_add(trace_poly(m),
+                       frozenset({sigma - 1, 2 * (sigma - 1), 1, sigma}))
+    five = ft.poly_table(five_poly)
+    sweep.compare([np.arange(ft.q)], five, h01)
+    for name, tab in (("h01", h01), ("five_term", five)):
+        observed = _injective(tab, ft.q)
+        sweep.expect(observed, [name == "five_term"], observed, True)
+    # reduced exponent sets coincide
+    lhs = sp_reduce_mod_field(expand_h(derive_params(m, k, gamma=1)), m)
+    rhs = sp_reduce_mod_field(five_poly, m)
+    sweep.expect(lhs == rhs, [m, k], min(lhs ^ rhs, default=0), 0)
+
+
+# ---------------------------------------------------------------------------
+# the Dickson identities and the polynomiality of the symbolic expansion
+# ---------------------------------------------------------------------------
+
+@_check("dickson_linearized", _clamped(LINEARIZED_K_MAX), LINEARIZED_K_MAX, None)
+def check_dickson_linearized(sweep: CheckOutcome, k_max: int):
     """Symbolic and pointwise forms of D_{2^k-1} = X^(2^k+1) * T_k(1/X)^2."""
     if k_max > LINEARIZED_K_MAX:
         raise OutOfRange(f"k_max={k_max} exceeds the guard {LINEARIZED_K_MAX}")
-    sweep = _Sweep()
     for k in range(1, k_max + 1):
         lhs = set(dickson_exponents((1 << k) - 1))
         rhs = {(1 << k) + 1 - (1 << (j + 1)) for j in range(k)}
@@ -494,14 +622,13 @@ def check_dickson_linearized(k_max: int) -> CheckOutcome:
             tk, term = tk ^ term, ft.sq[term]  # T_k(1/x), (1/x)^(2^k)
             rhs = ft.pow_vec((xs, (1 << k) + 1), (tk, 2))
             sweep.compare([xs], et.dickson_vec((1 << k) - 1, xs), rhs)
-    return _finish("dickson_linearized", {"k_max": k_max}, sweep)
 
 
-def check_dickson_methods(m_max: int) -> CheckOutcome:
+@_check("dickson_methods", _clamped(MUL_TABLE_M_MAX), MUL_TABLE_M_MAX, None)
+def check_dickson_methods(sweep: CheckOutcome, m_max: int):
     """Recurrence / closed-form / functional evaluation agree on all x, n <= q^2."""
     if m_max > MUL_TABLE_M_MAX:
         raise OutOfRange(f"m_max={m_max} exceeds the runtime guard {MUL_TABLE_M_MAX}")
-    sweep = _Sweep()
     for m in range(2, m_max + 1):
         et = ext_tables(m)
         q = et.q
@@ -512,103 +639,11 @@ def check_dickson_methods(m_max: int) -> CheckOutcome:
         for n, cur in _dickson_rows(mul, 1, q * q):
             sweep.compare([np.full(q, n), xs], cur, et.base.poly_table(dickson_exponents(n)))
             sweep.compare([np.full(q, n), xs], cur, et.dickson_vec(n, xs))
-    return _finish("dickson_methods", {"m_max": m_max}, sweep)
 
 
-# ---------------------------------------------------------------------------
-# the remarks
-# ---------------------------------------------------------------------------
-
-def check_hitt(m: int, k: int) -> CheckOutcome:
-    """The single equation covering injectivity on both trace classes."""
-    sweep = _Sweep()
-    ft = field_tables(m)
-    et = ext_tables(m)
-    q = et.q
-    sigma = 1 << k
-    beta = 0 if k % 2 == 1 else 1
-    if not sweep.guard_holds([], et.circle):
-        return _finish("hitt", {"m": m, "k": k}, sweep)
-    b_sets = _b_sets(et)
-    for alpha in (0, 1):
-        for gamma in (0, 1):
-            p = derive_params(m, k, alpha=alpha, beta=beta, gamma=gamma)
-            sweep.expect((k + beta * m) % 2 == 1, [beta], (k + beta * m) % 2, 1)
-            g = g_beta_table(ft, p)
-            h = h_value_table(ft, p)
-            delta, theta = p.delta, p.theta
-            for e in (0, 1):
-                z, phi, w = b_sets[(e * (1 + delta * m)) % 2]
-                pz = phi[z]
-                pw = phi[w(sigma - 1 if theta * e == 0 else sigma + 1, z)]
-                inputs = [alpha, gamma, e]
-                if sweep.in_field(inputs, pz, q) and sweep.in_field(inputs, pw, q):
-                    sweep.compare([*inputs, z], h[g[pz ^ (delta * e)]], pw ^ (gamma * e))
-    return _finish("hitt", {"m": m, "k": k}, sweep)
-
-
-def check_remark3(m: int) -> CheckOutcome:
-    """h(x) = x + 1/x + 1/x^2 permutes T_1; H_{1,1} with k = 1 fixes T_0."""
-    if m < 2:
-        raise PreconditionFailed(f"m={m} must be >= 2")
-    sweep = _Sweep()
-    ft = field_tables(m)
-    t1 = np.nonzero(ft.tr == 1)[0].astype(np.int64)
-    h = t1 ^ ft.pow_vec((t1, -1)) ^ ft.pow_vec((t1, -2))
-    ok = _injective(h, ft.q) and bool((ft.tr[h] == 1).all())
-    sweep.expect(ok, [m], ok, True)
-    sweep.tested += t1.size - 1
-    p = derive_params(m, 1, alpha=1, gamma=1)
-    htab = h_value_table(ft, p)
-    t0_idx = np.nonzero(ft.tr == 0)[0].astype(np.int64)
-    sweep.compare([t0_idx], htab[t0_idx], t0_idx)
-    sweep.compare([t1], htab[t1], h)
-    return _finish("remark3", {"m": m}, sweep)
-
-
-def check_remark4(m: int, k: int) -> CheckOutcome:
-    if (2 * k) % m != 1:
-        raise PreconditionFailed(f"2k = {2 * k} is not 1 mod m = {m}")
-    sweep = _Sweep()
-    p00 = derive_params(m, k)
-    sigma = p00.sigma
-    sweep.expect(p00.r == 2, [m, k], p00.r, 2)
-    # (a) the quoted 4-term expansion
-    expected = {sigma - 1, 2 * (sigma - 1), sigma * sigma - 1,
-                sigma * sigma + sigma - 2}
-    got = set(expand_h(p00))
-    sweep.expect(got == expected, [m, k], min(got ^ expected, default=0), 0)
-    sweep.tested += len(expected) - 1
-    # (b) the trace-class behavior of H_00 and H_01
-    ft = field_tables(m)
-    h00 = h_value_table(ft, p00)
-    p01 = derive_params(m, k, gamma=1)
-    h01 = h_value_table(ft, p01)
-    for h, t1_target in ((h00, 0), (h01, 1)):
-        _expect_classes(sweep, ft, h, t1_target)
-        sweep.tested += ft.q - 2
-    # (c) the simplified 5-term polynomial: a PP that agrees with H_01
-    five_poly = sp_add(trace_poly(m),
-                       frozenset({sigma - 1, 2 * (sigma - 1), 1, sigma}))
-    five = ft.poly_table(five_poly)
-    sweep.compare([np.arange(ft.q)], five, h01)
-    for name, tab in (("h01", h01), ("five_term", five)):
-        observed = _injective(tab, ft.q)
-        sweep.expect(observed, [name == "five_term"], observed, True)
-    # reduced exponent sets coincide
-    lhs = sp_reduce_mod_field(expand_h(p01), m)
-    rhs = sp_reduce_mod_field(five_poly, m)
-    sweep.expect(lhs == rhs, [m, k], min(lhs ^ rhs, default=0), 0)
-    return _finish("remark4", {"m": m, "k": k}, sweep)
-
-
-# ---------------------------------------------------------------------------
-# polynomiality of the symbolic expansion
-# ---------------------------------------------------------------------------
-
-def check_polynomiality(m_max: int) -> CheckOutcome:
+@_check("polynomiality", lambda cap: [(cap,)], 12)
+def check_polynomiality(sweep: CheckOutcome, m_max: int):
     """expand_h never fails exact division; reduced form matches the evaluator."""
-    sweep = _Sweep()
     for m in range(2, m_max + 1):
         ft = field_tables(m) if m <= 10 else None
         for k in coprime_ks(m):
@@ -624,55 +659,3 @@ def check_polynomiality(m_max: int) -> CheckOutcome:
                     if ft is not None:
                         sweep.compare([np.arange(ft.q)], ft.poly_table(poly),
                                       h_value_table(ft, p))
-    return _finish("polynomiality", {"m_max": m_max}, sweep)
-
-
-# ---------------------------------------------------------------------------
-# the registry read by `permpoly verify` and the acceptance tests
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Check:
-    """One named check: its checker, and the argument tuples it sweeps up to a cap."""
-
-    fn: Callable[..., CheckOutcome]
-    grid: Callable[[int], list[tuple]]
-    default_cap: int
-    #: the largest m with tables for every field the grid reaches at this cap
-    #: (EXT_MAX_DEGREE for extension tables); None where the grid clamps the cap
-    max_cap: int | None = MAX_DEGREE
-
-
-def _coprime_grid(cap: int) -> list[tuple]:
-    return [(m, k) for m in range(2, cap + 1) for k in coprime_ks(m)]
-
-
-def _clamped(fn: Callable[[int], CheckOutcome], limit: int) -> Check:
-    """A check run once at min(cap, limit), by default at its limit, that takes any cap."""
-    return Check(fn, lambda cap: [(min(cap, limit),)], limit, None)
-
-
-#: Every check, in `verify --suite all` order.
-CHECKS = {
-    "main_theorem": Check(check_main_theorem_outcome, _coprime_grid, 12),
-    "nobauer": _clamped(check_nobauer, MUL_TABLE_M_MAX),
-    "fgprop": Check(check_fgprop, _coprime_grid, 12),
-    "hprop": Check(check_hprop, _coprime_grid, 12),
-    "perm_lemma": Check(check_perm_lemma, _coprime_grid, 10, EXT_MAX_DEGREE),
-    "zsumexp": Check(check_zsumexp, _coprime_grid, 10, EXT_MAX_DEGREE),
-    "h_dickson": Check(check_h_dickson, _coprime_grid, 10, EXT_MAX_DEGREE),
-    "hitt": Check(check_hitt, _coprime_grid, 10, EXT_MAX_DEGREE),
-    "remark3": Check(check_remark3, lambda cap: [(m,) for m in range(2, cap + 1)], 12),
-    "remark4": Check(check_remark4,
-                     lambda cap: [(m, (m + 1) // 2) for m in range(3, cap + 1, 2)], 13),
-    "dickson_linearized": _clamped(check_dickson_linearized, LINEARIZED_K_MAX),
-    "dickson_methods": _clamped(check_dickson_methods, MUL_TABLE_M_MAX),
-    "polynomiality": Check(check_polynomiality, lambda cap: [(cap,)], 12),
-}
-
-
-def run_check(name: str, cap: int):
-    """Yield the outcome of check `name` at every grid point up to `cap`."""
-    check = CHECKS[name]
-    for args in check.grid(cap):
-        yield check.fn(*args)

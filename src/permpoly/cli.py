@@ -17,8 +17,8 @@ from math import gcd
 
 from . import checks
 from .errors import NotDivisible, OutOfRange, PermpolyError
-from .field import (INFINITY, element_to_hex, extension_of, load_field_table,
-                    make_field)
+from .field import (INFINITY, MAX_DEGREE, element_to_hex, extension_of,
+                    load_field_table, make_field)
 from .maps import (DicksonMethod, eval_dickson, eval_f_alpha, eval_g_beta,
                    eval_h, phi, tau, w_map)
 from .params import derive_params
@@ -130,6 +130,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.m_max > MAX_DEGREE:
+        raise OutOfRange(f"--m-max {args.m_max} exceeds {MAX_DEGREE}, the largest supported m")
     rows = []
     all_agree = True
     for m in range(args.m_min, args.m_max + 1):

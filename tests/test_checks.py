@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 
 from permpoly import OutOfRange, checks, cli
 from permpoly.checks import (_ZSUM_CHUNK, CHECKS, LINEARIZED_K_MAX, MUL_TABLE_M_MAX,
-                             NOT_A_CLASS, _injective, _zsum_chunk, check_dickson_linearized,
-                             check_dickson_methods, check_fgprop,
+                             NOT_A_CLASS, CheckOutcome, _injective, _zsum_chunk,
+                             check_dickson_linearized, check_dickson_methods, check_fgprop,
                              check_h_dickson, check_hitt, check_hprop,
                              check_main_theorem, check_main_theorem_outcome,
                              check_nobauer, check_perm_lemma,
@@ -155,12 +156,63 @@ def test_polynomiality_small():
 
 def test_outcome_counterexample_shape():
     # force a failing comparison through the internal sweeper
-    from permpoly.checks import _Sweep
-    s = _Sweep()
+    from permpoly.checks import CheckOutcome
+    s = CheckOutcome("shape", {})
     s.expect(False, [3, 7], 1, 0)
     s.expect(False, [1, 1], 5, 6)  # only the first is kept
     assert s.counterexample == {"inputs": ["3", "7"], "lhs": "1", "rhs": "0"}
     assert s.tested == 2
+
+
+def test_a_record_fails_at_its_first_counterexample():
+    rec = CheckOutcome("record", {})
+    rec.compare([np.arange(3)], np.arange(3), np.arange(3))
+    assert (rec.passed, rec.tested, rec.counterexample) == (True, 3, None)
+    def circle():
+        raise ArithmeticError("broken")
+    part = CheckOutcome("part", {})
+    assert not part.guard_holds([2], circle)
+    assert (part.passed, part.counterexample) == \
+        (False, {"inputs": ["2"], "guard": "circle: broken"})
+    rec.merge(part)
+    rec.fail([9], 1, 0)  # the merged counterexample came first
+    assert (rec.passed, rec.tested, rec.counterexample) == (False, 3, part.counterexample)
+
+
+def test_each_registered_check_keeps_its_name_and_signature():
+    assert list(CHECKS) == ["main_theorem", "nobauer", "fgprop", "hprop", "perm_lemma",
+                            "zsumexp", "h_dickson", "hitt", "remark3", "remark4",
+                            "dickson_linearized", "dickson_methods", "polynomiality"]
+    for name, check in CHECKS.items():
+        assert check.fn.__name__ in (f"check_{name}", f"check_{name}_outcome")
+        assert len(inspect.signature(check.fn).parameters) == len(check.grid(4)[0])
+    out = check_remark4(k=3, m=5)  # by keyword too, params in signature order
+    assert out.params == {"m": 5, "k": 3} and out.passed
+
+
+#: checker, its arguments, and how many tables it builds through each builder
+#: it calls: one per parameter the table depends on (gamma only adds Tr to H)
+TABLE_BUILDS = {
+    "main_theorem": (check_main_theorem_outcome, (5, 2), {"h_value_table": 2}),
+    "hprop": (check_hprop, (5, 2), {"f_alpha_table": 2, "h_value_table": 2}),
+    "hitt": (check_hitt, (5, 2), {"g_beta_table": 1, "h_value_table": 2}),
+    "fgprop": (check_fgprop, (5, 2), {"f_alpha_table": 2, "g_beta_table": 2}),
+    "h_dickson": (check_h_dickson, (5, 2), {"g_beta_table": 1, "h_value_table": 2}),
+    "remark4": (check_remark4, (5, 3), {"h_value_table": 1}),
+}
+
+
+@pytest.mark.parametrize("label", TABLE_BUILDS)
+def test_each_table_is_built_once_per_parameter(monkeypatch, label):
+    fn, args, expected = TABLE_BUILDS[label]
+    builds = {}
+    for name in ("f_alpha_table", "g_beta_table", "h_value_table"):
+        def counted(*a, name=name, build=getattr(checks, name)):
+            builds[name] = builds.get(name, 0) + 1
+            return build(*a)
+        monkeypatch.setattr(checks, name, counted)
+    assert fn(*args).passed
+    assert builds == expected
 
 
 def _corrupt(monkeypatch, name, i, new):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from permpoly import checks
 from permpoly.cli import main
 
 
@@ -151,6 +152,15 @@ def test_sweep_csv(capsys):
 def test_sweep_skips_non_coprime(capsys):
     code, _, err = run(capsys, "sweep", "--m-min", "4", "--m-max", "4")
     assert code == 0 and "skipping m=4 k=2" in err
+
+
+def test_sweep_refuses_a_degree_over_max_degree_before_any_sweep(capsys, monkeypatch):
+    def no_sweep(m, k):
+        raise AssertionError(f"swept m={m} k={k}")
+    monkeypatch.setattr(checks, "check_main_theorem", no_sweep)
+    code, out, err = run(capsys, "sweep", "--m-max", "25")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:") and "24" in err
 
 
 def test_verify_single_suite(capsys):
