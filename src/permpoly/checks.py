@@ -33,7 +33,7 @@ MUL_TABLE_M_MAX = 5
 LINEARIZED_K_MAX = 16
 
 #: z values per chunk of check_zsumexp. Workers x _ZSUM_CHUNK elements are in
-#: flight at once, each with about twenty temporaries of 4 or 8 bytes. Fixed rather
+#: flight at once, each with about twenty int32 temporaries. Fixed rather
 #: than derived from the worker count, so the first counterexample (first failing
 #: chunk, then comparison, then z) is the same on every machine.
 _ZSUM_CHUNK = 1 << 15
@@ -86,11 +86,13 @@ class CheckOutcome:
         self._keep({"inputs": [_hx(v) for v in inputs], "lhs": _hx(lhs), "rhs": _hx(rhs)})
 
     def in_field(self, inputs, values: np.ndarray, q: int) -> bool:
-        """Whether all values lie in GF(q); else records the first outside, counting nothing."""
-        bad = np.flatnonzero(_outside(values, q))
-        if bad.size:
-            self.fail([*inputs, bad[0]], values.flat[bad[0]], q)
-        return not bad.size
+        """Whether all values lie in GF(q); else records the first outside, counting nothing.
+        The bounds come first, so a whole table in range costs no mask."""
+        if values.min(initial=0) >= 0 and values.max(initial=0) < q:
+            return True
+        bad = np.flatnonzero(_outside(values, q))[0]
+        self.fail([*inputs, bad], values.flat[bad], q)
+        return False
 
     def guard_holds(self, inputs, guarded) -> bool:
         """Whether guarded() passes its table guard, else records why, counting nothing."""
@@ -421,37 +423,51 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
+def _rotl(a, j: int, nbits: int):
+    """a * 2^j mod 2^nbits - 1 for a in 0..2^nbits - 2: the nbits-bit pattern
+    of a rotated left by j. Masked before the shift, so it stays below 2^nbits
+    and an int32 a holds up to nbits = 24 (GF(2^24) logs for m = 12)."""
+    j %= nbits
+    return ((a & ((1 << (nbits - j)) - 1)) << j) | (a >> (nbits - j))
+
+
 def _zsum_chunk(et, k: int, g0: np.ndarray, lo: int, hi: int) -> CheckOutcome:
-    """The identities of check_zsumexp for the packed z in lo..hi-1 (lo >= 2)."""
+    """The identities of check_zsumexp for the packed z in lo..hi-1 (lo >= 2).
+
+    Each exponent is +-2^j or sigma +- 1 = 2^k +- 1, so each product of a log
+    (in 0..n-1, n = 2^2m - 1) by one is a bit rotation and a sum or sign flip;
+    the exp index lands in (-2n, 2n) and `take(mode="wrap")` reduces it mod n,
+    with no int64 temporary and no division."""
     sweep = CheckOutcome("zsum_chunk", {"k": k, "lo": lo, "hi": hi})
-    n = et.n
-    sigma = 1 << k
-    z = np.arange(lo, hi, dtype=np.int64)
-    lz = et.log[z].astype(np.int64)  # widened: sigma * lz passes 2^31 from m = 11
-    zinv = et.exp[(-lz) % n]
-    y = z ^ zinv  # z + 1/z, nonzero since z != 1
-    ly = et.log[y].astype(np.int64)
-    # (i)
-    lhs = np.zeros(len(z), dtype=np.int64)
-    for j in range(1, k + 1):
-        lhs ^= et.exp[(-(1 << j) * ly) % n]
-    w0 = et.exp[((sigma - 1) * lz) % n]
-    w0inv = et.exp[((1 - sigma) * lz) % n]
+    exp, log, nbits = et.exp, et.log, 2 * et.m
+    z = np.arange(lo, hi, dtype=np.int32)
+    lz = log[lo:hi]  # a view of the table: nothing below writes to it
+    y = z ^ exp.take(-lz, mode="wrap")  # z + 1/z, nonzero since z != 1
+    ly = log.take(y)
+    # (i), rotating ly by one bit per term; rot ends at sigma * ly
+    lhs = np.zeros(len(z), dtype=np.int32)
+    rot = ly
+    for _ in range(k):
+        rot = _rotl(rot, 1, nbits)
+        lhs ^= exp.take(-rot, mode="wrap")
+    s1ly = rot + ly  # (sigma + 1) * ly
+    slz = _rotl(lz, k, nbits)
+    w0 = exp.take(slz - lz, mode="wrap")
+    w0inv = exp.take(lz - slz, mode="wrap")
     t = w0 ^ w0inv
-    rhs = np.where(t == 0, 0, et.exp[(et.log[t] - (sigma + 1) * ly) % n])
+    rhs = np.where(t == 0, 0, exp.take(log.take(t) - s1ly, mode="wrap"))
     sweep.compare([z], lhs, rhs)
     # (ii): both displayed identities; the first has the right side of (i)
-    lphi = (-ly) % n
-    gsq = et.sq[g0[et.exp[lphi]]]
+    gsq = et.sq.take(g0.take(exp.take(-ly, mode="wrap")))
     sweep.compare([z], gsq, rhs)
-    w1 = et.exp[((sigma + 1) * lz) % n]
-    w1inv = et.exp[(-(sigma + 1) * lz) % n]
+    s1lz = slz + lz  # (sigma + 1) * lz
+    w1 = exp.take(s1lz, mode="wrap")
+    w1inv = exp.take(-s1lz, mode="wrap")
     yw1 = w1 ^ w1inv
-    rhs1 = np.where(yw1 == 0, 0,
-                    et.exp[((sigma + 1) * lphi + et.log[yw1]) % n])
+    rhs1 = np.where(yw1 == 0, 0, exp.take(log.take(yw1) - s1ly, mode="wrap"))
     sweep.compare([z], 1 ^ gsq, rhs1)
     # the expansion of (z + 1/z)^(sigma+1) used to prove (ii)
-    sweep.compare([z], et.exp[((sigma + 1) * ly) % n], w1 ^ w0 ^ w0inv ^ w1inv)
+    sweep.compare([z], exp.take(s1ly, mode="wrap"), w1 ^ w0 ^ w0inv ^ w1inv)
     return sweep
 
 
@@ -465,8 +481,10 @@ def check_zsumexp(sweep: CheckOutcome, m: int, k: int):
     from concurrent.futures import ThreadPoolExecutor
     et = ext_tables(m)
     g0 = et.g0_table(k)
-    # the exp and g0 values are the only ones _zsum_chunk uses as indices
-    if not (sweep.in_field([], et.exp, et.Q) and sweep.in_field([], g0, et.Q)):
+    # _zsum_chunk uses the exp and g0 values as indices, and rotates the logs,
+    # which is a product mod n only on 0..n-1
+    if not (sweep.in_field([], et.exp, et.Q) and sweep.in_field([], et.log, et.n)
+            and sweep.in_field([], g0, et.Q)):
         return
     starts = range(2, et.Q, _ZSUM_CHUNK)
     with ThreadPoolExecutor(max_workers=min(_workers(), len(starts))) as pool:
@@ -648,6 +666,9 @@ def check_polynomiality(sweep: CheckOutcome, m_max: int):
         ft = field_tables(m) if m <= 10 else None
         for k in coprime_ks(m):
             for alpha in (0, 1):
+                # gamma only adds Tr, so H is built once per alpha
+                if ft is not None:
+                    h_alpha = h_value_table(ft, derive_params(m, k, alpha=alpha))
                 for gamma in (0, 1):
                     p = derive_params(m, k, alpha=alpha, gamma=gamma)
                     try:
@@ -658,4 +679,4 @@ def check_polynomiality(sweep: CheckOutcome, m_max: int):
                     sweep.expect(0 not in poly, [m, k, alpha, gamma], 0, 0)
                     if ft is not None:
                         sweep.compare([np.arange(ft.q)], ft.poly_table(poly),
-                                      h_value_table(ft, p))
+                                      h_alpha ^ ft.tr if gamma else h_alpha)

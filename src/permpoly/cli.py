@@ -132,6 +132,12 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     if args.m_max > MAX_DEGREE:
         raise OutOfRange(f"--m-max {args.m_max} exceeds {MAX_DEGREE}, the largest supported m")
+    for flag, least, low, high in (("m", 2, args.m_min, args.m_max),
+                                   ("k", 1, args.k_min, args.k_max)):
+        if low < least:
+            raise OutOfRange(f"--{flag}-min {low} is below {least}")
+        if low > high:
+            raise OutOfRange(f"--{flag}-min {low} is above --{flag}-max {high}")
     rows = []
     all_agree = True
     for m in range(args.m_min, args.m_max + 1):

@@ -11,9 +11,11 @@ tables built from a primitive element (`_LogTables.pow_vec`). The scalar
 evaluators in `maps` are left as an independent oracle for these tables.
 
 Every table is int32, since no element or log reaches 2^24; signed, so a
-corrupted entry of -1 still reads as outside the field. A log is widened to
-int64 before it is multiplied by an exponent: such a product passes 2^31 in
-GF(2^m) from about m = 16 and in GF(2^2m) from m = 11.
+corrupted entry of -1 still reads as outside the field. `pow_vec` widens a
+log to int64 before it multiplies it by an exponent: such a product passes
+2^31 in GF(2^m) from about m = 16. The `zsumexp` kernel in `checks` reads the
+GF(2^2m) logs without widening: its exponents are +-2^j and 2^k +- 1, so each
+of its products is an int32 bit rotation.
 """
 
 from __future__ import annotations

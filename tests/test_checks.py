@@ -7,7 +7,7 @@ import pytest
 
 from permpoly import OutOfRange, checks, cli
 from permpoly.checks import (_ZSUM_CHUNK, CHECKS, LINEARIZED_K_MAX, MUL_TABLE_M_MAX,
-                             NOT_A_CLASS, CheckOutcome, _injective, _zsum_chunk,
+                             NOT_A_CLASS, CheckOutcome, _injective, _rotl, _zsum_chunk,
                              check_dickson_linearized, check_dickson_methods, check_fgprop,
                              check_h_dickson, check_hitt, check_hprop,
                              check_main_theorem, check_main_theorem_outcome,
@@ -110,10 +110,71 @@ def test_perm_lemma_and_zsum():
 
 
 def test_zsum_top_chunk_where_int32_log_products_would_wrap():
-    # at m = 11, k = 10 the last chunk has sigma * log z > 2^31
+    # at m = 11, k = 10 the last chunk has sigma * log z > 2^31: an int32
+    # product would wrap there, so the int32 rotation must not
     et = ExtTables(11)  # not cached: 48 MB of tables no other test reads
     part = _zsum_chunk(et, 10, et.g0_table(10), et.Q - _ZSUM_CHUNK, et.Q)
     assert (part.counterexample, part.tested) == (None, 4 * _ZSUM_CHUNK)
+
+
+@pytest.mark.parametrize("nbits", [4, 20, 24])
+def test_rotation_is_a_product_by_a_power_of_two(nbits):
+    n = (1 << nbits) - 1
+    sample = np.random.default_rng(nbits).integers(0, n, 256)
+    a = np.concatenate([[0, 1, 1 << (nbits - 1), n - 1], sample]).astype(np.int32)
+    for j in range(2 * nbits):  # j >= nbits is a full turn and more
+        got = _rotl(a, j, nbits)
+        assert got.dtype == np.int32, j
+        assert got.tolist() == [(int(v) << j) % n for v in a], j
+
+
+def _zsum_reference(et, k: int, g0: np.ndarray) -> list:
+    """The (lhs, rhs) pairs that zsumexp compares over every z in 2..Q-1, in
+    order, with each log product an int64 reduced by % n."""
+    n, sigma = et.n, 1 << k
+    e = lambda x: et.exp[x % n]  # noqa: E731
+    z = np.arange(2, et.Q, dtype=np.int64)
+    lz = et.log[z].astype(np.int64)
+    ly = et.log[z ^ e(-lz)].astype(np.int64)
+    lhs = np.zeros_like(z)
+    for j in range(1, k + 1):
+        lhs ^= e(-(1 << j) * ly)
+    w0, w0inv, w1, w1inv = (e(s * lz) for s in (sigma - 1, 1 - sigma, sigma + 1, -sigma - 1))
+    t, yw1 = w0 ^ w0inv, w1 ^ w1inv
+    rhs = np.where(t == 0, 0, e(et.log[t] - (sigma + 1) * ly))
+    rhs1 = np.where(yw1 == 0, 0, e(et.log[yw1] - (sigma + 1) * ly))
+    gsq = et.sq[g0[e(-ly)]]
+    return [(lhs, rhs), (gsq, rhs), (1 ^ gsq, rhs1),
+            (e((sigma + 1) * ly), w1 ^ w0 ^ w0inv ^ w1inv)]
+
+
+@pytest.mark.parametrize("m", [3, 6])
+def test_zsum_chunk_matches_a_modulo_reference_on_corrupted_tables(monkeypatch, m):
+    rng = np.random.default_rng(m)
+    compare = CheckOutcome.compare
+    for k in coprime_ks(m):
+        et = ExtTables(m)  # not the cached ext_tables(m), which other tests read
+        for tab in (et.exp, et.sq):
+            tab[rng.integers(1, tab.size, 3)] ^= 1
+        g0 = et.g0_table(k)
+        pairs = _zsum_reference(et, k, g0)
+        expected = CheckOutcome("reference", {})
+        for lhs, rhs in pairs:
+            expected.compare([np.arange(2, et.Q)], lhs, rhs)
+        assert expected.counterexample is not None, k
+        seen = []
+
+        def recorded(self, inputs, lhs, rhs):
+            seen.append((lhs, rhs))
+            compare(self, inputs, lhs, rhs)
+        with monkeypatch.context() as mp:
+            mp.setattr(CheckOutcome, "compare", recorded)
+            part = _zsum_chunk(et, k, g0, 2, et.Q)
+        assert (part.tested, part.counterexample) == (expected.tested, expected.counterexample), k
+        # every comparison, also those after the first failing one
+        assert len(seen) == len(pairs), k
+        for (lhs, rhs), (ref_lhs, ref_rhs) in zip(seen, pairs):
+            assert np.array_equal(lhs, ref_lhs) and np.array_equal(rhs, ref_rhs), k
 
 
 # (passed, tested) of the scalar-loop implementation these checks replaced:
@@ -199,6 +260,8 @@ TABLE_BUILDS = {
     "fgprop": (check_fgprop, (5, 2), {"f_alpha_table": 2, "g_beta_table": 2}),
     "h_dickson": (check_h_dickson, (5, 2), {"g_beta_table": 1, "h_value_table": 2}),
     "remark4": (check_remark4, (5, 3), {"h_value_table": 1}),
+    # 9 (m, k) pairs with m <= 5, each with two alpha
+    "polynomiality": (check_polynomiality, (5,), {"h_value_table": 18}),
 }
 
 
@@ -372,6 +435,21 @@ def test_an_out_of_field_g0_value_fails_zsumexp(monkeypatch):
     out = check_zsumexp(5, 2)
     assert (out.passed, out.tested, out.counterexample) == \
         (False, 0, {"inputs": ["7"], "lhs": "1000000", "rhs": "400"})
+
+
+@pytest.mark.parametrize("value", ["n", -1])
+def test_a_log_outside_0_to_n_minus_1_fails_zsumexp_before_the_sweep(monkeypatch, value):
+    # a rotated log is its product by 2^j mod n only on 0..n-1
+    et = ExtTables(5)
+    et.log[100] = et.n if value == "n" else value
+
+    def no_chunk(*args):
+        raise AssertionError("a chunk was swept")
+    monkeypatch.setattr(checks, "ext_tables", lambda m: et)
+    monkeypatch.setattr(checks, "_zsum_chunk", no_chunk)
+    out = check_zsumexp(5, 2)
+    assert (out.passed, out.tested, out.counterexample) == \
+        (False, 0, {"inputs": ["64"], "lhs": "3ff" if value == "n" else "-1", "rhs": "3ff"})
 
 
 def _b1_guard_tripped():

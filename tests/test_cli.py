@@ -163,6 +163,27 @@ def test_sweep_refuses_a_degree_over_max_degree_before_any_sweep(capsys, monkeyp
     assert len(err.strip().splitlines()) == 1 and err.startswith("error:") and "24" in err
 
 
+#: sweep ranges refused before any table is built, and the error each prints
+BAD_SWEEP_RANGES = {
+    "m_min_below_2": (("--m-min", "1"), "--m-min 1 is below 2"),
+    "m_min_over_m_max": (("--m-min", "9", "--m-max", "3"), "--m-min 9 is above --m-max 3"),
+    "k_min_below_1": (("--k-min", "0"), "--k-min 0 is below 1"),
+    "k_min_over_k_max": (("--m-max", "3", "--k-max", "0"), "--k-min 1 is above --k-max 0"),
+}
+
+
+@pytest.mark.parametrize("label", BAD_SWEEP_RANGES)
+def test_sweep_refuses_an_empty_or_invalid_range_before_any_sweep(capsys, monkeypatch, label):
+    argv, message = BAD_SWEEP_RANGES[label]
+
+    def no_sweep(m, k):
+        raise AssertionError(f"swept m={m} k={k}")
+    monkeypatch.setattr(checks, "check_main_theorem", no_sweep)
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "zsumexp", "--m-max", "3")
     assert code == 0
