@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -37,6 +38,12 @@ LINEARIZED_K_MAX = 16
 #: than derived from the worker count, so the first counterexample (first failing
 #: chunk, then comparison, then z) is the same on every machine.
 _ZSUM_CHUNK = 1 << 15
+
+#: grid elements per block of n in nobauer and dickson_methods: a block holds as
+#: many n as keep its widest grid (q^2 per n) within this bound, so memory does
+#: not grow with the number of n, and each block costs a fixed number of numpy
+#: calls rather than a few per n
+_N_BLOCK = 1 << 14
 
 
 @dataclass
@@ -105,15 +112,19 @@ class CheckOutcome:
         return True
 
     def compare(self, inputs, lhs, rhs):
-        """Elementwise equality of two numpy arrays."""
+        """Elementwise equality of two numpy arrays, broadcast together, in C
+        order; the counterexample names each array input at the failing index."""
         lhs = np.asarray(lhs)
         rhs = np.asarray(rhs)
+        if lhs.shape != rhs.shape:
+            lhs, rhs = np.broadcast_arrays(lhs, rhs)
         self.tested += int(lhs.size)
         if self.passed:
-            bad = np.nonzero(lhs != rhs)[0]
+            bad = np.flatnonzero(lhs != rhs)
             if bad.size:
-                i = int(bad[0])
-                self.fail([a[i] if np.ndim(a) else a for a in inputs], lhs[i], rhs[i])
+                i = np.unravel_index(bad[0], lhs.shape)
+                self.fail([np.broadcast_to(a, lhs.shape)[i] if np.ndim(a) else a
+                           for a in inputs], lhs[i], rhs[i])
 
     def merge(self, part: CheckOutcome):
         """Fold in a record of later inputs: add its count, keep the first counterexample."""
@@ -181,6 +192,35 @@ def _dickson_rows(mul: np.ndarray, a, n_max: int):
     for n in range(1, n_max + 1):
         yield n, cur
         prev, cur = cur, mul[xs, cur] ^ mul[a, prev]
+
+
+def _n_blocks(rows, width: int):
+    """(int32 ns, their rows stacked) for the (n, row) pairs of `rows`, such as
+    _dickson_rows, in blocks of consecutive pairs: as many n as keep a block's
+    widest grid, `width` elements per n, within _N_BLOCK."""
+    step = max(1, _N_BLOCK // width)
+    while block := list(itertools.islice(rows, step)):
+        ns, stacked = zip(*block)
+        yield np.array(ns, dtype=np.int32), np.stack(stacked)
+
+
+def _closed_form_rows(powers: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """D_n(x, 1) for every x of GF(q), one row per n of the int32 `ns`, from
+    the closed form of maps.dickson_exponents: the Lucas parity of the
+    coefficient of X^(n-2j) on an (n, j) grid, reduced mod X^q - X to an
+    (n, e) 0/1 matrix that picks the rows of `powers`, powers[e, x] = x^e for
+    e = 0..q-1, to XOR."""
+    q = len(powers)
+    n = ns[:, None]
+    j = np.arange(int(ns.max()) // 2 + 1, dtype=np.int32)
+    a = n - j
+    # j = 0 is the leading X^n: C(n, 0) is odd and C(n - 1, -1) is 0
+    odd = (((j & a) == j) != (((j - 1) & (a - 1)) == j - 1)) & (2 * j <= n)
+    e = n - 2 * j
+    # as sp_reduce_mod_field: 0 stays, e >= 1 goes to 1 + (e - 1) mod (q - 1)
+    keys = np.where(e == 0, 0, 1 + (e - 1) % (q - 1)) + q * np.arange(ns.size)[:, None]
+    picked = np.bincount(keys[odd], minlength=ns.size * q).reshape(ns.size, q) & 1
+    return np.bitwise_xor.reduce(picked[:, :, None] * powers, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +333,13 @@ def check_nobauer(sweep: CheckOutcome, m_max: int):
         if not sweep.in_field([m], mul, q):
             continue
         a, ns = np.arange(1, q), np.arange(1, q * q)
-        observed = np.empty((q - 1, q * q - 1), dtype=bool)  # observed[a - 1, n - 1]
-        for n, dn in _dickson_rows(mul, a[:, None], q * q - 1):  # one recurrence for all a
-            observed[:, n - 1] = _injective(dn, q)
+        observed = np.empty((q * q - 1, q - 1), dtype=bool)  # observed[n - 1, a - 1]
+        rows = _dickson_rows(mul, a[:, None], q * q - 1)  # one recurrence for all a
+        for block_ns, dn in _n_blocks(rows, (q - 1) * q):  # dn[n, a, x]
+            observed[block_ns - 1] = _injective(dn, q)
         predicted = np.gcd(ns, q * q - 1) == 1
-        for a_row, row in zip(a, observed):  # a-major, as a loop over a and then n
-            sweep.compare([m, a_row, ns], row, predicted)
+        # a-major, as a loop over a and then n
+        sweep.compare([m, a[:, None], ns], observed.T, predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +685,8 @@ def check_dickson_linearized(sweep: CheckOutcome, k_max: int):
 
 @_check("dickson_methods", _clamped(MUL_TABLE_M_MAX), MUL_TABLE_M_MAX, None)
 def check_dickson_methods(sweep: CheckOutcome, m_max: int):
-    """Recurrence / closed-form / functional evaluation agree on all x, n <= q^2."""
+    """Recurrence / closed-form / functional evaluation agree on all x, n <= q^2,
+    compared once per block of n."""
     if m_max > MUL_TABLE_M_MAX:
         raise OutOfRange(f"m_max={m_max} exceeds the runtime guard {MUL_TABLE_M_MAX}")
     for m in range(2, m_max + 1):
@@ -654,9 +696,12 @@ def check_dickson_methods(sweep: CheckOutcome, m_max: int):
         if not (sweep.in_field([m], mul, q) and sweep.guard_holds([m], et.circle)):
             continue
         xs = np.arange(q, dtype=np.int64)
-        for n, cur in _dickson_rows(mul, 1, q * q):
-            sweep.compare([np.full(q, n), xs], cur, et.base.poly_table(dickson_exponents(n)))
-            sweep.compare([np.full(q, n), xs], cur, et.dickson_vec(n, xs))
+        powers = et.base.pow_vec((xs, xs[:, None]))  # powers[e, x] = x^e
+        for ns, rec in _n_blocks(_dickson_rows(mul, 1, q * q), q * q):
+            methods = np.stack((_closed_form_rows(powers, ns),
+                                et.dickson_vec(ns[:, None], xs)), axis=1)
+            # n-major, then closed form before functional, then x
+            sweep.compare([ns[:, None, None], xs], rec[:, None], methods)
 
 
 @_check("polynomiality", lambda cap: [(cap,)], 12)

@@ -138,6 +138,9 @@ def cmd_sweep(args) -> int:
             raise OutOfRange(f"--{flag}-min {low} is below {least}")
         if low > high:
             raise OutOfRange(f"--{flag}-min {low} is above --{flag}-max {high}")
+    if args.k_min > args.m_max - 1:  # each m takes k up to m - 1 only
+        raise OutOfRange(f"--k-min {args.k_min} is above m - 1 for every m in "
+                         f"{args.m_min}..{args.m_max}")
     rows = []
     all_agree = True
     for m in range(args.m_min, args.m_max + 1):

@@ -11,11 +11,11 @@ tables built from a primitive element (`_LogTables.pow_vec`). The scalar
 evaluators in `maps` are left as an independent oracle for these tables.
 
 Every table is int32, since no element or log reaches 2^24; signed, so a
-corrupted entry of -1 still reads as outside the field. `pow_vec` widens a
-log to int64 before it multiplies it by an exponent: such a product passes
-2^31 in GF(2^m) from about m = 16. The `zsumexp` kernel in `checks` reads the
-GF(2^2m) logs without widening: its exponents are +-2^j and 2^k +- 1, so each
-of its products is an int32 bit rotation.
+corrupted entry of -1 still reads as outside the field. `pow_vec` multiplies
+a log by an exponent in int64 unless |e| * (n - 1) < 2^31: such a product
+passes 2^31 in GF(2^m) from about m = 16. The `zsumexp` kernel in `checks`
+reads the GF(2^2m) logs without widening: its exponents are +-2^j and
+2^k +- 1, so each of its products is an int32 bit rotation.
 """
 
 from __future__ import annotations
@@ -121,15 +121,34 @@ class _LogTables:
     def pow_vec(self, *factors) -> np.ndarray:
         """The elementwise product of u^e over the (u, e) factors: 0 wherever
         a u with e > 0 is 0. Elsewhere each u with e < 0 must be nonzero, and
-        u^0 is 1 also at u = 0."""
+        u^0 is 1 also at u = 0. An exponent may be an array, with that rule
+        per element (a column of exponents gives one row per exponent); each
+        later factor broadcasts to the shape of the first.
+
+        The first factor's logs are multiplied into one int64 buffer, which
+        the others are added to and which is reduced mod n in place. A later
+        factor with one exponent whose products fit in int32,
+        |e| * (n - 1) < 2^31, is multiplied in place on its own log gather."""
         (u, e), *rest = factors
-        logs = e * self.log[u].astype(np.int64)
+        logs = np.multiply(self.log[u], e, dtype=np.int64)
         for v, f in rest:
-            logs += f * self.log[v].astype(np.int64)
-        out = self.exp[logs % self.n]
+            lv = self.log[v]
+            if not isinstance(f, np.ndarray) and abs(int(f)) * (self.n - 1) < 1 << 31:
+                lv *= f
+                logs += lv
+            else:
+                logs += np.multiply(lv, f, dtype=np.int64)
+            # freed here and below, so that at most the buffer and one int32
+            # array are held at once
+            del lv
+        np.remainder(logs, self.n, out=logs)
+        out = self.exp[logs]
+        del logs
         for u, e in factors:
-            if e > 0:
-                out[u == 0] = 0
+            if isinstance(e, np.ndarray):
+                np.copyto(out, 0, where=(u == 0) & (e > 0))
+            elif e > 0:
+                np.copyto(out, 0, where=u == 0)
         return out
 
 
@@ -175,7 +194,7 @@ def h_value_table(ft: FieldTables, p: ParamSet) -> np.ndarray:
     """H values over the whole field, index = element bit pattern; 0 at x = 0,
     where f_alpha is 0."""
     fa = f_alpha_table(ft, p)
-    h = ft.pow_vec((fa, p.sigma + 1), (np.arange(ft.q, dtype=np.int64), -2))
+    h = ft.pow_vec((fa, p.sigma + 1), (np.arange(ft.q, dtype=np.int32), -2))
     if p.gamma:
         h ^= ft.tr
     return h

@@ -7,7 +7,8 @@ import pytest
 
 from permpoly import OutOfRange, checks, cli
 from permpoly.checks import (_ZSUM_CHUNK, CHECKS, LINEARIZED_K_MAX, MUL_TABLE_M_MAX,
-                             NOT_A_CLASS, CheckOutcome, _injective, _rotl, _zsum_chunk,
+                             NOT_A_CLASS, CheckOutcome, _closed_form_rows, _injective,
+                             _rotl, _zsum_chunk,
                              check_dickson_linearized, check_dickson_methods, check_fgprop,
                              check_h_dickson, check_hitt, check_hprop,
                              check_main_theorem, check_main_theorem_outcome,
@@ -15,7 +16,8 @@ from permpoly.checks import (_ZSUM_CHUNK, CHECKS, LINEARIZED_K_MAX, MUL_TABLE_M_
                              check_polynomiality, check_remark3,
                              check_remark4, check_zsumexp)
 from permpoly.field import coprime_ks, make_field
-from permpoly.tables import ExtTables, FieldTables
+from permpoly.maps import dickson_exponents
+from permpoly.tables import ExtTables, FieldTables, ext_tables
 
 
 def test_injective_matches_a_set_count():
@@ -208,6 +210,84 @@ def test_remarks():
 def test_dickson_checks():
     assert check_dickson_linearized(6).passed
     assert check_dickson_methods(3).passed
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_batched_dickson_rows_match_the_per_n_evaluators(m):
+    """The closed-form rows against poly_table of dickson_exponents, and
+    dickson_vec on a column of n against dickson_vec on one n, for every
+    n <= q^2; the closed form also in blocks of 7 n, as check_dickson_methods
+    splits them."""
+    et = ext_tables(m)
+    ft, q = et.base, et.q
+    xs = np.arange(q, dtype=np.int64)
+    ns = np.arange(1, q * q + 1, dtype=np.int32)
+    powers = ft.pow_vec((xs, xs[:, None]))
+    closed = _closed_form_rows(powers, ns)
+    functional = et.dickson_vec(ns[:, None], xs)
+    assert closed.shape == functional.shape == (q * q, q)
+    for n in range(1, q * q + 1):
+        assert closed[n - 1].tolist() == ft.poly_table(dickson_exponents(n)).tolist(), n
+        assert functional[n - 1].tolist() == et.dickson_vec(n, xs).tolist(), n
+    blocks = [_closed_form_rows(powers, ns[lo:lo + 7]) for lo in range(0, ns.size, 7)]
+    assert np.array_equal(np.concatenate(blocks), closed)
+
+
+def _corrupt_dickson_rows(monkeypatch, q, corruptions):
+    """Make checks._dickson_rows yield, over GF(q), for each n in `corruptions`
+    a copy of row n with entry `index` set to new(row), an element of GF(q) other
+    than the true one; the recurrence goes on from the true rows."""
+    orig = checks._dickson_rows
+
+    def corrupted(mul, a, n_max):
+        for n, row in orig(mul, a, n_max):
+            if len(mul) == q and n in corruptions:
+                index, new = corruptions[n]
+                row = row.copy()
+                row[index] = new(row)
+            yield n, row
+    monkeypatch.setattr(checks, "_dickson_rows", corrupted)
+
+
+#: label -> (checker, {n: (entry, its new value)} for m = 5), and the (passed,
+#: tested, counterexample) of the parent commit, whose checkers went one n at
+#: a time. At m = 5 a block holds 16 n; a nobauer row is indexed [a - 1, x],
+#: and each new value there repeats another x's, so that row no longer permutes.
+ROW_CORRUPTED = {
+    "methods_first_block": ((check_dickson_methods, {5: (7, lambda r: r[7] ^ 1)}),
+                            (False, 74880, {"inputs": ["5", "7"], "lhs": "1c", "rhs": "1d"})),
+    "methods_second_block_start": (
+        (check_dickson_methods, {17: (0, lambda r: r[0] ^ 1)}),
+        (False, 74880, {"inputs": ["11", "0"], "lhs": "1", "rhs": "0"})),
+    "methods_past_first_block": (
+        (check_dickson_methods, {100: (7, lambda r: r[7] ^ 1), 700: (3, lambda r: r[3] ^ 2)}),
+        (False, 74880, {"inputs": ["64", "7"], "lhs": "6", "rhs": "7"})),
+    "methods_last_n": ((check_dickson_methods, {1024: (31, lambda r: r[31] ^ 5)}),
+                       (False, 74880, {"inputs": ["400", "1f"], "lhs": "1a", "rhs": "1f"})),
+    "nobauer_first_block": ((check_nobauer, {7: ((4, 9), lambda r: r[4, 10])}),
+                            (False, 36024, {"inputs": ["5", "5", "7"], "lhs": "0", "rhs": "1"})),
+    "nobauer_past_first_block": (
+        (check_nobauer, {101: ((4, 9), lambda r: r[4, 10])}),
+        (False, 36024, {"inputs": ["5", "5", "65"], "lhs": "0", "rhs": "1"})),
+    # a-major: a = 3 at n = 301 comes before a = 20 at n = 200
+    "nobauer_a_major": (
+        (check_nobauer, {200: ((19, 9), lambda r: r[19, 10]), 301: ((2, 1), lambda r: r[2, 2])}),
+        (False, 36024, {"inputs": ["5", "3", "12d"], "lhs": "0", "rhs": "1"})),
+    "nobauer_last_coprime_n": (
+        (check_nobauer, {1022: ((30, 31), lambda r: r[30, 0])}),
+        (False, 36024, {"inputs": ["5", "1f", "3fe"], "lhs": "0", "rhs": "1"})),
+    # gcd(1023, q^2 - 1) > 1: that row did not permute before either
+    "nobauer_no_verdict_change": ((check_nobauer, {1023: ((30, 31), lambda r: r[30, 0])}),
+                                  (True, 36024, None)),
+}
+
+
+@pytest.mark.parametrize("label", ROW_CORRUPTED)
+def test_a_wrong_dickson_row_fails_at_the_serial_counterexample(monkeypatch, label):
+    (fn, corruptions), expected = ROW_CORRUPTED[label]
+    _corrupt_dickson_rows(monkeypatch, 32, corruptions)
+    out = fn(5)
+    assert (out.passed, out.tested, out.counterexample) == expected
 
 
 def test_polynomiality_small():

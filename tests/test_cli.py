@@ -169,6 +169,8 @@ BAD_SWEEP_RANGES = {
     "m_min_over_m_max": (("--m-min", "9", "--m-max", "3"), "--m-min 9 is above --m-max 3"),
     "k_min_below_1": (("--k-min", "0"), "--k-min 0 is below 1"),
     "k_min_over_k_max": (("--m-max", "3", "--k-max", "0"), "--k-min 1 is above --k-max 0"),
+    "k_min_over_every_m": (("--m-min", "2", "--m-max", "3", "--k-min", "5"),
+                           "--k-min 5 is above m - 1 for every m in 2..3"),
 }
 
 

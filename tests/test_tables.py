@@ -81,6 +81,36 @@ def test_pow_vec_matches_scalar_arithmetic(m, layer):
                 assert got[i] == pack(want), (exps, i)
 
 
+@pytest.mark.parametrize("m", [2, 5, 8])
+def test_pow_vec_takes_an_exponent_column(m):
+    """x^e * y^f against square-and-multiply in field.py, with e a column of
+    exponents (one row each, 0 and negative ones among them) and y^f a second
+    factor, 1-D or one row per e: f small enough for the in-place int32
+    product, large enough to need int64, or a column itself."""
+    ft = field_tables(m)
+    spec, q = ft.spec, ft.q
+    xs = np.arange(q, dtype=np.int64)
+    es = [-5, -1, 0, 1, 2, 7, q + 4, 3 << 33]
+    col = np.array(es)[:, None]
+    ys = (5 * xs + 3) % q
+    cases = [((xs, col),)]
+    for f in (0, -2, 3, (1 << 40) + 3, col[::-1]):
+        cases += [((xs, col), (ys, f)), ((xs, col), (np.tile(ys, (len(es), 1)), f))]
+    for factors in cases:
+        got = ft.pow_vec(*factors)
+        assert got.shape == (len(es), q)
+        fs = np.broadcast_to(factors[1][1] if len(factors) > 1 else 0, (len(es), 1))
+        for row, e in enumerate(es):
+            f = int(fs[row, 0])
+            for x in range(q):
+                y = int(ys[x])
+                if (x == 0 and e > 0) or (y == 0 and f > 0):
+                    assert got[row, x] == 0, (e, f, x)
+                elif (x or e >= 0) and (y or f >= 0):
+                    want = spec.mul(spec.pow(x, e), spec.pow(y, f))
+                    assert got[row, x] == want, (e, f, x)
+
+
 @pytest.mark.parametrize("m", range(2, 6))
 def test_ext_projective_helpers_match_scalar_maps(m):
     """The index view of B_0, B_1, phi and w, the circle tables, zmap and the
