@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotDivisible, OutOfRange, PreconditionFailed
-from .field import MAX_DEGREE, FieldSpec, coprime_ks, make_field
+from .field import MAX_DEGREE, coprime_ks, make_field
 from .maps import dickson_exponents
 from .params import derive_params
 from .sparsepoly import expand_h, sp_add, sp_reduce_mod_field, trace_poly
@@ -145,42 +145,56 @@ def _outside(values: np.ndarray, q: int) -> np.ndarray:
 
 def _injective(values: np.ndarray, q: int):
     """Along the last axis: whether every value lies in GF(q) and none occurs
-    twice, by one bincount of how often each element occurs in each row; on q
-    values, whether they permute GF(q)."""
-    lead = values.shape[:-1]
+    twice, by marking each row's values in its own row of a bool mask (q bytes
+    per row) and counting the marks; on q values, whether they permute GF(q)."""
+    lead, size = values.shape[:-1], values.shape[-1]
     inside = (values.min(axis=-1, initial=0) >= 0) & (values.max(axis=-1, initial=0) < q)
     # a row with a value outside GF(q) has failed; clipping keeps its keys in range
     keys = values if inside.all() else np.clip(values, 0, q - 1)
-    if lead:  # row i counts in bins i*q .. i*q + q - 1
+    if lead:  # row i marks in i*q .. i*q + q - 1
         keys = keys + q * np.arange(prod(lead)).reshape(*lead, 1)
-    counts = np.bincount(keys.ravel(), minlength=q * prod(lead)).reshape(*lead, q)
-    ok = inside & (counts < 2).all(axis=-1)
+    seen = np.zeros(q * prod(lead), dtype=bool)
+    seen[keys.ravel()] = True
+    ok = inside & (np.count_nonzero(seen.reshape(*lead, q), axis=-1) == size)
     return ok if lead else bool(ok)
 
 
-def _on_class(ft, tab: np.ndarray, e: int) -> tuple[int, bool]:
-    """Where `tab` sends the trace class T_e: the class holding the whole image
-    (NOT_A_CLASS if it meets both or leaves GF(q)), and whether `tab` is injective there."""
-    image = tab[ft.tr == e]
-    if _outside(image, ft.q).any():
-        return NOT_A_CLASS, False
-    traces = ft.tr[image]
-    cls = 0 if not traces.any() else 1 if traces.all() else NOT_A_CLASS
-    return cls, _injective(image, ft.q)
+def _class_images(ft, tab: np.ndarray):
+    """For T_0 and T_1, the class holding the image under `tab` (NOT_A_CLASS if it meets
+    both or leaves GF(q)) and whether `tab` is injective there; and whether `tab` permutes
+    GF(q): iff both are and the images, each marked in its own row by a plain store (one
+    shared `|=` scatter keeps only the last write of an index), do not overlap."""
+    q, t1 = ft.q, ft.tr == 1
+    inside = tab.min(initial=0) >= 0 and tab.max(initial=0) < q
+    marks = np.zeros((2, q), dtype=bool)
+    classes = []
+    for e, members in enumerate((ft.tr == 0, t1)):
+        image = tab[members].astype(np.intp)  # numpy scatters intp faster than int32
+        if not inside and _outside(image, q).any():
+            classes.append((NOT_A_CLASS, False))
+            continue
+        marks[e][image] = True
+        hit, in_t1 = np.count_nonzero(marks[e]), np.count_nonzero(marks[e] & t1)
+        classes.append((0 if in_t1 == 0 else 1 if in_t1 == hit else NOT_A_CLASS, hit == image.size))
+    return classes, classes[0][1] and classes[1][1] and not (marks[0] & marks[1]).any()
 
 
-def _expect_classes(sweep: CheckOutcome, ft, tab: np.ndarray, t1_target: int):
-    """`tab` maps T_0 onto T_0 and T_1 onto T_(t1_target), bijectively."""
-    for e, target in ((0, 0), (1, t1_target)):
-        cls, bijective = _on_class(ft, tab, e)
+def _expect_classes(sweep: CheckOutcome, classes, t1_target: int):
+    """The `_class_images` classes: T_0 onto T_0 and T_1 onto T_(t1_target), bijectively."""
+    for e, ((cls, bijective), target) in enumerate(zip(classes, (0, t1_target))):
         sweep.expect(cls == target and bijective, [e],
                      None if cls == NOT_A_CLASS else cls, target)
 
 
-def _mul_table(spec: FieldSpec) -> np.ndarray:
-    """The full q x q multiplication table, from the scalar arithmetic."""
-    return np.array([[spec.mul(x, y) for y in spec.elements()] for x in spec.elements()],
-                    dtype=np.int64)
+@functools.lru_cache(maxsize=None)
+def _mul_table(m: int) -> np.ndarray:
+    """The q x q multiplication table of GF(2^m), read-only, built once per m from
+    the scalar arithmetic, so that the recurrence does not rest on the log tables."""
+    spec = make_field(m)
+    tab = np.array([[spec.mul(x, y) for y in spec.elements()] for x in spec.elements()],
+                   dtype=np.int32)
+    tab.flags.writeable = False
+    return tab
 
 
 def _dickson_rows(mul: np.ndarray, a, n_max: int):
@@ -295,11 +309,10 @@ def check_main_theorem(m: int, k: int) -> list[PermutationReport]:
         p = derive_params(m, k, alpha=alpha)
         h_alpha = h_value_table(ft, p)
         for gamma, h in enumerate((h_alpha, h_alpha ^ ft.tr)):
-            class0, bijective0 = _on_class(ft, h, 0)
-            class1, bijective1 = _on_class(ft, h, 1)
+            ((class0, bijective0), (class1, bijective1)), permutes = _class_images(ft, h)
             reports.append(PermutationReport(
                 m=m, k=k, alpha=alpha, gamma=gamma,
-                is_permutation=_injective(h, ft.q),
+                is_permutation=permutes,
                 predicted_by_theorem=(p.r + (alpha + gamma) * m) % 2 == 1,
                 image_of_t0=class0, image_of_t1=class1,
                 t0_bijective=bijective0, t1_bijective=bijective1))
@@ -329,7 +342,7 @@ def check_nobauer(sweep: CheckOutcome, m_max: int):
         raise OutOfRange(f"m_max={m_max} exceeds the runtime guard {MUL_TABLE_M_MAX}")
     for m in range(2, m_max + 1):
         q = 1 << m
-        mul = _mul_table(make_field(m))
+        mul = _mul_table(m)
         if not sweep.in_field([m], mul, q):
             continue
         a, ns = np.arange(1, q), np.arange(1, q * q)
@@ -346,14 +359,34 @@ def check_nobauer(sweep: CheckOutcome, m_max: int):
 # properties of the linearized map pair
 # ---------------------------------------------------------------------------
 
+def _linear_map_parts(ft, tab: np.ndarray, par: int, frob_lhs, frob_rhs) -> tuple:
+    """fgprop's checks of one table, f_alpha or g_beta, as three records made once per
+    table and merged into each pair's: (i)-(ii) its trace multiplier `par` and value at 1,
+    (iii) frob_lhs[tab] + tab = frob_rhs[x] + x, (iv)-(v) its classes and permutation."""
+    xs = np.arange(ft.q, dtype=np.int32)
+    parts = tuple(CheckOutcome("fgprop", {}) for _ in range(3))
+    parts[0].compare([xs], ft.tr[tab], par * ft.tr)
+    parts[0].expect(int(tab[1]) == par, [1], tab[1], par)
+    parts[1].compare([xs], frob_lhs[tab] ^ tab, frob_rhs ^ xs)
+    classes, permutes = _class_images(ft, tab)
+    _expect_classes(parts[2], classes, par)
+    parts[2].expect(permutes == (par == 1), [par], permutes, par == 1)
+    return parts
+
+
 @_check("fgprop", _coprime_grid, 12)
 def check_fgprop(sweep: CheckOutcome, m: int, k: int):
     ft = field_tables(m)
     q = ft.q
-    xs = np.arange(q, dtype=np.int64)
+    xs = np.arange(q, dtype=np.int32)
     frobk = ft.frobenius_table(k)
     fas = [f_alpha_table(ft, derive_params(m, k, alpha=alpha)) for alpha in (0, 1)]
     gs = [g_beta_table(ft, derive_params(m, k, beta=beta)) for beta in (0, 1)]
+    # g_0(ybar) for ybar = x + lambda*Tr(x), lambda = 0, 1
+    g0_ybar = [gs[0], gs[0][xs ^ ft.tr]]
+    # each table's own parts, made for the first pair that uses it
+    f_parts = functools.cache(lambda a, par: _linear_map_parts(ft, fas[a], par, frobk, ft.sq))
+    g_parts = functools.cache(lambda b, par: _linear_map_parts(ft, gs[b], par, ft.sq, frobk))
     for alpha, fa in enumerate(fas):
         for beta, g in enumerate(gs):
             p = derive_params(m, k, alpha=alpha, beta=beta)
@@ -361,19 +394,11 @@ def check_fgprop(sweep: CheckOutcome, m: int, k: int):
                 continue
             f_par = (p.r + alpha * m) % 2
             g_par = (k + beta * m) % 2
-            # (i), (ii): trace multipliers and the values at 1
-            sweep.compare([xs], ft.tr[fa], f_par * ft.tr)
-            sweep.expect(int(fa[1]) == f_par, [1], fa[1], f_par)
-            sweep.compare([xs], ft.tr[g], g_par * ft.tr)
-            sweep.expect(int(g[1]) == g_par, [1], g[1], g_par)
-            # (iii): functional equations
-            sweep.compare([xs], frobk[fa] ^ fa, ft.sq[xs] ^ xs)
-            sweep.compare([xs], ft.sq[g] ^ g, frobk[xs] ^ xs)
-            # (iv), (v): trace-class bijectivity and the permutation parity
-            for tab, par in ((fa, f_par), (g, g_par)):
-                _expect_classes(sweep, ft, tab, par)
-                observed_pp = _injective(tab, q)
-                sweep.expect(observed_pp == (par == 1), [par], observed_pp, par == 1)
+            # f (i), g (i), f (iii), g (iii), f (iv)-(v), g (iv)-(v): the order
+            # in which a sweep checking each pair's tables anew would meet them
+            for f_part, g_part in zip(f_parts(alpha, f_par), g_parts(beta, g_par)):
+                sweep.merge(f_part)
+                sweep.merge(g_part)
             # (vi): composition collapses to x + delta*Tr(x)
             delta = p.delta
             target = xs ^ (delta * ft.tr)
@@ -384,8 +409,7 @@ def check_fgprop(sweep: CheckOutcome, m: int, k: int):
             # (vii): decomposition through g_0, for both lambda choices
             for lam in (0, 1):
                 theta = derive_params(m, k, alpha=alpha, beta=beta, lam=lam).theta
-                ybar = xs ^ (lam * ft.tr)
-                sweep.compare([xs], g, gs[0][ybar] ^ (theta * ft.tr))
+                sweep.compare([xs], g, g0_ybar[lam] ^ (theta * ft.tr))
                 if lam == delta:
                     # the stated theta congruence is the lambda = delta instance
                     lhs = (m * theta) % 2
@@ -397,7 +421,7 @@ def check_fgprop(sweep: CheckOutcome, m: int, k: int):
 def check_hprop(sweep: CheckOutcome, m: int, k: int):
     """Both claims: the rewritten H form, and the trace multiplier of H."""
     ft = field_tables(m)
-    xs = np.arange(ft.q, dtype=np.int64)
+    xs = np.arange(ft.q, dtype=np.int32)
     for alpha in (0, 1):
         p = derive_params(m, k, alpha=alpha)
         fa = f_alpha_table(ft, p)
@@ -639,17 +663,17 @@ def check_remark4(sweep: CheckOutcome, m: int, k: int):
     ft = field_tables(m)
     h00 = h_value_table(ft, p00)
     h01 = h00 ^ ft.tr
-    for h, t1_target in ((h00, 0), (h01, 1)):
-        _expect_classes(sweep, ft, h, t1_target)
+    (classes00, _), (classes01, h01_permutes) = _class_images(ft, h00), _class_images(ft, h01)
+    for classes, t1_target in ((classes00, 0), (classes01, 1)):
+        _expect_classes(sweep, classes, t1_target)
         sweep.tested += ft.q - 2
     # (c) the simplified 5-term polynomial: a PP that agrees with H_01
     five_poly = sp_add(trace_poly(m),
                        frozenset({sigma - 1, 2 * (sigma - 1), 1, sigma}))
     five = ft.poly_table(five_poly)
     sweep.compare([np.arange(ft.q)], five, h01)
-    for name, tab in (("h01", h01), ("five_term", five)):
-        observed = _injective(tab, ft.q)
-        sweep.expect(observed, [name == "five_term"], observed, True)
+    for five_term, observed in enumerate((h01_permutes, _injective(five, ft.q))):
+        sweep.expect(observed, [five_term], observed, True)
     # reduced exponent sets coincide
     lhs = sp_reduce_mod_field(expand_h(derive_params(m, k, gamma=1)), m)
     rhs = sp_reduce_mod_field(five_poly, m)
@@ -692,7 +716,7 @@ def check_dickson_methods(sweep: CheckOutcome, m_max: int):
     for m in range(2, m_max + 1):
         et = ext_tables(m)
         q = et.q
-        mul = _mul_table(make_field(m))
+        mul = _mul_table(m)
         if not (sweep.in_field([m], mul, q) and sweep.guard_holds([m], et.circle)):
             continue
         xs = np.arange(q, dtype=np.int64)

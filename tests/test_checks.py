@@ -7,8 +7,8 @@ import pytest
 
 from permpoly import OutOfRange, checks, cli
 from permpoly.checks import (_ZSUM_CHUNK, CHECKS, LINEARIZED_K_MAX, MUL_TABLE_M_MAX,
-                             NOT_A_CLASS, CheckOutcome, _closed_form_rows, _injective,
-                             _rotl, _zsum_chunk,
+                             NOT_A_CLASS, CheckOutcome, _class_images, _closed_form_rows,
+                             _injective, _mul_table, _rotl, _zsum_chunk,
                              check_dickson_linearized, check_dickson_methods, check_fgprop,
                              check_h_dickson, check_hitt, check_hprop,
                              check_main_theorem, check_main_theorem_outcome,
@@ -17,7 +17,7 @@ from permpoly.checks import (_ZSUM_CHUNK, CHECKS, LINEARIZED_K_MAX, MUL_TABLE_M_
                              check_remark4, check_zsumexp)
 from permpoly.field import coprime_ks, make_field
 from permpoly.maps import dickson_exponents
-from permpoly.tables import ExtTables, FieldTables, ext_tables
+from permpoly.tables import ExtTables, FieldTables, ext_tables, field_tables
 
 
 def test_injective_matches_a_set_count():
@@ -46,6 +46,55 @@ def test_injective_matches_a_set_count():
         collided = perm.copy()
         collided[0] = collided[1]
         assert not _injective(collided, q)
+
+
+def _class_images_by_sets(tr: np.ndarray, tab: np.ndarray, q: int):
+    """_class_images from Python sets: per class, its image's trace class and
+    whether no value repeats; whether the values are GF(q), each once."""
+    classes = []
+    for e in (0, 1):
+        image = [int(v) for v, t in zip(tab, tr) if t == e]
+        if not set(image) <= set(range(q)):
+            classes.append((NOT_A_CLASS, False))
+            continue
+        traces = {int(tr[v]) for v in image}
+        classes.append((traces.pop() if len(traces) == 1 else NOT_A_CLASS,
+                        len(set(image)) == len(image)))
+    return tuple(classes), sorted(tab.tolist()) == list(range(q))
+
+
+def test_class_images_match_a_set_count():
+    rng = np.random.default_rng(2004)
+    for m in (2, 3, 6):
+        ft = field_tables(m)
+        q = ft.q
+        t0, t1 = np.flatnonzero(ft.tr == 0), np.flatnonzero(ft.tr == 1)
+        seen = set()
+        for _ in range(40):
+            # mostly in GF(q), with collisions, now and then -1 or q
+            tabs = [rng.integers(-1, q + 1, size=q), rng.permutation(q)]
+            # each class onto one class, bijectively: onto both classes, or
+            # both onto the same one, where the images overlap
+            for a, b in ((t0, t1), (t1, t0), (t0, t0), (t1, t1)):
+                tab = np.empty(q, dtype=np.int64)
+                tab[t0], tab[t1] = rng.permutation(a), rng.permutation(b)
+                collided, corrupted = tab.copy(), tab.copy()
+                i, j = rng.choice(q, size=2, replace=False)
+                collided[i] = tab[j]
+                corrupted[i] = rng.choice([-1, q, 1 << 40])
+                tabs += [tab, collided, corrupted]
+            for tab in tabs:
+                expected = _class_images_by_sets(ft.tr, tab, q)
+                classes, permutes = _class_images(ft, tab)
+                assert (tuple(classes), permutes) == expected, (q, tab)
+                seen.add(expected)
+        # the cases cover a permutation, overlapping bijective images, an
+        # image in GF(q) that meets both classes, and one outside GF(q)
+        classes = [c for c, _ in seen]
+        assert (((0, True), (1, True)), True) in seen
+        assert (((0, True), (0, True)), False) in seen
+        assert any((NOT_A_CLASS, True) in c for c in classes)
+        assert any((NOT_A_CLASS, False) in c for c in classes)
 
 
 def test_main_theorem_reports_m3_k2():
@@ -212,6 +261,15 @@ def test_dickson_checks():
     assert check_dickson_methods(3).passed
 
 
+def test_the_multiplication_table_is_built_once_per_m():
+    for m in (2, 3):
+        spec = make_field(m)
+        mul = _mul_table(m)
+        assert _mul_table(m) is mul and mul.dtype == np.int32 and not mul.flags.writeable
+        assert mul.tolist() == [[spec.mul(x, y) for y in spec.elements()]
+                                for x in spec.elements()]
+
+
 @pytest.mark.parametrize("m", range(2, 6))
 def test_batched_dickson_rows_match_the_per_n_evaluators(m):
     """The closed-form rows against poly_table of dickson_exponents, and
@@ -358,6 +416,30 @@ def test_each_table_is_built_once_per_parameter(monkeypatch, label):
     assert builds == expected
 
 
+#: checker, its arguments, and how many tables `_class_images` counts: one
+#: occupancy pass per table, so fgprop's per-table (iv)-(v) parts are made once
+#: per f_alpha and once per g_beta, not once per (alpha, beta) pair
+OCCUPANCY_PASSES = {
+    "main_theorem": (check_main_theorem_outcome, (5, 2), 4),
+    "fgprop": (check_fgprop, (5, 2), 4),
+    "remark4": (check_remark4, (5, 3), 2),
+}
+
+
+@pytest.mark.parametrize("label", OCCUPANCY_PASSES)
+def test_each_table_gets_one_occupancy_pass(monkeypatch, label):
+    fn, args, expected = OCCUPANCY_PASSES[label]
+    tables = []
+
+    def counted(ft, tab, orig=checks._class_images):
+        tables.append(tab)
+        return orig(ft, tab)
+    monkeypatch.setattr(checks, "_class_images", counted)
+    assert fn(*args).passed
+    assert len(tables) == expected
+    assert len({tab.tobytes() for tab in tables}) == expected
+
+
 def _corrupt(monkeypatch, name, i, new):
     """Make checks.<name> return a copy of its table (for field_tables, of its
     exp table) with flat entry i set to new(table)."""
@@ -413,12 +495,45 @@ def test_an_out_of_field_value_fails_the_check(monkeypatch, label, value):
     assert not out.passed and out.counterexample is not None
 
 
+def _corrupt_one(monkeypatch, name, which, i, value):
+    """Make checks.<name> (f_alpha_table or g_beta_table) set entry i of the
+    table it builds for alpha (or beta) = `which` to `value`."""
+    orig = getattr(checks, name)
+    key = "alpha" if name == "f_alpha_table" else "beta"
+
+    def corrupted(ft, p):
+        tab = orig(ft, p)
+        if getattr(p, key) == which:
+            tab = tab.copy()
+            tab[i] = value
+        return tab
+    monkeypatch.setattr(checks, name, corrupted)
+
+
+def test_fgprop_folds_its_table_parts_in_the_serial_order(monkeypatch):
+    # at m = 5, k = 2: f_0 permutes and f_0(4) = 11 has the trace of 2, so
+    # f_0(2) = 11 keeps (i) but fails (iii) and (iv)-(v) at x = 2; every g_0
+    # value has trace 0, so g_0(3) = 1 fails (i) at x = 3. Both then fail the
+    # pair comparisons (vi) and (vii). The first counterexample is g (i) of the
+    # pair (0, 0), which comes before f (iii); the (passed, tested,
+    # counterexample) are those of the parent commit, which checked both tables
+    # anew for each pair.
+    _corrupt_one(monkeypatch, "f_alpha_table", 0, 2, 11)
+    _corrupt_one(monkeypatch, "g_beta_table", 0, 3, 1)
+    out = check_fgprop(5, 2)
+    assert (out.passed, out.tested, out.counterexample) == \
+        (False, 1064, {"inputs": ["3"], "lhs": "1", "rhs": "0"})
+
+
 def _no_class_on_t1(monkeypatch):
     # a table whose T_1 image meets both classes fails fgprop's (i),
     # Tr(f(x)) = par*Tr(x), before (iv) looks at it, so here the label is faked
-    orig = checks._on_class
-    monkeypatch.setattr(checks, "_on_class",
-                        lambda ft, tab, e: (NOT_A_CLASS, False) if e else orig(ft, tab, e))
+    orig = checks._class_images
+
+    def no_class_on_t1(ft, tab):
+        (t0, _), permutes = orig(ft, tab)
+        return [t0, (NOT_A_CLASS, False)], permutes
+    monkeypatch.setattr(checks, "_class_images", no_class_on_t1)
 
 
 #: label -> (setup, checker, its arguments, the counterexample)
