@@ -33,17 +33,12 @@ MUL_TABLE_M_MAX = 5
 #: the largest k_max of dickson_linearized
 LINEARIZED_K_MAX = 16
 
-#: z values per chunk of check_zsumexp. Workers x _ZSUM_CHUNK elements are in
-#: flight at once, each with about twenty int32 temporaries. Fixed rather
-#: than derived from the worker count, so the first counterexample (first failing
-#: chunk, then comparison, then z) is the same on every machine.
-_ZSUM_CHUNK = 1 << 15
-
-#: grid elements per block of n in nobauer and dickson_methods: a block holds as
-#: many n as keep its widest grid (q^2 per n) within this bound, so memory does
-#: not grow with the number of n, and each block costs a fixed number of numpy
-#: calls rather than a few per n
-_N_BLOCK = 1 << 14
+#: elements per chunk of a chunked sweep: the z of one chunk of check_zsumexp (workers x
+#: this many in flight, each with about twenty int32 temporaries), or the widest grid of
+#: one block of n in nobauer and dickson_methods, so memory grows with neither the field
+#: nor the number of n. Fixed, not derived from the worker count, so the first
+#: counterexample (first failing chunk, then comparison, then z) is the same everywhere.
+_CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass
@@ -211,8 +206,8 @@ def _dickson_rows(mul: np.ndarray, a, n_max: int):
 def _n_blocks(rows, width: int):
     """(int32 ns, their rows stacked) for the (n, row) pairs of `rows`, such as
     _dickson_rows, in blocks of consecutive pairs: as many n as keep a block's
-    widest grid, `width` elements per n, within _N_BLOCK."""
-    step = max(1, _N_BLOCK // width)
+    widest grid, `width` elements per n, within _CHUNK_ELEMENTS."""
+    step = max(1, _CHUNK_ELEMENTS // width)
     while block := list(itertools.islice(rows, step)):
         ns, stacked = zip(*block)
         yield np.array(ns, dtype=np.int32), np.stack(stacked)
@@ -461,11 +456,15 @@ def check_perm_lemma(sweep: CheckOutcome, m: int, k: int):
     if not sweep.guard_holds([], et.circle):
         return
     b_sets = _b_sets(et)
-    # (i): phi is two-to-one from B_e onto T_e
+    # (i): phi is two-to-one from B_e onto T_e; x = q is infinity, which has none
     for e, (b, phi, _) in b_sets.items():
         values, counts = np.unique(phi[b], return_counts=True)
-        ok = np.array_equal(values, np.nonzero(et.base.tr == e)[0]) and bool((counts == 2).all())
-        sweep.expect(ok, [e], counts.min(), 2)
+        inside = (values >= 0) & (values <= q)
+        preimages = np.zeros(q + 1, dtype=np.int64)
+        preimages[values[inside]] = counts[inside]
+        expected = 2 * np.append(et.base.tr == e, False)
+        x = int(np.argmax(preimages != expected))  # the first that is off, else 0
+        sweep.expect(preimages[x] == expected[x], [e, x], preimages[x], expected[x])
         sweep.tested += q - 1
     # (ii), (iii): the power maps, checked three ways
     parity = {(0, 0): True, (0, 1): k % 2 == 1,
@@ -551,10 +550,10 @@ def check_zsumexp(sweep: CheckOutcome, m: int, k: int):
     if not (sweep.in_field([], et.exp, et.Q) and sweep.in_field([], et.log, et.n)
             and sweep.in_field([], g0, et.Q)):
         return
-    starts = range(2, et.Q, _ZSUM_CHUNK)
+    starts = range(2, et.Q, _CHUNK_ELEMENTS)
     with ThreadPoolExecutor(max_workers=min(_workers(), len(starts))) as pool:
-        for part in pool.map(lambda lo: _zsum_chunk(et, k, g0, lo, min(lo + _ZSUM_CHUNK, et.Q)),
-                             starts):
+        for part in pool.map(lambda lo: _zsum_chunk(et, k, g0, lo,
+                                                    min(lo + _CHUNK_ELEMENTS, et.Q)), starts):
             sweep.merge(part)
 
 
@@ -586,9 +585,12 @@ def check_h_dickson(sweep: CheckOutcome, m: int, k: int):
         # the Dickson form D_d(1/x)
         d = (1 << k) - 1 if beta == 0 else (1 << (m - k)) - 1
         dval = et.dickson_vec(d, ft.pow_vec((xs, -1)))
-        sweep.expect(not _outside(dval, q).any() and bool((dval != 0).all()), [0], True, True)
-        exponent = -1 if beta == 0 else -(1 << k)
-        sweep.compare([xs], mid, ft.pow_vec((dval, exponent)))
+        # the first x whose D_d(1/x) is 0 or outside GF(q), which no power can take
+        bad = (dval == 0) | _outside(dval, q)
+        i = int(np.argmax(bad))
+        sweep.expect(not bad[i], [xs[i]], dval[i], q)
+        if not bad[i]:
+            sweep.compare([xs], mid, ft.pow_vec((dval, -1 if beta == 0 else -(1 << k))))
     # permutation status for both alpha choices
     for a in (0, 1):
         observed = _injective(hs[a], q)

@@ -9,7 +9,8 @@ over GF(2^m)).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import PermpolyError, ReducibleModulus, UnsupportedDegree
@@ -59,6 +60,18 @@ def polygcd(a: int, b: int) -> int:
     return a
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime divisors of n, in increasing order, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
 def is_irreducible(f: int) -> bool:
     """Rabin irreducibility test for f in F_2[X] (degree >= 1)."""
     m = f.bit_length() - 1
@@ -74,11 +87,7 @@ def is_irreducible(f: int) -> bool:
     x = polymod(0b10, f)  # X itself, reduced (matters only for degree 1)
     if frob_power(m) != x:
         return False
-    for p in range(2, m + 1):
-        if m % p == 0 and all(p % d for d in range(2, p)):
-            if polygcd(frob_power(m // p) ^ x, f) != 1:
-                return False
-    return True
+    return all(polygcd(frob_power(m // p) ^ x, f) == 1 for p in prime_factors(m))
 
 
 @lru_cache(maxsize=None)
@@ -144,34 +153,26 @@ class _FieldArithmetic:
         return acc
 
 
+@dataclass(frozen=True, slots=True)
 class FieldSpec(_FieldArithmetic):
     """Immutable GF(2^m) context: degree plus reduction polynomial."""
 
-    __slots__ = ("m", "reduction", "q")
+    m: int
+    reduction: int | None = None
+    q: int = field(init=False, compare=False)
     ONE = 1
 
-    def __init__(self, m: int, reduction: int | None = None):
-        if not 1 <= m <= MAX_DEGREE:
-            raise UnsupportedDegree(f"m={m} not in 1..{MAX_DEGREE}")
-        if reduction is None:
-            reduction = smallest_irreducible(m)
-        if reduction.bit_length() - 1 != m:
+    def __post_init__(self):
+        if not 1 <= self.m <= MAX_DEGREE:
+            raise UnsupportedDegree(f"m={self.m} not in 1..{MAX_DEGREE}")
+        reduction = smallest_irreducible(self.m) if self.reduction is None else self.reduction
+        if reduction.bit_length() - 1 != self.m:
             raise ReducibleModulus(
-                f"reduction polynomial has degree {reduction.bit_length() - 1}, expected {m}")
+                f"reduction polynomial has degree {reduction.bit_length() - 1}, expected {self.m}")
         if not is_irreducible(reduction):
             raise ReducibleModulus(f"0x{reduction:x} is reducible over F_2")
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "reduction", reduction)
-        object.__setattr__(self, "q", 1 << m)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FieldSpec is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, FieldSpec) and (self.m, self.reduction) == (other.m, other.reduction)
-
-    def __hash__(self):
-        return hash((self.m, self.reduction))
+        object.__setattr__(self, "q", 1 << self.m)
 
     def __repr__(self):
         return f"FieldSpec(m={self.m}, reduction=0x{self.reduction:x})"
@@ -233,7 +234,6 @@ class ExtField(_FieldArithmetic):
     def __init__(self, base: FieldSpec):
         self.base = base
         self.nu = next(x for x in base.elements() if base.trace(x) == 1)
-        self._solve_weights = None
 
     def add(self, z1, z2):
         return (z1[0] ^ z2[0], z1[1] ^ z2[1])
@@ -284,19 +284,20 @@ class ExtField(_FieldArithmetic):
             for a in self.base.elements():
                 yield (a, b)
 
+    @cached_property
+    def _solve_weights(self) -> list:
+        """Weight i is delta^(2^(i+1)) + ... + delta^(2^(n-1)) for an element delta
+        of trace 1: the whole sum (the trace, 1) less its first i + 1 terms."""
+        delta = next(z for z in self.elements() if self.trace_abs(z) == 1)
+        return [self.add(self.ONE, self.frobenius_sum(delta, i + 1))
+                for i in range(2 * self.base.m)]
+
     def solve_quadratic(self, c):
         """Return s with s^2 + s = c, assuming trace_abs(c) = 0.
 
         Uses the standard linear construction from an element of trace 1;
         the other root is s + 1.
         """
-        if self._solve_weights is None:
-            n = 2 * self.base.m
-            delta = next(z for z in self.elements() if self.trace_abs(z) == 1)
-            # weight i is delta^(2^(i+1)) + ... + delta^(2^(n-1)), the whole
-            # sum (the trace, 1) less its first i + 1 terms
-            self._solve_weights = [self.add(self.ONE, self.frobenius_sum(delta, i + 1))
-                                   for i in range(n)]
         s = self.ZERO
         t = c
         for w in self._solve_weights:

@@ -20,32 +20,18 @@ reads the GF(2^2m) logs without widening: its exponents are +-2^j and
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import OutOfRange
-from .field import FieldSpec, extension_of, make_field
+from .field import FieldSpec, extension_of, make_field, prime_factors
 from .params import ParamSet
 from .sparsepoly import f_alpha_poly, g_beta_poly, sp_reduce_mod_field, trace_poly
 
 #: largest m for which GF(2^2m) tables are built; at m = 12 the exp, log and
 #: squaring tables alone take about 0.2 GB
 EXT_MAX_DEGREE = 12
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _subset_xor_table(images: list[int]) -> np.ndarray:
@@ -110,7 +96,7 @@ class _LogTables:
 
     def __init__(self, nbits: int, mul, pow_, square, start: int):
         n = self.n = (1 << nbits) - 1
-        primes = _prime_factors(n)
+        primes = prime_factors(n)
         gen = next(c for c in range(start, n + 1)
                    if all(pow_(c, n // p) != 1 for p in primes))
         self.exp = _exp_by_doubling(nbits, mul, gen)
@@ -219,7 +205,6 @@ class ExtTables(_LogTables):
         super().__init__(2 * m, lambda a, b: pack(ext.mul(unpack(a), unpack(b))),
                          lambda c, e: pack(ext.pow(unpack(c), e)),
                          lambda a: pack(ext.square(unpack(a))), self.q)
-        self._circle = None
 
     def g0_table(self, k: int) -> np.ndarray:
         """The k-term linearized map z + z^2 + ... + z^(2^(k-1)), tabulated."""
@@ -238,26 +223,28 @@ class ExtTables(_LogTables):
         """GF(q) tables for x = z + 1/z: c[i] = theta^i + theta^(q+1-i), i = 0..q;
         idx[x], the i <= q/2 with c[i] = x, else 0; z0[x], a z in GF(q)* with
         z + 1/z = x, else 0. Raises ArithmeticError unless the two halves split GF(q)."""
-        if self._circle is None:
-            q = self.q
-            b1 = self.b1_packed()
-            c = np.append(np.int32(0), b1 ^ b1[::-1])
-            z = np.arange(1, q, dtype=np.int64)
-            y = z ^ self.base.pow_vec((z, -1))
-            if not ((0 <= c) & (c < q)).all() or not ((0 <= y) & (y < q)).all():
-                raise ArithmeticError("some theta^i + theta^-i or z + 1/z lies outside GF(q)")
-            half = c[1:q // 2 + 1]
-            idx, z0 = np.zeros(q, dtype=np.int32), np.zeros(q, dtype=np.int32)
-            idx[half], z0[y] = np.arange(1, half.size + 1), z
-            if not (np.bincount(half, minlength=q) + (z0 > 0) == 1).all():
-                raise ArithmeticError("c[1..q/2] and z + 1/z on GF(q)* do not split GF(q)")
-            self._circle = c, idx, z0
-        return self._circle
+        return self._b1_and_circle[1:]
+
+    @cached_property
+    def _b1_and_circle(self) -> tuple:
+        """b1_packed() and the three circle tables built from it, listed once."""
+        q, b1 = self.q, self.b1_packed()
+        c = np.append(np.int32(0), b1 ^ b1[::-1])
+        z = np.arange(1, q, dtype=np.int64)
+        y = z ^ self.base.pow_vec((z, -1))
+        if not ((0 <= c) & (c < q)).all() or not ((0 <= y) & (y < q)).all():
+            raise ArithmeticError("some theta^i + theta^-i or z + 1/z lies outside GF(q)")
+        half = c[1:q // 2 + 1]
+        idx, z0 = np.zeros(q, dtype=np.int32), np.zeros(q, dtype=np.int32)
+        idx[half], z0[y] = np.arange(1, half.size + 1), z
+        if not (np.bincount(half, minlength=q) + (z0 > 0) == 1).all():
+            raise ArithmeticError("c[1..q/2] and z + 1/z on GF(q)* do not split GF(q)")
+        return b1, c, idx, z0
 
     def zmap(self) -> np.ndarray:
-        """For each base-field x, one packed z with z + 1/z = x, from `circle`."""
-        _, idx, z0 = self.circle()
-        return np.where(idx > 0, self.b1_packed()[idx - 1], z0)
+        """For each base-field x, one packed z with z + 1/z = x, from circle's B_1 powers."""
+        b1, _, idx, z0 = self._b1_and_circle
+        return np.where(idx > 0, b1[idx - 1], z0)
 
     def dickson_vec(self, n: int, x: np.ndarray) -> np.ndarray:
         """D_n(x, 1) elementwise over base-field x, as z^n + z^-n for z + 1/z = x:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from permpoly import OutOfRange, checks, cli
-from permpoly.checks import (_ZSUM_CHUNK, CHECKS, LINEARIZED_K_MAX, MUL_TABLE_M_MAX,
+from permpoly.checks import (_CHUNK_ELEMENTS, CHECKS, LINEARIZED_K_MAX, MUL_TABLE_M_MAX,
                              NOT_A_CLASS, CheckOutcome, _class_images, _closed_form_rows,
                              _injective, _mul_table, _rotl, _zsum_chunk,
                              check_dickson_linearized, check_dickson_methods, check_fgprop,
@@ -164,8 +164,8 @@ def test_zsum_top_chunk_where_int32_log_products_would_wrap():
     # at m = 11, k = 10 the last chunk has sigma * log z > 2^31: an int32
     # product would wrap there, so the int32 rotation must not
     et = ExtTables(11)  # not cached: 48 MB of tables no other test reads
-    part = _zsum_chunk(et, 10, et.g0_table(10), et.Q - _ZSUM_CHUNK, et.Q)
-    assert (part.counterexample, part.tested) == (None, 4 * _ZSUM_CHUNK)
+    part = _zsum_chunk(et, 10, et.g0_table(10), et.Q - _CHUNK_ELEMENTS, et.Q)
+    assert (part.counterexample, part.tested) == (None, 4 * _CHUNK_ELEMENTS)
 
 
 @pytest.mark.parametrize("nbits", [4, 20, 24])
@@ -309,14 +309,19 @@ def _corrupt_dickson_rows(monkeypatch, q, corruptions):
 
 #: label -> (checker, {n: (entry, its new value)} for m = 5), and the (passed,
 #: tested, counterexample) of the parent commit, whose checkers went one n at
-#: a time. At m = 5 a block holds 16 n; a nobauer row is indexed [a - 1, x],
-#: and each new value there repeats another x's, so that row no longer permutes.
+#: a time. At m = 5 a block holds 32 n in dickson_methods and 33 n in nobauer
+#: (2^15 grid elements, q^2 and (q - 1) q per n), so n = 33 and n = 34 start their
+#: second blocks; n = 17 started one when blocks held 16 n. A nobauer row is
+#: indexed [a - 1, x], and each new value there repeats another x's, so that row
+#: no longer permutes.
 ROW_CORRUPTED = {
     "methods_first_block": ((check_dickson_methods, {5: (7, lambda r: r[7] ^ 1)}),
                             (False, 74880, {"inputs": ["5", "7"], "lhs": "1c", "rhs": "1d"})),
     "methods_second_block_start": (
         (check_dickson_methods, {17: (0, lambda r: r[0] ^ 1)}),
         (False, 74880, {"inputs": ["11", "0"], "lhs": "1", "rhs": "0"})),
+    "methods_block_start_33": ((check_dickson_methods, {33: (0, lambda r: r[0] ^ 1)}),
+                               (False, 74880, {"inputs": ["21", "0"], "lhs": "1", "rhs": "0"})),
     "methods_past_first_block": (
         (check_dickson_methods, {100: (7, lambda r: r[7] ^ 1), 700: (3, lambda r: r[3] ^ 2)}),
         (False, 74880, {"inputs": ["64", "7"], "lhs": "6", "rhs": "7"})),
@@ -324,6 +329,9 @@ ROW_CORRUPTED = {
                        (False, 74880, {"inputs": ["400", "1f"], "lhs": "1a", "rhs": "1f"})),
     "nobauer_first_block": ((check_nobauer, {7: ((4, 9), lambda r: r[4, 10])}),
                             (False, 36024, {"inputs": ["5", "5", "7"], "lhs": "0", "rhs": "1"})),
+    "nobauer_block_start_34": (
+        (check_nobauer, {34: ((4, 9), lambda r: r[4, 10])}),
+        (False, 36024, {"inputs": ["5", "5", "22"], "lhs": "0", "rhs": "1"})),
     "nobauer_past_first_block": (
         (check_nobauer, {101: ((4, 9), lambda r: r[4, 10])}),
         (False, 36024, {"inputs": ["5", "5", "65"], "lhs": "0", "rhs": "1"})),
@@ -585,6 +593,65 @@ def test_an_out_of_field_value_in_an_identity_table_fails_the_check(monkeypatch,
     (fn, args, table, i), expected = IDENTITY_TABLES[label]
     _corrupt(monkeypatch, table, i, lambda tab: 1 << 24)
     out = fn(*args)
+    assert (out.passed, out.tested, out.counterexample) == expected
+
+
+@pytest.mark.parametrize("value", [1 << 24, 0, -1], ids=["far", "zero", "pinf"])
+def test_a_bad_dickson_value_fails_h_dickson(monkeypatch, value):
+    # D_d(1/x) at x = 4 is 0 or lies outside GF(32): the check names that x and
+    # does not raise it to a negative power, which read log[-1] or raised IndexError
+    orig = ExtTables.dickson_vec
+
+    def corrupted(self, n, x):
+        out = orig(self, n, x).copy()
+        out[3] = value
+        return out
+    monkeypatch.setattr(ExtTables, "dickson_vec", corrupted)
+    out = check_h_dickson(5, 2)
+    assert (out.passed, out.tested, out.counterexample) == \
+        (False, 99, {"inputs": ["4"], "lhs": format(value, "x"), "rhs": "20"})
+
+
+def _phi_changed(monkeypatch, e, change):
+    """Make checks._b_sets return a copy of phi for B_e with change(et, members, phi) applied."""
+    orig = checks._b_sets
+
+    def changed(et):
+        sets = orig(et)
+        members, phi, w = sets[e]
+        phi = phi.copy()
+        change(et, members, phi)
+        sets[e] = members, phi, w
+        return sets
+    monkeypatch.setattr(checks, "_b_sets", changed)
+
+
+def _move_pair_to_t1(et, members, phi):
+    """phi(0) = phi(infinity) = 0 in T_0 moved onto the first element of T_1:
+    still two-to-one, but onto the wrong set."""
+    phi[members[phi[members] == 0]] = np.flatnonzero(et.base.tr == 1)[0]
+
+
+#: label -> (e, the change to phi on B_e), and the (passed, tested,
+#: counterexample) of check_perm_lemma(4, 1): the first x of GF(16) or infinity
+#: (16) whose preimage count in B_e is off, that count, and 2 [Tr(x) = e]
+PHI_CHANGED = {
+    "pair_moved_to_t1": ((0, _move_pair_to_t1),
+                         (False, 96, {"inputs": ["0", "0"], "lhs": "0", "rhs": "2"})),
+    "infinity_in_the_image": ((0, lambda et, b, phi: phi.__setitem__(b[2], et.q)),
+                              (False, 96, {"inputs": ["0", "4"], "lhs": "1", "rhs": "2"})),
+    "circle_value_minus_one": ((1, lambda et, b, phi: phi.__setitem__(b[0], -1)),
+                               (False, 96, {"inputs": ["1", "e"], "lhs": "1", "rhs": "2"})),
+    "circle_value_far": ((1, lambda et, b, phi: phi.__setitem__(b[0], 1 << 24)),
+                         (False, 96, {"inputs": ["1", "e"], "lhs": "1", "rhs": "2"})),
+}
+
+
+@pytest.mark.parametrize("label", PHI_CHANGED)
+def test_perm_lemma_names_the_value_with_wrong_preimages(monkeypatch, label):
+    (e, change), expected = PHI_CHANGED[label]
+    _phi_changed(monkeypatch, e, change)
+    out = check_perm_lemma(4, 1)
     assert (out.passed, out.tested, out.counterexample) == expected
 
 

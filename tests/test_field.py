@@ -6,7 +6,7 @@ import pytest
 from permpoly import (INFINITY, ExtField, ReducibleModulus, UnsupportedDegree,
                       build_b_set, extension_of, element_to_hex,
                       load_field_table, make_field, smallest_irreducible)
-from permpoly.field import is_irreducible
+from permpoly.field import FieldSpec, is_irreducible
 from permpoly.tables import field_tables
 
 
@@ -269,3 +269,8 @@ def test_fieldspec_immutable_and_hashable():
         f.m = 4
     assert f == make_field(3) and hash(f) == hash(make_field(3))
     assert f != make_field(3, 0xD)
+    assert f.q == 8 and make_field(5, 0x25).q == 32
+    assert repr(make_field(3)) == "FieldSpec(m=3, reduction=0xb)"
+    # under a modulus other than the default, built twice outside the cache
+    assert FieldSpec(3, 0xD) == FieldSpec(3, 0xD) == make_field(3, 0xD)
+    assert hash(FieldSpec(3, 0xD)) == hash(FieldSpec(3, 0xD)) == hash(make_field(3, 0xD))

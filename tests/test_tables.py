@@ -12,8 +12,8 @@ import permpoly
 from permpoly import INFINITY, OutOfRange, build_b_set, coprime_ks, derive_params, phi, w_map
 from permpoly.checks import _b_sets
 from permpoly.maps import dickson_recurrence, eval_h
-from permpoly.tables import (_exp_by_doubling, _linearized_table, ext_tables, f_alpha_table,
-                             field_tables, g_beta_table, h_value_table)
+from permpoly.tables import (ExtTables, _exp_by_doubling, _linearized_table, ext_tables,
+                             f_alpha_table, field_tables, g_beta_table, h_value_table)
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(permpoly.__file__).resolve().parents[1])}
 
@@ -141,6 +141,21 @@ def test_ext_projective_helpers_match_scalar_maps(m):
     for n in (1, 2, 3, q - 1, q + 1, q * q - 2):
         assert et.dickson_vec(n, np.arange(q)).tolist() == \
             [dickson_recurrence(et.spec, n, x) for x in range(q)]
+
+
+def test_b1_is_listed_once_per_ext_tables(monkeypatch):
+    # zmap reads the B_1 powers that circle listed, rather than listing them again
+    et = ExtTables(4)  # fresh, so that nothing is listed yet
+    calls = []
+
+    def counted(orig=et.b1_packed):
+        calls.append(1)
+        return orig()
+    monkeypatch.setattr(et, "b1_packed", counted)
+    et.circle()
+    first = et.zmap()
+    assert np.array_equal(et.zmap(), first) and np.array_equal(first, ext_tables(4).zmap())
+    assert len(calls) == 1
 
 
 def test_doubling_rejects_non_primitive_elements():
