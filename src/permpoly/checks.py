@@ -78,10 +78,11 @@ class CheckOutcome:
         if self.passed:
             self.passed, self.counterexample = False, counterexample
 
-    def expect(self, ok: bool, inputs, lhs, rhs):
+    def expect(self, ok: bool, inputs, lhs, rhs) -> bool:
         self.tested += 1
         if not ok:
             self.fail(inputs, lhs, rhs)
+        return ok
 
     def fail(self, inputs, lhs, rhs):
         """Record a counterexample unless one is held already; counts nothing."""
@@ -95,6 +96,11 @@ class CheckOutcome:
         bad = np.flatnonzero(_outside(values, q))[0]
         self.fail([*inputs, bad], values.flat[bad], q)
         return False
+
+    def units(self, xs, values: np.ndarray, q: int) -> bool:
+        """One comparison: whether all values lie in 1..q-1, else records the first x's not."""
+        i = int(np.argmax((values == 0) | _outside(values, q)))  # 0 if none
+        return self.expect(bool(0 < values[i] < q), [xs[i]], values[i], q)
 
     def guard_holds(self, inputs, guarded) -> bool:
         """Whether guarded() passes its table guard, else records why, counting nothing."""
@@ -244,7 +250,7 @@ class Check:
     grid: Callable[[int], list[tuple]]
     default_cap: int
     #: the largest m with tables for every field the grid reaches at this cap
-    #: (EXT_MAX_DEGREE for extension tables); None where the grid clamps the cap
+    #: (EXT_MAX_DEGREE for zsumexp's GF(q^2) tables); None where the grid clamps the cap
     max_cap: int | None
 
 
@@ -433,36 +439,36 @@ def check_hprop(sweep: CheckOutcome, m: int, k: int):
 # extension-field lemmas
 # ---------------------------------------------------------------------------
 
-def _b_sets(et) -> dict:
+def _b_sets(ft) -> dict:
     """(indices, phi, w) for B_0 and B_1. B_0 is the line indices 0..q without 1, q
-    standing for infinity; B_1 the exponents 1..q of theta^i. phi = 1/(z + 1/z) is a
+    standing for infinity; B_1 the exponents 1..q of the circle's z^i. phi = 1/(z + 1/z) is a
     (q+1)-entry table, x/(x + 1)^2 on the line and 1/c[i] on the circle, with
     phi(1) = infinity stored as q. w(s, .) is z^s: x^s fixing infinity, i -> s*i mod (q+1)."""
-    q, base, c = et.q, et.base, et.circle()[0]
+    q, c = ft.q, ft.circle()[0]
     xs = np.arange(q, dtype=np.int64)
-    phi0 = np.append(base.pow_vec((xs, 1), (xs ^ 1, -2)), 0)
-    phi1 = base.pow_vec((c, -1))
+    phi0 = np.append(ft.pow_vec((xs, 1), (xs ^ 1, -2)), 0)
+    phi1 = ft.pow_vec((c, -1))
     phi0[1] = phi1[0] = q
     line = np.arange(q + 1, dtype=np.int64)
-    return {0: (np.delete(line, 1), phi0, lambda s, z: np.append(base.pow_vec((xs, s)), q)[z]),
+    return {0: (np.delete(line, 1), phi0, lambda s, z: np.append(ft.pow_vec((xs, s)), q)[z]),
             1: (line[1:], phi1, lambda s, i: s * i % (q + 1))}
 
 
-@_check("perm_lemma", _coprime_grid, 10, EXT_MAX_DEGREE)
+@_check("perm_lemma", _coprime_grid, 10)
 def check_perm_lemma(sweep: CheckOutcome, m: int, k: int):
-    et = ext_tables(m)
-    q = et.q
+    ft = field_tables(m)
+    q = ft.q
     sigma = 1 << k
-    if not sweep.guard_holds([], et.circle):
+    if not sweep.guard_holds([], ft.circle):
         return
-    b_sets = _b_sets(et)
+    b_sets = _b_sets(ft)
     # (i): phi is two-to-one from B_e onto T_e; x = q is infinity, which has none
     for e, (b, phi, _) in b_sets.items():
         values, counts = np.unique(phi[b], return_counts=True)
         inside = (values >= 0) & (values <= q)
         preimages = np.zeros(q + 1, dtype=np.int64)
         preimages[values[inside]] = counts[inside]
-        expected = 2 * np.append(et.base.tr == e, False)
+        expected = 2 * np.append(ft.tr == e, False)
         x = int(np.argmax(preimages != expected))  # the first that is off, else 0
         sweep.expect(preimages[x] == expected[x], [e, x], preimages[x], expected[x])
         sweep.tested += q - 1
@@ -561,10 +567,9 @@ def check_zsumexp(sweep: CheckOutcome, m: int, k: int):
 # the Dickson connection
 # ---------------------------------------------------------------------------
 
-@_check("h_dickson", _coprime_grid, 10, EXT_MAX_DEGREE)
+@_check("h_dickson", _coprime_grid, 10)
 def check_h_dickson(sweep: CheckOutcome, m: int, k: int):
     ft = field_tables(m)
-    et = ext_tables(m)
     base = derive_params(m, k)
     alpha = 0 if base.r % 2 == 1 else 1
     beta = (base.m_prime + alpha * k) % 2
@@ -575,22 +580,14 @@ def check_h_dickson(sweep: CheckOutcome, m: int, k: int):
     hs = [h_value_table(ft, derive_params(m, k, alpha=a)) for a in (0, 1)]
     q = ft.q
     xs = np.arange(1, q, dtype=np.int64)
-    if (sweep.in_field([], g, q) and sweep.in_field([], ft.exp, q)
-        and sweep.guard_holds([], et.circle)):
-        gx = g[xs]
-        sweep.expect(bool((gx != 0).all()), [0], bool((gx != 0).all()), True)
-        lhs = hs[alpha][gx]
-        mid = ft.pow_vec((xs, p.sigma + 1), (gx, -2))
-        sweep.compare([xs], lhs, mid)
-        # the Dickson form D_d(1/x)
-        d = (1 << k) - 1 if beta == 0 else (1 << (m - k)) - 1
-        dval = et.dickson_vec(d, ft.pow_vec((xs, -1)))
-        # the first x whose D_d(1/x) is 0 or outside GF(q), which no power can take
-        bad = (dval == 0) | _outside(dval, q)
-        i = int(np.argmax(bad))
-        sweep.expect(not bad[i], [xs[i]], dval[i], q)
-        if not bad[i]:
-            sweep.compare([xs], mid, ft.pow_vec((dval, -1 if beta == 0 else -(1 << k))))
+    if sweep.in_field([], g, q) and sweep.guard_holds([], ft.circle):
+        if sweep.units(xs, gx := g[xs], q):
+            mid = ft.pow_vec((xs, p.sigma + 1), (gx, -2))
+            sweep.compare([xs], hs[alpha][gx], mid)
+            d = (1 << k) - 1 if beta == 0 else (1 << (m - k)) - 1
+            dval = ft.dickson_vec(d, ft.pow_vec((xs, -1)))  # the Dickson form D_d(1/x)
+            if sweep.units(xs, dval, q):
+                sweep.compare([xs], mid, ft.pow_vec((dval, -1 if beta == 0 else -(1 << k))))
     # permutation status for both alpha choices
     for a in (0, 1):
         observed = _injective(hs[a], q)
@@ -603,17 +600,16 @@ def check_h_dickson(sweep: CheckOutcome, m: int, k: int):
 # the remarks
 # ---------------------------------------------------------------------------
 
-@_check("hitt", _coprime_grid, 10, EXT_MAX_DEGREE)
+@_check("hitt", _coprime_grid, 10)
 def check_hitt(sweep: CheckOutcome, m: int, k: int):
     """The single equation covering injectivity on both trace classes."""
     ft = field_tables(m)
-    et = ext_tables(m)
-    q = et.q
+    q = ft.q
     sigma = 1 << k
     beta = 0 if k % 2 == 1 else 1
-    if not sweep.guard_holds([], et.circle):
+    if not sweep.guard_holds([], ft.circle):
         return
-    b_sets = _b_sets(et)
+    b_sets = _b_sets(ft)
     g = g_beta_table(ft, derive_params(m, k, beta=beta))
     for alpha in (0, 1):
         p = derive_params(m, k, alpha=alpha, beta=beta)
@@ -698,15 +694,14 @@ def check_dickson_linearized(sweep: CheckOutcome, k_max: int):
         sweep.tested += len(rhs) - 1
     for m in range(2, 11):
         ft = field_tables(m)
-        et = ext_tables(m)
-        if not (sweep.in_field([m], ft.exp, ft.q) and sweep.guard_holds([m], et.circle)):
+        if not sweep.guard_holds([m], ft.circle):
             continue
         xs = np.arange(1, ft.q, dtype=np.int64)
         tk, term = np.zeros_like(xs), ft.pow_vec((xs, -1))
         for k in range(1, m + 1):
             tk, term = tk ^ term, ft.sq[term]  # T_k(1/x), (1/x)^(2^k)
             rhs = ft.pow_vec((xs, (1 << k) + 1), (tk, 2))
-            sweep.compare([xs], et.dickson_vec((1 << k) - 1, xs), rhs)
+            sweep.compare([xs], ft.dickson_vec((1 << k) - 1, xs), rhs)
 
 
 @_check("dickson_methods", _clamped(MUL_TABLE_M_MAX), MUL_TABLE_M_MAX, None)
@@ -716,16 +711,16 @@ def check_dickson_methods(sweep: CheckOutcome, m_max: int):
     if m_max > MUL_TABLE_M_MAX:
         raise OutOfRange(f"m_max={m_max} exceeds the runtime guard {MUL_TABLE_M_MAX}")
     for m in range(2, m_max + 1):
-        et = ext_tables(m)
-        q = et.q
+        ft = field_tables(m)
+        q = ft.q
         mul = _mul_table(m)
-        if not (sweep.in_field([m], mul, q) and sweep.guard_holds([m], et.circle)):
+        if not (sweep.in_field([m], mul, q) and sweep.guard_holds([m], ft.circle)):
             continue
         xs = np.arange(q, dtype=np.int64)
-        powers = et.base.pow_vec((xs, xs[:, None]))  # powers[e, x] = x^e
+        powers = ft.pow_vec((xs, xs[:, None]))  # powers[e, x] = x^e
         for ns, rec in _n_blocks(_dickson_rows(mul, 1, q * q), q * q):
             methods = np.stack((_closed_form_rows(powers, ns),
-                                et.dickson_vec(ns[:, None], xs)), axis=1)
+                                ft.dickson_vec(ns[:, None], xs)), axis=1)
             # n-major, then closed form before functional, then x
             sweep.compare([ns[:, None, None], xs], rec[:, None], methods)
 

@@ -286,9 +286,9 @@ class ExtField(_FieldArithmetic):
 
     @cached_property
     def _solve_weights(self) -> list:
-        """Weight i is delta^(2^(i+1)) + ... + delta^(2^(n-1)) for an element delta
-        of trace 1: the whole sum (the trace, 1) less its first i + 1 terms."""
-        delta = next(z for z in self.elements() if self.trace_abs(z) == 1)
+        """Weight i is delta^(2^(i+1)) + ... + delta^(2^(n-1)) for delta = nu*u, of absolute
+        trace Tr(nu) = 1: the whole sum (the trace, 1) less its first i + 1 terms."""
+        delta = (0, self.nu)
         return [self.add(self.ONE, self.frobenius_sum(delta, i + 1))
                 for i in range(2 * self.base.m)]
 

@@ -1,21 +1,17 @@
 """Precomputed lookup tables backing the exhaustive sweeps.
 
-The checkers sweep whole fields (GF(2^m) and GF(2^2m) for m up to
-EXT_MAX_DEGREE), so per-element work has to be table lookups on numpy arrays.
-Everything here is derived from the reference arithmetic in `field` and the
-exponent sets in `sparsepoly`: the squaring table is tabulated from the
-field's scalar `square`, every linearized polynomial (the trace, T_k, f_alpha,
-g_beta, the Frobenius powers) from the squaring table's images of the
-polynomial basis, and products of powers go through discrete log/antilog
-tables built from a primitive element (`_LogTables.pow_vec`). The scalar
-evaluators in `maps` are left as an independent oracle for these tables.
+Per-element work is table lookups on numpy arrays, derived from the reference
+arithmetic in `field` and the exponent sets in `sparsepoly`: linearized
+polynomials (trace, T_k, f_alpha, g_beta, Frobenius powers) from the squaring
+table's images of the polynomial basis, products of powers through log/antilog
+tables (`_LogTables.pow_vec`), and the circle B_1 of GF(2^2m) as the GF(2^m)
+values z^i + z^-i (`FieldTables.circle`): only `zsumexp` and the benchmark build
+the packed GF(2^2m) `ExtTables`. The scalar evaluators in `maps` stay an
+independent oracle for these tables.
 
-Every table is int32, since no element or log reaches 2^24; signed, so a
-corrupted entry of -1 still reads as outside the field. `pow_vec` multiplies
-a log by an exponent in int64 unless |e| * (n - 1) < 2^31: such a product
-passes 2^31 in GF(2^m) from about m = 16. The `zsumexp` kernel in `checks`
-reads the GF(2^2m) logs without widening: its exponents are +-2^j and
-2^k +- 1, so each of its products is an int32 bit rotation.
+Every table is int32 (no element or log reaches 2^24), signed so that a corrupted
+-1 reads as outside the field; `pow_vec` and `dickson_vec` widen a product to int64
+where it could pass 2^31, and the `zsumexp` kernel's products are bit rotations.
 """
 
 from __future__ import annotations
@@ -162,6 +158,45 @@ class FieldTables(_LogTables):
             out ^= self.pow_vec((xs, e))
         return out
 
+    def circle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """GF(q) tables for x = z + 1/z: c[i] = z^i + z^-i (i = 0..q) for a z of order q + 1
+        on B_1, idx[x] the i <= q/2 with c[i] = x, z0[x] a z in GF(q)* with z + 1/z = x (else
+        0); ArithmeticError if exp leaves GF(q), no z is found or the halves do not split GF(q)."""
+        return self._circle
+
+    @cached_property
+    def _circle(self) -> tuple:
+        q = self.q
+        if (bad := np.flatnonzero((self.exp < 0) | (self.exp >= q))).size:
+            raise ArithmeticError(f"exp[{bad[0]:x}] = {self.exp[bad[0]]:x} lies outside GF(q)")
+        z = np.arange(1, q, dtype=np.int64)
+        inv = self.pow_vec((z, -1))
+        # z + 1/z = x has z on B_1 iff Tr(1/x) = 1; c[1] is the first such x whose z has
+        # order q + 1, that is c[(q+1)/p] != 0 for each prime p | q + 1
+        for c1 in z[self.tr[inv] == 1].tolist():
+            c, s = np.array([0, c1], dtype=np.int32), 1
+            while s <= q // 2:  # c[s + i] = c[s] c[i] + c[s - i] for i = 1..s
+                c, s = np.append(c, self.pow_vec((c[1:], 1), (c[s], 1)) ^ c[s - 1::-1]), 2 * s
+            if all(c[(q + 1) // p] for p in prime_factors(q + 1)):
+                break
+        else:
+            raise ArithmeticError("no x with Tr(1/x) = 1 has a z of order q + 1")
+        half = c[1:q // 2 + 1]
+        idx, z0 = np.zeros(q, dtype=np.int32), np.zeros(q, dtype=np.int32)
+        idx[half], z0[z ^ inv] = np.arange(1, half.size + 1), z
+        if not (np.bincount(half, minlength=q) + (z0 > 0) == 1).all():
+            raise ArithmeticError("c[1..q/2] and z + 1/z on GF(q)* do not split GF(q)")
+        return c, idx, z0
+
+    def dickson_vec(self, n, x: np.ndarray) -> np.ndarray:
+        """D_n(x, 1) elementwise, n an int or an int array, as z^n + z^-n for
+        z + 1/z = x: c[n*i mod (q+1)] on the circle, powers for z in GF(q)*."""
+        c, idx, z0 = self.circle()
+        # i widened first: n mod (q+1) times i passes 2^31 once q >= 2^16
+        i, z = idx[x].astype(np.int64), z0[x]
+        return np.where(i > 0, c[n % (self.q + 1) * i % (self.q + 1)],
+                        self.pow_vec((z, n)) ^ self.pow_vec((z, -n)))
+
 
 @lru_cache(maxsize=None)
 def field_tables(m: int) -> FieldTables:
@@ -187,7 +222,7 @@ def h_value_table(ft: FieldTables, p: ParamSet) -> np.ndarray:
 
 
 class ExtTables(_LogTables):
-    """Packed log/exp tables for GF(q^2) (elements a | (b << m)), and GF(q) circle tables."""
+    """Packed log/exp tables for GF(q^2), elements a | (b << m), that zsumexp sweeps."""
 
     def __init__(self, m: int):
         if not 2 <= m <= EXT_MAX_DEGREE:
@@ -195,9 +230,7 @@ class ExtTables(_LogTables):
         self.m = m
         self.q = 1 << m
         self.Q = self.q * self.q
-        self.spec = make_field(m)
-        ext = self.ext = extension_of(self.spec)
-        self.base = field_tables(m)
+        ext = self.ext = extension_of(make_field(m))
         self.unpack = unpack = lambda z: (z & (self.q - 1), z >> m)
         self.pack = pack = lambda t: t[0] | (t[1] << m)
         # every element below q lies in GF(q)*, whose order divides q - 1,
@@ -219,41 +252,13 @@ class ExtTables(_LogTables):
             raise ArithmeticError("a B_1 power has norm other than 1")
         return members
 
-    def circle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """GF(q) tables for x = z + 1/z: c[i] = theta^i + theta^(q+1-i), i = 0..q;
-        idx[x], the i <= q/2 with c[i] = x, else 0; z0[x], a z in GF(q)* with
-        z + 1/z = x, else 0. Raises ArithmeticError unless the two halves split GF(q)."""
-        return self._b1_and_circle[1:]
-
-    @cached_property
-    def _b1_and_circle(self) -> tuple:
-        """b1_packed() and the three circle tables built from it, listed once."""
-        q, b1 = self.q, self.b1_packed()
-        c = np.append(np.int32(0), b1 ^ b1[::-1])
-        z = np.arange(1, q, dtype=np.int64)
-        y = z ^ self.base.pow_vec((z, -1))
-        if not ((0 <= c) & (c < q)).all() or not ((0 <= y) & (y < q)).all():
-            raise ArithmeticError("some theta^i + theta^-i or z + 1/z lies outside GF(q)")
-        half = c[1:q // 2 + 1]
-        idx, z0 = np.zeros(q, dtype=np.int32), np.zeros(q, dtype=np.int32)
-        idx[half], z0[y] = np.arange(1, half.size + 1), z
-        if not (np.bincount(half, minlength=q) + (z0 > 0) == 1).all():
-            raise ArithmeticError("c[1..q/2] and z + 1/z on GF(q)* do not split GF(q)")
-        return b1, c, idx, z0
-
     def zmap(self) -> np.ndarray:
-        """For each base-field x, one packed z with z + 1/z = x, from circle's B_1 powers."""
-        b1, _, idx, z0 = self._b1_and_circle
-        return np.where(idx > 0, b1[idx - 1], z0)
-
-    def dickson_vec(self, n: int, x: np.ndarray) -> np.ndarray:
-        """D_n(x, 1) elementwise over base-field x, as z^n + z^-n for z + 1/z = x:
-        c[n*i mod (q+1)] for z = theta^i, base-field powers for z in GF(q)*."""
-        c, idx, z0 = self.circle()
-        i, z = idx[x], z0[x]
-        # n reduced first, so that the int32 product n * i cannot wrap
-        return np.where(i > 0, c[n % (self.q + 1) * i % (self.q + 1)],
-                        self.base.pow_vec((z, n)) ^ self.base.pow_vec((z, -n)))
+        """For each base-field x, one packed z with z + 1/z = x: theta^idx[x] on the
+        base field's circle, theta a root of z^2 + c[1] z + 1, else z0[x]."""
+        c, idx, z0 = field_tables(self.m).circle()
+        c1 = int(c[1])  # theta = c1 s with s^2 + s = 1/c1^2, of absolute trace 0
+        theta = self.ext.mul((c1, 0), self.ext.solve_quadratic((self.ext.base.pow(c1, -2), 0)))
+        return np.where(idx > 0, self.pow_vec((self.pack(theta), idx)), z0)
 
 
 @lru_cache(maxsize=None)

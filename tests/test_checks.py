@@ -1,4 +1,3 @@
-import copy
 import inspect
 import json
 
@@ -276,17 +275,17 @@ def test_batched_dickson_rows_match_the_per_n_evaluators(m):
     dickson_vec on a column of n against dickson_vec on one n, for every
     n <= q^2; the closed form also in blocks of 7 n, as check_dickson_methods
     splits them."""
-    et = ext_tables(m)
-    ft, q = et.base, et.q
+    ft = field_tables(m)
+    q = ft.q
     xs = np.arange(q, dtype=np.int64)
     ns = np.arange(1, q * q + 1, dtype=np.int32)
     powers = ft.pow_vec((xs, xs[:, None]))
     closed = _closed_form_rows(powers, ns)
-    functional = et.dickson_vec(ns[:, None], xs)
+    functional = ft.dickson_vec(ns[:, None], xs)
     assert closed.shape == functional.shape == (q * q, q)
     for n in range(1, q * q + 1):
         assert closed[n - 1].tolist() == ft.poly_table(dickson_exponents(n)).tolist(), n
-        assert functional[n - 1].tolist() == et.dickson_vec(n, xs).tolist(), n
+        assert functional[n - 1].tolist() == ft.dickson_vec(n, xs).tolist(), n
     blocks = [_closed_form_rows(powers, ns[lo:lo + 7]) for lo in range(0, ns.size, 7)]
     assert np.array_equal(np.concatenate(blocks), closed)
 
@@ -449,15 +448,16 @@ def test_each_table_gets_one_occupancy_pass(monkeypatch, label):
 
 
 def _corrupt(monkeypatch, name, i, new):
-    """Make checks.<name> return a copy of its table (for field_tables, of its
-    exp table) with flat entry i set to new(table)."""
+    """Make checks.<name> return a copy of its table (for field_tables, fresh
+    tables, whose circle is yet to be built, and their exp table) with flat
+    entry i set to new(table)."""
     orig = getattr(checks, name)
 
     def corrupted(*args):
         out = orig(*args)
         if name == "field_tables":
-            out = copy.copy(out)
-            out.exp = tab = out.exp.copy()
+            out = FieldTables(out.spec)
+            tab = out.exp
         else:
             out = tab = out.copy()
         tab.flat[i] = new(tab)
@@ -573,15 +573,17 @@ def test_a_corrupted_minus_one_prints_as_minus_one(monkeypatch):
 
 #: label -> (checker, its arguments, a table that feeds an identity rather than
 #: a permutation verdict, entry i), and the (passed, tested, counterexample)
-#: with table[i] = 2^24; without the in_field guard each call raises IndexError
+#: with table[i] = 2^24; without the in_field guard, or the circle's guard on
+#: exp, each call raises IndexError
 IDENTITY_TABLES = {
     "h_dickson_g": ((check_h_dickson, (5, 2), "g_beta_table", 3),
                     (False, 66, {"inputs": ["3"], "lhs": "1000000", "rhs": "20"})),
     "h_dickson_exp": ((check_h_dickson, (5, 2), "field_tables", 2),
-                      (False, 66, {"inputs": ["2"], "lhs": "1000000", "rhs": "20"})),
+                      (False, 66, {"inputs": [],
+                                   "guard": "circle: exp[2] = 1000000 lies outside GF(q)"})),
     "dickson_linearized_exp": ((check_dickson_linearized, (6,), "field_tables", 2),
-                               (False, 21, {"inputs": ["2", "2"], "lhs": "1000000",
-                                            "rhs": "4"})),
+                               (False, 21, {"inputs": ["2"], "guard":
+                                            "circle: exp[2] = 1000000 lies outside GF(q)"})),
     "dickson_methods_mul": ((check_dickson_methods, (3,), "_mul_table", 5),
                             (False, 0, {"inputs": ["2", "5"], "lhs": "1000000",
                                         "rhs": "4"})),
@@ -596,54 +598,63 @@ def test_an_out_of_field_value_in_an_identity_table_fails_the_check(monkeypatch,
     assert (out.passed, out.tested, out.counterexample) == expected
 
 
+def test_a_zero_of_g_fails_h_dickson_at_its_x(monkeypatch):
+    # g(3) = 0: the check names x = 3 and skips raising that 0 to the power -2
+    _corrupt(monkeypatch, "g_beta_table", 3, lambda tab: 0)
+    out = check_h_dickson(5, 2)
+    assert (out.passed, out.tested, out.counterexample) == \
+        (False, 67, {"inputs": ["3"], "lhs": "0", "rhs": "20"})
+
+
 @pytest.mark.parametrize("value", [1 << 24, 0, -1], ids=["far", "zero", "pinf"])
 def test_a_bad_dickson_value_fails_h_dickson(monkeypatch, value):
     # D_d(1/x) at x = 4 is 0 or lies outside GF(32): the check names that x and
     # does not raise it to a negative power, which read log[-1] or raised IndexError
-    orig = ExtTables.dickson_vec
+    orig = FieldTables.dickson_vec
 
     def corrupted(self, n, x):
         out = orig(self, n, x).copy()
         out[3] = value
         return out
-    monkeypatch.setattr(ExtTables, "dickson_vec", corrupted)
+    monkeypatch.setattr(FieldTables, "dickson_vec", corrupted)
     out = check_h_dickson(5, 2)
     assert (out.passed, out.tested, out.counterexample) == \
         (False, 99, {"inputs": ["4"], "lhs": format(value, "x"), "rhs": "20"})
 
 
 def _phi_changed(monkeypatch, e, change):
-    """Make checks._b_sets return a copy of phi for B_e with change(et, members, phi) applied."""
+    """Make checks._b_sets return a copy of phi for B_e with change(ft, members, phi) applied."""
     orig = checks._b_sets
 
-    def changed(et):
-        sets = orig(et)
+    def changed(ft):
+        sets = orig(ft)
         members, phi, w = sets[e]
         phi = phi.copy()
-        change(et, members, phi)
+        change(ft, members, phi)
         sets[e] = members, phi, w
         return sets
     monkeypatch.setattr(checks, "_b_sets", changed)
 
 
-def _move_pair_to_t1(et, members, phi):
+def _move_pair_to_t1(ft, members, phi):
     """phi(0) = phi(infinity) = 0 in T_0 moved onto the first element of T_1:
     still two-to-one, but onto the wrong set."""
-    phi[members[phi[members] == 0]] = np.flatnonzero(et.base.tr == 1)[0]
+    phi[members[phi[members] == 0]] = np.flatnonzero(ft.tr == 1)[0]
 
 
 #: label -> (e, the change to phi on B_e), and the (passed, tested,
 #: counterexample) of check_perm_lemma(4, 1): the first x of GF(16) or infinity
-#: (16) whose preimage count in B_e is off, that count, and 2 [Tr(x) = e]
+#: (16) whose preimage count in B_e is off, that count, and 2 [Tr(x) = e]. The
+#: first B_1 member is the circle's z, so b[0] maps to 1/c[1] = 1/2 = 9 in GF(16)
 PHI_CHANGED = {
     "pair_moved_to_t1": ((0, _move_pair_to_t1),
                          (False, 96, {"inputs": ["0", "0"], "lhs": "0", "rhs": "2"})),
-    "infinity_in_the_image": ((0, lambda et, b, phi: phi.__setitem__(b[2], et.q)),
+    "infinity_in_the_image": ((0, lambda ft, b, phi: phi.__setitem__(b[2], ft.q)),
                               (False, 96, {"inputs": ["0", "4"], "lhs": "1", "rhs": "2"})),
-    "circle_value_minus_one": ((1, lambda et, b, phi: phi.__setitem__(b[0], -1)),
-                               (False, 96, {"inputs": ["1", "e"], "lhs": "1", "rhs": "2"})),
-    "circle_value_far": ((1, lambda et, b, phi: phi.__setitem__(b[0], 1 << 24)),
-                         (False, 96, {"inputs": ["1", "e"], "lhs": "1", "rhs": "2"})),
+    "circle_value_minus_one": ((1, lambda ft, b, phi: phi.__setitem__(b[0], -1)),
+                               (False, 96, {"inputs": ["1", "9"], "lhs": "1", "rhs": "2"})),
+    "circle_value_far": ((1, lambda ft, b, phi: phi.__setitem__(b[0], 1 << 24)),
+                         (False, 96, {"inputs": ["1", "9"], "lhs": "1", "rhs": "2"})),
 }
 
 
@@ -714,46 +725,40 @@ def test_a_log_outside_0_to_n_minus_1_fails_zsumexp_before_the_sweep(monkeypatch
         (False, 0, {"inputs": ["64"], "lhs": "3ff" if value == "n" else "-1", "rhs": "3ff"})
 
 
-def _b1_guard_tripped():
-    """A fresh ExtTables(4) whose B_1 powers repeat: theta^(2(q-1)) reads 1."""
-    et = ExtTables(4)
-    et.exp[2 * (et.q - 1) % et.n] = 1
-    return et
+def _fresh_tables(corrupt) -> FieldTables:
+    """Fresh GF(16) tables, not the cached field_tables(4), with corrupt(tables) applied."""
+    ft = FieldTables(make_field(4))
+    corrupt(ft)
+    return ft
 
 
-def _circle_powers_swapped():
-    """A fresh ExtTables(4) whose B_1 powers theta and theta^2 trade places: B_1
-    passes its guard, but c[1] = theta^2 + theta^-1 lies outside GF(q)."""
-    et = ExtTables(4)
-    i, j = et.q - 1, 2 * (et.q - 1)
-    et.exp[[i, j]] = et.exp[[j, i]]
-    return et
+def _circle_guard_tripped():
+    """Tables whose trace reads 0 everywhere: no x has Tr(1/x) = 1, so no z + 1/z = x
+    has its roots on B_1."""
+    return _fresh_tables(lambda ft: ft.tr.fill(0))
 
 
-def _circle_split_broken():
-    """A fresh ExtTables(4) over a copy of the GF(16) tables whose exp[1] reads
-    1, which gives one z of GF(q)* a wrong 1/z: the values z + 1/z and
-    c[1..q/2] no longer split GF(q)."""
-    et = ExtTables(4)
-    et.base = copy.copy(et.base)
-    et.base.exp = et.base.exp.copy()
-    et.base.exp[1] = 1
-    return et
+def _swap_powers(ft):
+    ft.exp[[1, 2]] = ft.exp[[2, 1]]
 
 
-#: corruptions of ext_tables(4) that pass the B_1 guard, and the message of
-#: the circle's guard that each trips
+#: corruptions of fresh GF(16) tables, and the message of the circle's guard
+#: that each trips
 CIRCLE_CORRUPTIONS = {
-    "powers_swapped": (_circle_powers_swapped,
-                       "some theta^i + theta^-i or z + 1/z lies outside GF(q)"),
-    "split_broken": (_circle_split_broken,
+    # g and g^2 trade places in exp: products through the logs go wrong
+    "powers_swapped": (lambda: _fresh_tables(_swap_powers),
+                       "c[1..q/2] and z + 1/z on GF(q)* do not split GF(q)"),
+    # the trace is flipped, so c[1] is an x whose z lies in GF(q)*, not on B_1
+    "split_broken": (lambda: _fresh_tables(lambda ft: np.subtract(1, ft.tr, out=ft.tr)),
                      "c[1..q/2] and z + 1/z on GF(q)* do not split GF(q)"),
+    "exp_outside": (lambda: _fresh_tables(lambda ft: ft.exp.__setitem__(3, 16)),
+                    "exp[3] = 10 lies outside GF(q)"),
 }
 
 
 #: checker, its arguments, and its (passed, tested, the inputs its
-#: counterexample names) when ext_tables(4) trips the guard of
-#: ExtTables.circle; unguarded, each call raises ArithmeticError
+#: counterexample names) when field_tables(4) trips the guard of
+#: FieldTables.circle; unguarded, each call raises ArithmeticError
 GUARDED = {
     "perm_lemma": (check_perm_lemma, (4, 1), (False, 0)),
     "hitt": (check_hitt, (4, 1), (False, 0)),
@@ -763,10 +768,14 @@ GUARDED = {
 }
 
 
+def _use_at_m4(monkeypatch, ft):
+    orig = checks.field_tables
+    monkeypatch.setattr(checks, "field_tables", lambda m: ft if m == 4 else orig(m))
+
+
 def _expect_guard(monkeypatch, label, corrupted, message):
     fn, args, (passed, tested, *inputs) = GUARDED[label]
-    orig = checks.ext_tables
-    monkeypatch.setattr(checks, "ext_tables", lambda m: corrupted if m == 4 else orig(m))
+    _use_at_m4(monkeypatch, corrupted)
     out = fn(*args)
     assert (out.passed, out.tested) == (passed, tested)
     assert out.counterexample == {"inputs": inputs, "guard": f"circle: {message}"}
@@ -774,8 +783,8 @@ def _expect_guard(monkeypatch, label, corrupted, message):
 
 @pytest.mark.parametrize("label", GUARDED)
 def test_a_tripped_table_guard_fails_the_check(monkeypatch, label):
-    _expect_guard(monkeypatch, label, _b1_guard_tripped(),
-                  "B_1 powers are not q = 16 elements other than 1")
+    _expect_guard(monkeypatch, label, _circle_guard_tripped(),
+                  "no x with Tr(1/x) = 1 has a z of order q + 1")
 
 
 @pytest.mark.parametrize("corruption", CIRCLE_CORRUPTIONS)
@@ -786,9 +795,23 @@ def test_a_corrupted_circle_fails_the_check(monkeypatch, label, corruption):
 
 
 def test_verify_exits_4_on_a_tripped_table_guard(monkeypatch, capsys):
-    et, orig = _b1_guard_tripped(), checks.ext_tables
-    monkeypatch.setattr(checks, "ext_tables", lambda m: et if m == 4 else orig(m))
+    _use_at_m4(monkeypatch, _circle_guard_tripped())
     code = cli.main(["--format", "json", "verify", "--suite", "hitt", "--m-max", "4"])
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert code == 4
     assert [r["passed"] for r in records] == [True, True, True, False, False]
+
+
+def test_only_zsumexp_builds_extension_tables(monkeypatch):
+    def refused(self, m):
+        raise RuntimeError(f"ExtTables({m}) built")
+    monkeypatch.setattr(ExtTables, "__init__", refused)
+    # uncached, so that no ExtTables built before this test is handed out
+    monkeypatch.setattr(checks, "ext_tables", ext_tables.__wrapped__)
+    for m in range(2, 7):
+        for k in coprime_ks(m):
+            for fn in (check_perm_lemma, check_h_dickson, check_hitt):
+                assert fn(m, k).passed, (fn.__name__, m, k)
+    assert check_dickson_linearized(6).passed and check_dickson_methods(5).passed
+    with pytest.raises(RuntimeError, match=r"ExtTables\(3\) built"):
+        check_zsumexp(3, 1)

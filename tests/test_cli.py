@@ -201,14 +201,15 @@ def test_verify_unknown_suite(capsys):
     assert code == 2 and "unknown check" in err
 
 
-@pytest.mark.parametrize("suite", ["zsumexp", "hitt", "all"])
+@pytest.mark.parametrize("suite", ["zsumexp", "all"])
 def test_verify_refuses_extension_degree_over_ceiling(capsys, suite):
     code, out, err = run(capsys, "verify", "--suite", suite, "--m-max", "13")
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and "12" in err
 
 
-@pytest.mark.parametrize("suite", ["main_theorem", "polynomiality"])
+@pytest.mark.parametrize("suite", ["main_theorem", "polynomiality", "perm_lemma", "h_dickson",
+                                   "hitt"])
 def test_verify_refuses_cap_over_max_degree(capsys, suite):
     code, out, err = run(capsys, "verify", "--suite", suite, "--m-max", "25")
     assert code == 2 and out == ""

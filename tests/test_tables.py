@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import permpoly
-from permpoly import INFINITY, OutOfRange, build_b_set, coprime_ks, derive_params, phi, w_map
+from permpoly import (INFINITY, OutOfRange, build_b_set, coprime_ks, derive_params,
+                      extension_of, phi, w_map)
 from permpoly.checks import _b_sets
-from permpoly.maps import dickson_recurrence, eval_h
+from permpoly.maps import dickson_functional, dickson_recurrence, eval_h
 from permpoly.tables import (ExtTables, _exp_by_doubling, _linearized_table, ext_tables,
                              f_alpha_table, field_tables, g_beta_table, h_value_table)
 
@@ -111,51 +112,53 @@ def test_pow_vec_takes_an_exponent_column(m):
                     assert got[row, x] == want, (e, f, x)
 
 
-@pytest.mark.parametrize("m", range(2, 6))
+@pytest.mark.parametrize("m", range(2, 13))
 def test_ext_projective_helpers_match_scalar_maps(m):
-    """The index view of B_0, B_1, phi and w, the circle tables, zmap and the
-    Dickson values, on every element, against the scalar maps on (a, b) pairs."""
-    et = ext_tables(m)
-    ext, q = et.ext, et.q
-    theta = et.unpack(int(et.b1_packed()[0]))
+    """The circle values c[i] = theta^i + theta^-i, for theta a root of
+    z^2 + c[1] z + 1 in the scalar extension field: at every i for m <= 8, at
+    256 seeded i above. For m <= 5, on every element, the index view of B_0,
+    B_1, phi and w, zmap and the Dickson values, against the scalar maps."""
+    ft = field_tables(m)
+    spec, q = ft.spec, ft.q
+    ext = extension_of(spec)
+    c = ft.circle()[0]
+    c1 = int(c[1])
+    theta = ext.mul((c1, 0), ext.solve_quadratic((spec.pow(c1, -2), 0)))
+    assert ext.add(ext.square(theta), ext.mul((c1, 0), theta)) == ext.ONE
+    ii = range(q + 1) if m <= 8 else random.Random(m).sample(range(q + 1), 256)
+    for i in ii:
+        z = ext.pow(theta, i)
+        assert (int(c[i]), 0) == ext.add(z, ext.inv(z)), i
+    if m > 5:
+        return
 
     def line_point(x):  # a B_0 index or a phi value: q stands for infinity
         return INFINITY if x == q else (x, 0)
 
     points = {0: line_point, 1: lambda i: ext.pow(theta, i)}
-    for e, (members, phi_tab, w) in _b_sets(et).items():
+    for e, (members, phi_tab, w) in _b_sets(ft).items():
         point = points[e]
         zs = [point(i) for i in members.tolist()]
-        assert len(set(zs)) == q and set(zs) == build_b_set(et.spec, e)
+        assert len(set(zs)) == q and set(zs) == build_b_set(spec, e)
         assert [line_point(v) for v in phi_tab[members].tolist()] == [phi(ext, z) for z in zs]
         for k in coprime_ks(m):
             for widx, s in ((0, (1 << k) - 1), (1, (1 << k) + 1)):
                 assert [point(i) for i in w(s, members).tolist()] == \
                     [w_map(ext, 1 << k, widx, z) for z in zs]
-    c = et.circle()[0]
-    powers = [ext.pow(theta, i) for i in range(q + 1)]
-    assert c.tolist() == [et.pack(ext.add(z, ext.inv(z))) for z in powers]
+    et = ext_tables(m)
     for x, z in enumerate(et.zmap().tolist()):
         z = et.unpack(z)
         assert z != ext.ZERO and ext.add(z, ext.inv(z)) == (x, 0)
     for n in (1, 2, 3, q - 1, q + 1, q * q - 2):
-        assert et.dickson_vec(n, np.arange(q)).tolist() == \
-            [dickson_recurrence(et.spec, n, x) for x in range(q)]
+        assert ft.dickson_vec(n, np.arange(q)).tolist() == \
+            [dickson_recurrence(spec, n, x) for x in range(q)]
 
 
-def test_b1_is_listed_once_per_ext_tables(monkeypatch):
-    # zmap reads the B_1 powers that circle listed, rather than listing them again
-    et = ExtTables(4)  # fresh, so that nothing is listed yet
-    calls = []
-
-    def counted(orig=et.b1_packed):
-        calls.append(1)
-        return orig()
-    monkeypatch.setattr(et, "b1_packed", counted)
-    et.circle()
-    first = et.zmap()
-    assert np.array_equal(et.zmap(), first) and np.array_equal(first, ext_tables(4).zmap())
-    assert len(calls) == 1
+def test_b1_packed_refuses_repeated_powers():
+    et = ExtTables(4)  # not the cached ext_tables(4), which other tests read
+    et.exp[2 * (et.q - 1) % et.n] = 1  # theta^2 reads 1
+    with pytest.raises(ArithmeticError, match="B_1 powers are not q = 16 elements other than 1"):
+        et.b1_packed()
 
 
 def test_doubling_rejects_non_primitive_elements():
@@ -189,6 +192,7 @@ def test_ext_tables_refuse_degree_over_ceiling():
 
 def test_every_table_is_int32():
     ft, et = field_tables(5), ext_tables(5)
+    c, idx, z0 = ft.circle()
     p = derive_params(5, 2, alpha=1, beta=1, gamma=1)
     xs = np.arange(ft.q)
     tables = {
@@ -197,10 +201,10 @@ def test_every_table_is_int32():
         "g_beta_table": g_beta_table(ft, p), "h_value_table": h_value_table(ft, p),
         "poly_table": ft.poly_table(frozenset({0, 3, 5})),
         "pow_vec": ft.pow_vec((xs, 3), (xs, -1)),
+        "circle c": c, "circle idx": idx, "circle z0": z0, "dickson_vec": ft.dickson_vec(5, xs),
         "ext exp": et.exp, "ext log": et.log, "ext sq": et.sq, "g0_table": et.g0_table(2),
         "ext pow_vec": et.pow_vec((np.arange(et.Q), 3)), "b1_packed": et.b1_packed(),
-        "circle c": et.circle()[0], "circle idx": et.circle()[1], "circle z0": et.circle()[2],
-        "zmap": et.zmap(), "dickson_vec": et.dickson_vec(5, xs),
+        "zmap": et.zmap(),
     }
     assert {name: str(t.dtype) for name, t in tables.items()} == dict.fromkeys(tables, "int32")
     # 4 bytes for each of the 2^20 - 1 powers, 2^20 logs and 2^20 squares
@@ -210,10 +214,21 @@ def test_every_table_is_int32():
 
 def test_dickson_vec_of_a_degree_past_int32():
     # z^(q^2 - 1) = 1 for every z of GF(q^2)*, so D_n depends on n mod q^2 - 1 only
-    et = ext_tables(6)
-    xs = np.arange(et.q)
-    n = 5 + (et.Q - 1) * (1 << 40)
-    assert et.dickson_vec(n, xs).tolist() == et.dickson_vec(5, xs).tolist()
+    ft = field_tables(6)
+    xs = np.arange(ft.q)
+    n = 5 + (ft.q * ft.q - 1) * (1 << 40)
+    assert ft.dickson_vec(n, xs).tolist() == ft.dickson_vec(5, xs).tolist()
+
+
+def test_dickson_vec_where_int32_circle_products_would_wrap():
+    """At m = 17, n = q - 1 times a circle index i <= q/2 passes 2^31 from
+    i = 2^14: the seeded x against the scalar z^n + z^-n of maps."""
+    ft = field_tables(17)
+    n, idx = ft.q - 1, ft.circle()[1]
+    xs = random.Random(17).sample(range(ft.q), 48)
+    assert sum(int(idx[x]) * n >= 1 << 31 for x in xs) >= 12
+    assert ft.dickson_vec(n, np.array(xs)).tolist() == \
+        [dickson_functional(ft.spec, n, x) for x in xs]
 
 
 @pytest.mark.parametrize("m", [18, 20])
