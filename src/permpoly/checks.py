@@ -388,6 +388,14 @@ def check_fgprop(sweep: CheckOutcome, m: int, k: int):
     # each table's own parts, made for the first pair that uses it
     f_parts = functools.cache(lambda a, par: _linear_map_parts(ft, fas[a], par, frobk, ft.sq))
     g_parts = functools.cache(lambda b, par: _linear_map_parts(ft, gs[b], par, ft.sq, frobk))
+
+    # (vii) reads only g_beta, lambda and theta = beta + lambda*k mod 2, not alpha
+    @functools.cache
+    def vii_part(beta: int, lam: int, theta: int) -> CheckOutcome:
+        part = CheckOutcome("fgprop", {})
+        part.compare([xs], gs[beta], g0_ybar[lam] ^ (theta * ft.tr))
+        return part
+
     for alpha, fa in enumerate(fas):
         for beta, g in enumerate(gs):
             p = derive_params(m, k, alpha=alpha, beta=beta)
@@ -410,7 +418,7 @@ def check_fgprop(sweep: CheckOutcome, m: int, k: int):
             # (vii): decomposition through g_0, for both lambda choices
             for lam in (0, 1):
                 theta = derive_params(m, k, alpha=alpha, beta=beta, lam=lam).theta
-                sweep.compare([xs], g, g0_ybar[lam] ^ (theta * ft.tr))
+                sweep.merge(vii_part(beta, lam, theta))
                 if lam == delta:
                     # the stated theta congruence is the lambda = delta instance
                     lhs = (m * theta) % 2
@@ -464,10 +472,8 @@ def check_perm_lemma(sweep: CheckOutcome, m: int, k: int):
     b_sets = _b_sets(ft)
     # (i): phi is two-to-one from B_e onto T_e; x = q is infinity, which has none
     for e, (b, phi, _) in b_sets.items():
-        values, counts = np.unique(phi[b], return_counts=True)
-        inside = (values >= 0) & (values <= q)
-        preimages = np.zeros(q + 1, dtype=np.int64)
-        preimages[values[inside]] = counts[inside]
+        values = phi[b]
+        preimages = np.bincount(values[(values >= 0) & (values <= q)], minlength=q + 1)
         expected = 2 * np.append(ft.tr == e, False)
         x = int(np.argmax(preimages != expected))  # the first that is off, else 0
         sweep.expect(preimages[x] == expected[x], [e, x], preimages[x], expected[x])
@@ -478,7 +484,11 @@ def check_perm_lemma(sweep: CheckOutcome, m: int, k: int):
     for widx in (0, 1):
         s = sigma - 1 if widx == 0 else sigma + 1
         for e, (b, _, w) in b_sets.items():
-            observed = np.array_equal(np.unique(w(s, b)), b)
+            # w(s, .) permutes B_e iff its q values are distinct and lie in B_e
+            in_b = np.zeros(q + 1, dtype=bool)
+            in_b[b] = True
+            image = w(s, b)
+            observed = _injective(image, q + 1) and bool(in_b[image].all())
             gcd_cond = gcd(s, q - 1 if e == 0 else q + 1) == 1
             predicted = parity[(widx, e)]
             sweep.expect(observed == gcd_cond == predicted,
@@ -501,19 +511,23 @@ def _rotl(a, j: int, nbits: int):
     return ((a & ((1 << (nbits - j)) - 1)) << j) | (a >> (nbits - j))
 
 
-def _zsum_chunk(et, k: int, g0: np.ndarray, lo: int, hi: int) -> CheckOutcome:
-    """The identities of check_zsumexp for the packed z in lo..hi-1 (lo >= 2).
+def _zsum_chunk(et, k: int, g0: tuple[np.ndarray, np.ndarray], lo: int, hi: int) -> CheckOutcome:
+    """The identities of check_zsumexp for the packed z in lo..hi-1 (lo >= 2),
+    with g0 as its two halves from ExtTables.g0_table.
 
     Each exponent is +-2^j or sigma +- 1 = 2^k +- 1, so each product of a log
     (in 0..n-1, n = 2^2m - 1) by one is a bit rotation and a sum or sign flip;
     the exp index lands in (-2n, 2n) and `take(mode="wrap")` reduces it mod n,
-    with no int64 temporary and no division."""
+    with no int64 temporary and no division. Each temporary is dropped after its
+    last use, and no array is written to once it has been compared."""
     sweep = CheckOutcome("zsum_chunk", {"k": k, "lo": lo, "hi": hi})
     exp, log, nbits = et.exp, et.log, 2 * et.m
     z = np.arange(lo, hi, dtype=np.int32)
     lz = log[lo:hi]  # a view of the table: nothing below writes to it
-    y = z ^ exp.take(-lz, mode="wrap")  # z + 1/z, nonzero since z != 1
+    y = exp.take(-lz, mode="wrap")
+    y ^= z  # z + 1/z, nonzero since z != 1
     ly = log.take(y)
+    del y
     # (i), rotating ly by one bit per term; rot ends at sigma * ly
     lhs = np.zeros(len(z), dtype=np.int32)
     rot = ly
@@ -521,40 +535,49 @@ def _zsum_chunk(et, k: int, g0: np.ndarray, lo: int, hi: int) -> CheckOutcome:
         rot = _rotl(rot, 1, nbits)
         lhs ^= exp.take(-rot, mode="wrap")
     s1ly = rot + ly  # (sigma + 1) * ly
+    del rot
     slz = _rotl(lz, k, nbits)
-    w0 = exp.take(slz - lz, mode="wrap")
-    w0inv = exp.take(lz - slz, mode="wrap")
-    t = w0 ^ w0inv
+    t = exp.take(slz - lz, mode="wrap")  # w0 = z^(sigma-1)
+    t ^= exp.take(lz - slz, mode="wrap")  # + 1/w0
     rhs = np.where(t == 0, 0, exp.take(log.take(t) - s1ly, mode="wrap"))
     sweep.compare([z], lhs, rhs)
+    del lhs
     # (ii): both displayed identities; the first has the right side of (i)
-    gsq = et.sq.take(g0.take(exp.take(-ly, mode="wrap")))
+    yinv = exp.take(-ly, mode="wrap")
+    del ly
+    gsq = et.sq.take(g0[0].take(yinv & (et.q - 1)) ^ g0[1].take(yinv >> et.m))
+    del yinv
     sweep.compare([z], gsq, rhs)
-    s1lz = slz + lz  # (sigma + 1) * lz
-    w1 = exp.take(s1lz, mode="wrap")
-    w1inv = exp.take(-s1lz, mode="wrap")
-    yw1 = w1 ^ w1inv
+    del rhs
+    slz += lz  # (sigma + 1) * lz
+    yw1 = exp.take(slz, mode="wrap")  # w1 = z^(sigma+1)
+    yw1 ^= exp.take(-slz, mode="wrap")  # + 1/w1
+    del slz
     rhs1 = np.where(yw1 == 0, 0, exp.take(log.take(yw1) - s1ly, mode="wrap"))
     sweep.compare([z], 1 ^ gsq, rhs1)
-    # the expansion of (z + 1/z)^(sigma+1) used to prove (ii)
-    sweep.compare([z], exp.take(s1ly, mode="wrap"), w1 ^ w0 ^ w0inv ^ w1inv)
+    del gsq, rhs1
+    # the expansion of (z + 1/z)^(sigma+1) used to prove (ii): w1 + w0 + 1/w0 + 1/w1
+    t ^= yw1
+    del yw1
+    sweep.compare([z], exp.take(s1ly, mode="wrap"), t)
     return sweep
 
 
 @_check("zsumexp", _coprime_grid, 10, EXT_MAX_DEGREE)
 def check_zsumexp(sweep: CheckOutcome, m: int, k: int):
-    """Identities (i) and (ii) at every z of GF(q^2) other than 0 and 1, chunk
-    by chunk on a thread pool (numpy's gathers release the GIL); the parts are
-    folded in chunk order, so the outcome is the serial one."""
+    """Identities (i) and (ii) at every z of GF(q^2) other than 0 and 1, chunk by
+    chunk on a thread pool (numpy releases the GIL in the wrap-mode gathers); the
+    parts are folded in chunk order, so the outcome is the serial one."""
     # imported here: concurrent.futures loads logging, about 0.5 MB that no
     # other check needs
     from concurrent.futures import ThreadPoolExecutor
     et = ext_tables(m)
     g0 = et.g0_table(k)
     # _zsum_chunk uses the exp and g0 values as indices, and rotates the logs,
-    # which is a product mod n only on 0..n-1
+    # which is a product mod n only on 0..n-1; a g0 counterexample names the
+    # entry's index in its half, lo before hi
     if not (sweep.in_field([], et.exp, et.Q) and sweep.in_field([], et.log, et.n)
-            and sweep.in_field([], g0, et.Q)):
+            and all(sweep.in_field([], half, et.Q) for half in g0)):
         return
     starts = range(2, et.Q, _CHUNK_ELEMENTS)
     with ThreadPoolExecutor(max_workers=min(_workers(), len(starts))) as pool:

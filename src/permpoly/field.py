@@ -233,7 +233,9 @@ class ExtField(_FieldArithmetic):
 
     def __init__(self, base: FieldSpec):
         self.base = base
-        self.nu = next(x for x in base.elements() if base.trace(x) == 1)
+        # the least element of trace 1 is the least basis bit of trace 1: every
+        # smaller element is a sum of lower bits, each of trace 0
+        self.nu = next(1 << i for i in range(base.m) if base.trace(1 << i) == 1)
 
     def add(self, z1, z2):
         return (z1[0] ^ z2[0], z1[1] ^ z2[1])

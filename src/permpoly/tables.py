@@ -39,8 +39,9 @@ def _subset_xor_table(images: list[int]) -> np.ndarray:
     return table
 
 
-def _linearized_table(sq: np.ndarray, poly: frozenset) -> np.ndarray:
-    """Tabulate sum(x^e for e in poly) over the field with squaring table `sq`.
+def _linearized_images(sq: np.ndarray, poly: frozenset) -> list[int]:
+    """The images of the basis bits 1 << i under sum(x^e for e in poly), over
+    the field with squaring table `sq`.
 
     Every exponent must be a power of 2, so the map is F_2-linear: x^(2^j)
     of the basis element 1 << i is read off the squaring table, with j taken
@@ -55,7 +56,12 @@ def _linearized_table(sq: np.ndarray, poly: frozenset) -> np.ndarray:
         if e < 1 or e & (e - 1):
             raise ValueError(f"exponent {e} is not a power of 2")
         images ^= orbit[(e.bit_length() - 1) % nbits]
-    return _subset_xor_table(images.tolist())
+    return images.tolist()
+
+
+def _linearized_table(sq: np.ndarray, poly: frozenset) -> np.ndarray:
+    """Tabulate sum(x^e for e in poly) over the field with squaring table `sq`."""
+    return _subset_xor_table(_linearized_images(sq, poly))
 
 
 def _exp_by_doubling(nbits: int, mul, gen: int) -> np.ndarray:
@@ -239,9 +245,11 @@ class ExtTables(_LogTables):
                          lambda c, e: pack(ext.pow(unpack(c), e)),
                          lambda a: pack(ext.square(unpack(a))), self.q)
 
-    def g0_table(self, k: int) -> np.ndarray:
-        """The k-term linearized map z + z^2 + ... + z^(2^(k-1)), tabulated."""
-        return _linearized_table(self.sq, trace_poly(k))
+    def g0_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k-term linearized map g0 = z + z^2 + ... + z^(2^(k-1)) as two 2^m-entry
+        halves (lo, hi), one per half of the bits: g0(u) = lo[u & (q-1)] ^ hi[u >> m]."""
+        images = _linearized_images(self.sq, trace_poly(k))
+        return _subset_xor_table(images[:self.m]), _subset_xor_table(images[self.m:])
 
     def b1_packed(self) -> np.ndarray:
         """B_1 as theta^i for i = 1..q, theta = g^(q-1); checked against the norm-1 form."""

@@ -1,5 +1,6 @@
 import inspect
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from permpoly.checks import (_CHUNK_ELEMENTS, CHECKS, LINEARIZED_K_MAX, MUL_TABL
                              check_remark4, check_zsumexp)
 from permpoly.field import coprime_ks, make_field
 from permpoly.maps import dickson_exponents
-from permpoly.tables import ExtTables, FieldTables, ext_tables, field_tables
+from permpoly.sparsepoly import trace_poly
+from permpoly.tables import ExtTables, FieldTables, _linearized_table, ext_tables, field_tables
 
 
 def test_injective_matches_a_set_count():
@@ -206,8 +208,8 @@ def test_zsum_chunk_matches_a_modulo_reference_on_corrupted_tables(monkeypatch, 
         et = ExtTables(m)  # not the cached ext_tables(m), which other tests read
         for tab in (et.exp, et.sq):
             tab[rng.integers(1, tab.size, 3)] ^= 1
-        g0 = et.g0_table(k)
-        pairs = _zsum_reference(et, k, g0)
+        # the reference reads the full g0 table, the chunk its two halves
+        pairs = _zsum_reference(et, k, _linearized_table(et.sq, trace_poly(k)))
         expected = CheckOutcome("reference", {})
         for lhs, rhs in pairs:
             expected.compare([np.arange(2, et.Q)], lhs, rhs)
@@ -219,7 +221,7 @@ def test_zsum_chunk_matches_a_modulo_reference_on_corrupted_tables(monkeypatch, 
             compare(self, inputs, lhs, rhs)
         with monkeypatch.context() as mp:
             mp.setattr(CheckOutcome, "compare", recorded)
-            part = _zsum_chunk(et, k, g0, 2, et.Q)
+            part = _zsum_chunk(et, k, et.g0_table(k), 2, et.Q)
         assert (part.tested, part.counterexample) == (expected.tested, expected.counterexample), k
         # every comparison, also those after the first failing one
         assert len(seen) == len(pairs), k
@@ -701,13 +703,28 @@ def test_zsumexp_outcome_does_not_depend_on_the_worker_count(monkeypatch, label)
 
 def test_an_out_of_field_g0_value_fails_zsumexp(monkeypatch):
     et = ExtTables(5)
-    g0 = et.g0_table(2)
-    g0[7] = 1 << 24
-    monkeypatch.setattr(et, "g0_table", lambda k: g0)
+    lo, hi = et.g0_table(2)
+    lo[7] = 1 << 24
+    monkeypatch.setattr(et, "g0_table", lambda k: (lo, hi))
     monkeypatch.setattr(checks, "ext_tables", lambda m: et)
     out = check_zsumexp(5, 2)
     assert (out.passed, out.tested, out.counterexample) == \
         (False, 0, {"inputs": ["7"], "lhs": "1000000", "rhs": "400"})
+
+
+def test_zsumexp_holds_little_beyond_its_tables(monkeypatch):
+    # one chunk at a time; g0 as two 2^10-entry halves, not a 4 MiB table,
+    # and a chunk holds only the temporaries it has yet to compare
+    monkeypatch.setattr(checks, "_workers", lambda: 1)
+    check_zsumexp(3, 1)  # the thread pool's first imports are not the sweep's
+    ext_tables(10)
+    tracemalloc.start()
+    try:
+        out = check_zsumexp(10, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.passed and peak < 2 << 20, peak
 
 
 @pytest.mark.parametrize("value", ["n", -1])

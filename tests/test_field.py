@@ -170,6 +170,12 @@ def test_ext_norm_of_u_is_nu():
         assert ext.base.trace(ext.nu) == 1
 
 
+def test_ext_nu_is_the_least_element_of_trace_one():
+    for m in range(2, 15):
+        base = make_field(m)
+        assert extension_of(base).nu == next(x for x in base.elements() if base.trace(x) == 1), m
+
+
 def test_ext_conj_involution_and_homomorphism():
     for m in (2, 3):
         ext = extension_of(make_field(m))

@@ -13,6 +13,7 @@ from permpoly import (INFINITY, OutOfRange, build_b_set, coprime_ks, derive_para
                       extension_of, phi, w_map)
 from permpoly.checks import _b_sets
 from permpoly.maps import dickson_functional, dickson_recurrence, eval_h
+from permpoly.sparsepoly import trace_poly
 from permpoly.tables import (ExtTables, _exp_by_doubling, _linearized_table, ext_tables,
                              f_alpha_table, field_tables, g_beta_table, h_value_table)
 
@@ -175,6 +176,26 @@ def test_doubling_rejects_non_primitive_elements():
             _exp_by_doubling(6, ext_mul, base_element)
 
 
+def test_g0_halves_give_the_full_linearized_table():
+    def joined(et, k):
+        lo, hi = et.g0_table(k)
+        assert lo.size == hi.size == et.q, k
+        zs = np.arange(et.Q)
+        return lo[zs & (et.q - 1)] ^ hi[zs >> et.m]
+
+    for m in range(2, 11):
+        et = ext_tables(m)
+        for k in range(1, 2 * m):
+            assert np.array_equal(joined(et, k), _linearized_table(et.sq, trace_poly(k))), (m, k)
+    # on corrupted squares, halves and table read the same wrong basis images
+    et = ExtTables(6)  # not the cached ext_tables(6), which other tests read
+    clean = [joined(et, k) for k in range(1, 12)]
+    et.sq[[1 << 3, 1 << 8, 1000]] ^= 1
+    for k in range(1, 12):
+        assert np.array_equal(joined(et, k), _linearized_table(et.sq, trace_poly(k))), k
+    assert any(not np.array_equal(joined(et, k), was) for k, was in enumerate(clean, 1))
+
+
 def test_linearized_builder_refuses_other_exponents():
     sq = field_tables(4).sq
     # x^(2^4) = x and x^(2^9) = x^2 on GF(16)
@@ -202,7 +223,8 @@ def test_every_table_is_int32():
         "poly_table": ft.poly_table(frozenset({0, 3, 5})),
         "pow_vec": ft.pow_vec((xs, 3), (xs, -1)),
         "circle c": c, "circle idx": idx, "circle z0": z0, "dickson_vec": ft.dickson_vec(5, xs),
-        "ext exp": et.exp, "ext log": et.log, "ext sq": et.sq, "g0_table": et.g0_table(2),
+        "ext exp": et.exp, "ext log": et.log, "ext sq": et.sq,
+        "g0_table lo": et.g0_table(2)[0], "g0_table hi": et.g0_table(2)[1],
         "ext pow_vec": et.pow_vec((np.arange(et.Q), 3)), "b1_packed": et.b1_packed(),
         "zmap": et.zmap(),
     }
