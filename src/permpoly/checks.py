@@ -512,21 +512,29 @@ def _rotl(a, j: int, nbits: int):
 
 
 def _zsum_chunk(et, k: int, g0: tuple[np.ndarray, np.ndarray], lo: int, hi: int) -> CheckOutcome:
-    """The identities of check_zsumexp for the packed z in lo..hi-1 (lo >= 2),
-    with g0 as its two halves from ExtTables.g0_table.
+    """The identities of check_zsumexp for z = g^i, i in lo..hi-1 (1 <= lo < hi <= n,
+    n = 2^2m - 1, g the generator of `exp`), with g0 as its two halves from
+    ExtTables.g0_table. In log order z and 1/z = g^(n-i) are slices of exp, and
+    the exp indices of w0^(+-1) and w1^(+-1) step by sigma -+ 1 per i, so these
+    reads are strided. First a guard, counting nothing, names the first z whose
+    log (-1 for z = 0, 1) is not i: passed in every chunk, with every exp value
+    in GF(q^2), it proves that the sweep meets each z other than 0 and 1 once.
 
     Each exponent is +-2^j or sigma +- 1 = 2^k +- 1, so each product of a log
-    (in 0..n-1, n = 2^2m - 1) by one is a bit rotation and a sum or sign flip;
-    the exp index lands in (-2n, 2n) and `take(mode="wrap")` reduces it mod n,
-    with no int64 temporary and no division. Each temporary is dropped after its
+    (in 0..n-1) by one is a bit rotation and a sum or sign flip; the exp index
+    lands in (-2n, 2n) and `take(mode="wrap")` reduces it mod n, with no int64
+    temporary and no division. Every other index is in range, so each `take` is
+    in wrap mode, which releases the GIL. Each temporary is dropped after its
     last use, and no array is written to once it has been compared."""
     sweep = CheckOutcome("zsum_chunk", {"k": k, "lo": lo, "hi": hi})
-    exp, log, nbits = et.exp, et.log, 2 * et.m
-    z = np.arange(lo, hi, dtype=np.int32)
-    lz = log[lo:hi]  # a view of the table: nothing below writes to it
-    y = exp.take(-lz, mode="wrap")
-    y ^= z  # z + 1/z, nonzero since z != 1
-    ly = log.take(y)
+    exp, log, n, nbits = et.exp, et.log, et.n, 2 * et.m
+    lz = np.arange(lo, hi, dtype=np.int32)
+    z = exp[lo:hi]  # a view of the table: nothing below writes to it
+    bad = np.flatnonzero(np.where(z < 2, -1, log.take(z, mode="wrap")) != lz)
+    for j in bad[:1]:  # the first z whose log (-1 for z = 0, 1) is not i
+        sweep.fail([z[j]], log[z[j]] if z[j] >= 2 else -1, lz[j])
+    y = exp[n - hi + 1:n - lo + 1][::-1] ^ z  # z + 1/z, nonzero since z != 1
+    ly = log.take(y, mode="wrap")
     del y
     # (i), rotating ly by one bit per term; rot ends at sigma * ly
     lhs = np.zeros(len(z), dtype=np.int32)
@@ -539,13 +547,14 @@ def _zsum_chunk(et, k: int, g0: tuple[np.ndarray, np.ndarray], lo: int, hi: int)
     slz = _rotl(lz, k, nbits)
     t = exp.take(slz - lz, mode="wrap")  # w0 = z^(sigma-1)
     t ^= exp.take(lz - slz, mode="wrap")  # + 1/w0
-    rhs = np.where(t == 0, 0, exp.take(log.take(t) - s1ly, mode="wrap"))
+    rhs = np.where(t == 0, 0, exp.take(log.take(t, mode="wrap") - s1ly, mode="wrap"))
     sweep.compare([z], lhs, rhs)
     del lhs
     # (ii): both displayed identities; the first has the right side of (i)
     yinv = exp.take(-ly, mode="wrap")
     del ly
-    gsq = et.sq.take(g0[0].take(yinv & (et.q - 1)) ^ g0[1].take(yinv >> et.m))
+    gsq = et.sq.take(g0[0].take(yinv & (et.q - 1), mode="wrap")
+                     ^ g0[1].take(yinv >> et.m, mode="wrap"), mode="wrap")
     del yinv
     sweep.compare([z], gsq, rhs)
     del rhs
@@ -553,7 +562,7 @@ def _zsum_chunk(et, k: int, g0: tuple[np.ndarray, np.ndarray], lo: int, hi: int)
     yw1 = exp.take(slz, mode="wrap")  # w1 = z^(sigma+1)
     yw1 ^= exp.take(-slz, mode="wrap")  # + 1/w1
     del slz
-    rhs1 = np.where(yw1 == 0, 0, exp.take(log.take(yw1) - s1ly, mode="wrap"))
+    rhs1 = np.where(yw1 == 0, 0, exp.take(log.take(yw1, mode="wrap") - s1ly, mode="wrap"))
     sweep.compare([z], 1 ^ gsq, rhs1)
     del gsq, rhs1
     # the expansion of (z + 1/z)^(sigma+1) used to prove (ii): w1 + w0 + 1/w0 + 1/w1
@@ -565,9 +574,9 @@ def _zsum_chunk(et, k: int, g0: tuple[np.ndarray, np.ndarray], lo: int, hi: int)
 
 @_check("zsumexp", _coprime_grid, 10, EXT_MAX_DEGREE)
 def check_zsumexp(sweep: CheckOutcome, m: int, k: int):
-    """Identities (i) and (ii) at every z of GF(q^2) other than 0 and 1, chunk by
-    chunk on a thread pool (numpy releases the GIL in the wrap-mode gathers); the
-    parts are folded in chunk order, so the outcome is the serial one."""
+    """Identities (i) and (ii) at every z = g^i of GF(q^2), i = 1..n-1 (so z != 0, 1),
+    chunk by chunk in log order on a thread pool (numpy releases the GIL in the
+    wrap-mode gathers); the parts are folded in chunk order: the serial outcome."""
     # imported here: concurrent.futures loads logging, about 0.5 MB that no
     # other check needs
     from concurrent.futures import ThreadPoolExecutor
@@ -579,10 +588,10 @@ def check_zsumexp(sweep: CheckOutcome, m: int, k: int):
     if not (sweep.in_field([], et.exp, et.Q) and sweep.in_field([], et.log, et.n)
             and all(sweep.in_field([], half, et.Q) for half in g0)):
         return
-    starts = range(2, et.Q, _CHUNK_ELEMENTS)
+    starts = range(1, et.n, _CHUNK_ELEMENTS)
     with ThreadPoolExecutor(max_workers=min(_workers(), len(starts))) as pool:
         for part in pool.map(lambda lo: _zsum_chunk(et, k, g0, lo,
-                                                    min(lo + _CHUNK_ELEMENTS, et.Q)), starts):
+                                                    min(lo + _CHUNK_ELEMENTS, et.n)), starts):
             sweep.merge(part)
 
 

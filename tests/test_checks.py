@@ -162,10 +162,10 @@ def test_perm_lemma_and_zsum():
 
 
 def test_zsum_top_chunk_where_int32_log_products_would_wrap():
-    # at m = 11, k = 10 the last chunk has sigma * log z > 2^31: an int32
+    # at m = 11, k = 10 the top log chunk has sigma * log z > 2^31: an int32
     # product would wrap there, so the int32 rotation must not
     et = ExtTables(11)  # not cached: 48 MB of tables no other test reads
-    part = _zsum_chunk(et, 10, et.g0_table(10), et.Q - _CHUNK_ELEMENTS, et.Q)
+    part = _zsum_chunk(et, 10, et.g0_table(10), et.n - _CHUNK_ELEMENTS, et.n)
     assert (part.counterexample, part.tested) == (None, 4 * _CHUNK_ELEMENTS)
 
 
@@ -180,24 +180,46 @@ def test_rotation_is_a_product_by_a_power_of_two(nbits):
         assert got.tolist() == [(int(v) << j) % n for v in a], j
 
 
-def _zsum_reference(et, k: int, g0: np.ndarray) -> list:
-    """The (lhs, rhs) pairs that zsumexp compares over every z in 2..Q-1, in
-    order, with each log product an int64 reduced by % n."""
+def _zsum_reference(et, k: int):
+    """zsumexp in log order over z = exp[i], i = 1..n-1, with each log product
+    an int64 reduced by % n and g0 the full T_k table: z, the log of each z
+    that the guard compares with i (-1 for z = 0 or 1), and the (lhs, rhs)
+    pairs that it compares, in order."""
     n, sigma = et.n, 1 << k
+    g0 = _linearized_table(et.sq, trace_poly(k))
     e = lambda x: et.exp[x % n]  # noqa: E731
-    z = np.arange(2, et.Q, dtype=np.int64)
-    lz = et.log[z].astype(np.int64)
-    ly = et.log[z ^ e(-lz)].astype(np.int64)
+    i = np.arange(1, n, dtype=np.int64)
+    z = e(i)
+    ly = et.log[z ^ e(n - i)].astype(np.int64)
     lhs = np.zeros_like(z)
     for j in range(1, k + 1):
         lhs ^= e(-(1 << j) * ly)
-    w0, w0inv, w1, w1inv = (e(s * lz) for s in (sigma - 1, 1 - sigma, sigma + 1, -sigma - 1))
+    w0, w0inv, w1, w1inv = (e(s * i) for s in (sigma - 1, 1 - sigma, sigma + 1, -sigma - 1))
     t, yw1 = w0 ^ w0inv, w1 ^ w1inv
     rhs = np.where(t == 0, 0, e(et.log[t] - (sigma + 1) * ly))
     rhs1 = np.where(yw1 == 0, 0, e(et.log[yw1] - (sigma + 1) * ly))
     gsq = et.sq[g0[e(-ly)]]
-    return [(lhs, rhs), (gsq, rhs), (1 ^ gsq, rhs1),
-            (e((sigma + 1) * ly), w1 ^ w0 ^ w0inv ^ w1inv)]
+    logz = np.where(z < 2, -1, et.log[z])
+    return z, logz, [(lhs, rhs), (gsq, rhs), (1 ^ gsq, rhs1),
+                      (e((sigma + 1) * ly), w1 ^ w0 ^ w0inv ^ w1inv)]
+
+
+def _zsum_fold(reference, chunk: int) -> CheckOutcome:
+    """A _zsum_reference folded as zsumexp folds its chunks of `chunk` logs: the
+    first failing chunk, then the guard or the first failing comparison in it,
+    then the first i."""
+    z, logz, pairs = reference
+    i = np.arange(1, z.size + 1)
+    out = CheckOutcome("reference", {})
+    for lo in range(0, z.size, chunk):
+        part = slice(lo, lo + chunk)
+        bad = np.flatnonzero(logz[part] != i[part])
+        if bad.size:
+            j = lo + bad[0]
+            out.fail([z[j]], logz[j], i[j])
+        for lhs, rhs in pairs:
+            out.compare([z[part]], lhs[part], rhs[part])
+    return out
 
 
 @pytest.mark.parametrize("m", [3, 6])
@@ -209,10 +231,8 @@ def test_zsum_chunk_matches_a_modulo_reference_on_corrupted_tables(monkeypatch, 
         for tab in (et.exp, et.sq):
             tab[rng.integers(1, tab.size, 3)] ^= 1
         # the reference reads the full g0 table, the chunk its two halves
-        pairs = _zsum_reference(et, k, _linearized_table(et.sq, trace_poly(k)))
-        expected = CheckOutcome("reference", {})
-        for lhs, rhs in pairs:
-            expected.compare([np.arange(2, et.Q)], lhs, rhs)
+        reference = _zsum_reference(et, k)
+        pairs, expected = reference[2], _zsum_fold(reference, et.n)
         assert expected.counterexample is not None, k
         seen = []
 
@@ -221,7 +241,7 @@ def test_zsum_chunk_matches_a_modulo_reference_on_corrupted_tables(monkeypatch, 
             compare(self, inputs, lhs, rhs)
         with monkeypatch.context() as mp:
             mp.setattr(CheckOutcome, "compare", recorded)
-            part = _zsum_chunk(et, k, et.g0_table(k), 2, et.Q)
+            part = _zsum_chunk(et, k, et.g0_table(k), 1, et.n)
         assert (part.tested, part.counterexample) == (expected.tested, expected.counterexample), k
         # every comparison, also those after the first failing one
         assert len(seen) == len(pairs), k
@@ -673,15 +693,16 @@ ZSUM_TESTED = 4 * ((1 << 18) - 2)
 
 #: label -> (ExtTables(9) table, entries, k, the new value or None to flip
 #: bit 0), and the (tested, counterexample); every entry lies past the first
-#: zsumexp chunk. An exp value outside GF(2^18) fails the check before the
-#: sweep, where it used to raise IndexError in a chunk.
+#: zsumexp chunk. The counterexamples of flipped entries are the modulo
+#: reference's, folded in log-order chunks. An exp value outside GF(2^18)
+#: fails the check before the sweep, where it used to raise IndexError in a chunk.
 ZSUM_CORRUPTED = {
     "sq": (("sq", (150000,), 2, None),
            (ZSUM_TESTED, {"inputs": ["13352"], "lhs": "32d69", "rhs": "32d68"})),
     "sq_twice": (("sq", (40000, 250000), 5, None),
-                 (ZSUM_TESTED, {"inputs": ["10400"], "lhs": "9855", "rhs": "9854"})),
+                 (ZSUM_TESTED, {"inputs": ["1fd89"], "lhs": "37cdf", "rhs": "37cde"})),
     "exp_twice": (("exp", (70000, 200000), 2, None),
-                  (ZSUM_TESTED, {"inputs": ["21c2"], "lhs": "275a3", "rhs": "275a2"})),
+                  (ZSUM_TESTED, {"inputs": ["1135d"], "lhs": "32017", "rhs": "328e"})),
     "exp_out_of_range": (("exp", (100000,), 2, 1 << 18),
                          (0, {"inputs": ["186a0"], "lhs": "40000", "rhs": "40000"})),
 }
@@ -694,11 +715,69 @@ def test_zsumexp_outcome_does_not_depend_on_the_worker_count(monkeypatch, label)
     tab = getattr(et, name)
     for i in entries:
         tab[i] = tab[i] ^ 1 if value is None else value
+    if value is None:  # the pin is the reference's, not the kernel's
+        ref = _zsum_fold(_zsum_reference(et, k), _CHUNK_ELEMENTS)
+        assert (ref.passed, ref.tested, ref.counterexample) == (False, *expected)
     monkeypatch.setattr(checks, "ext_tables", lambda m: et)
     for workers in (1, 8):  # 8 runs all eight chunks of GF(2^18) at once
         monkeypatch.setattr(checks, "_workers", lambda: workers)
         out = check_zsumexp(9, k)
         assert (out.passed, out.tested, out.counterexample) == (False, *expected), workers
+
+
+def _swap(et):
+    et.exp[[5, 6]] = et.exp[[6, 5]]
+
+
+def _duplicate(et):
+    et.exp[6] = et.exp[5]
+
+
+def _one_with_its_log(et):
+    # log[z] = i still holds at i = 6: the guard reads -1 as the log of z = 1
+    et.exp[6], et.log[1] = 1, 6
+
+
+@pytest.mark.parametrize("corrupt, first", [(_swap, 5), (_duplicate, 6),
+                                            (_one_with_its_log, 6)])
+def test_zsumexp_guard_names_a_z_that_exp_does_not_meet_once(monkeypatch, corrupt, first):
+    # every exp and log value stays in range, so only the guard in the chunk
+    # can tell that z = exp[i] is not g^i; it comes before the chunk's
+    # comparisons and names the first such z, its log (-1 for z = 0, 1) and i
+    et = ExtTables(9)
+    corrupt(et)
+    assert et.exp.min() >= 1 and et.exp.max() < et.Q and et.log.max() < et.n
+    z = int(et.exp[first])
+    expected = {"inputs": [format(z, "x")], "rhs": format(first, "x"),
+                "lhs": format(int(et.log[z]) if z >= 2 else -1, "x")}
+    monkeypatch.setattr(checks, "ext_tables", lambda m: et)
+    for workers in (1, 8):
+        monkeypatch.setattr(checks, "_workers", lambda: workers)
+        out = check_zsumexp(9, 2)
+        assert (out.passed, out.tested, out.counterexample) == \
+            (False, ZSUM_TESTED, expected), workers
+
+
+@pytest.mark.parametrize("chunk", [_CHUNK_ELEMENTS, 1000])
+def test_zsumexp_chunks_compare_each_z_but_0_and_1_once(monkeypatch, chunk):
+    # the four comparisons of a chunk share its z; over all chunks they are
+    # 2..Q-1, each once (at m <= 7 one chunk of 2^15 holds every z)
+    compared = {}
+    compare = CheckOutcome.compare
+
+    def recorded(self, inputs, lhs, rhs):
+        compared.setdefault((self.params["lo"], self.params["hi"]), []).append(inputs[0].copy())
+        compare(self, inputs, lhs, rhs)
+    monkeypatch.setattr(CheckOutcome, "compare", recorded)
+    monkeypatch.setattr(checks, "_CHUNK_ELEMENTS", chunk)
+    for m in range(2, 8):
+        for k in coprime_ks(m):
+            compared.clear()
+            assert check_zsumexp(m, k).passed, (m, k)
+            for zs in compared.values():
+                assert len(zs) == 4 and all(np.array_equal(z, zs[0]) for z in zs[1:]), (m, k)
+            met = np.concatenate([zs[0] for zs in compared.values()])
+            assert np.array_equal(np.sort(met), np.arange(2, 1 << 2 * m)), (m, k)
 
 
 def test_an_out_of_field_g0_value_fails_zsumexp(monkeypatch):
