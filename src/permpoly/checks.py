@@ -11,6 +11,7 @@ import functools
 import inspect
 import itertools
 import os
+import threading
 import time
 from dataclasses import asdict, dataclass
 from math import gcd, prod
@@ -33,11 +34,13 @@ MUL_TABLE_M_MAX = 5
 #: the largest k_max of dickson_linearized
 LINEARIZED_K_MAX = 16
 
-#: elements per chunk of a chunked sweep: the z of one chunk of check_zsumexp (workers x
-#: this many in flight, each with about twenty int32 temporaries), or the widest grid of
-#: one block of n in nobauer and dickson_methods, so memory grows with neither the field
-#: nor the number of n. Fixed, not derived from the worker count, so the first
-#: counterexample (first failing chunk, then comparison, then z) is the same everywhere.
+#: elements per chunk of a chunked sweep: the x of one chunk of main_theorem, fgprop and
+#: hprop, or the logs of z of one chunk of zsumexp, with workers x this many in flight,
+#: each with a few dozen chunk-sized temporaries; or the widest grid of one block of n in
+#: nobauer and dickson_methods. So memory beyond the tables grows with neither the field
+#: nor the number of n. A field of at most this many elements (m <= 15) is one chunk,
+#: swept inline. The first counterexample does not depend on this size or on the worker
+#: count: `_sweep_chunks` folds each comparison over all chunks before the next.
 _CHUNK_ELEMENTS = 1 << 15
 
 
@@ -91,7 +94,7 @@ class CheckOutcome:
     def in_field(self, inputs, values: np.ndarray, q: int) -> bool:
         """Whether all values lie in GF(q); else records the first outside, counting nothing.
         The bounds come first, so a whole table in range costs no mask."""
-        if values.min(initial=0) >= 0 and values.max(initial=0) < q:
+        if _in_range(values, q):
             return True
         bad = np.flatnonzero(_outside(values, q))[0]
         self.fail([*inputs, bad], values.flat[bad], q)
@@ -144,6 +147,68 @@ def _outside(values: np.ndarray, q: int) -> np.ndarray:
     return (values < 0) | (values >= q)
 
 
+def _in_range(values: np.ndarray, q: int) -> bool:
+    """Whether every value lies in GF(q), from the two bounds: no mask."""
+    return bool(values.min(initial=0) >= 0 and values.max(initial=0) < q)
+
+
+def _workers() -> int:
+    """The number of CPUs this process may run on (`taskset` narrows it)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _spans(lo: int, hi: int) -> list[tuple[int, int]]:
+    """The chunks [a, b) of _CHUNK_ELEMENTS consecutive x in lo..hi-1, the last one shorter."""
+    return [(a, min(a + _CHUNK_ELEMENTS, hi)) for a in range(lo, hi, _CHUNK_ELEMENTS)]
+
+
+def _map_chunks(body, lo: int, hi: int) -> list:
+    """[body(a, b) for each chunk [a, b) of _spans(lo, hi)], in chunk order, on
+    min(_workers(), chunks) threads: the calling one and helpers started for this
+    call (numpy releases the GIL in much of a chunk's work), each taking the next
+    chunk until none is left; one chunk, or one worker, runs inline. A failing
+    chunk stops only its own thread; the first failing chunk's exception is raised.
+
+    Plain threads, not a concurrent.futures pool: that import loads logging in
+    the middle of a sweep, whose objects then pin the top of the heap, so the
+    tables freed below them stay resident (base_sweep peaks about 2 MB higher)."""
+    spans = _spans(lo, hi)
+    results, errors = [None] * len(spans), []
+    claims = itertools.count()  # next() is atomic under the GIL
+
+    def drain():
+        while (i := next(claims)) < len(spans):
+            try:
+                results[i] = body(*spans[i])
+            except BaseException as exc:  # raised on the calling thread below
+                errors.append((i, exc))
+                return
+    helpers = [threading.Thread(target=drain) for _ in range(min(_workers(), len(spans)) - 1)]
+    for helper in helpers:
+        helper.start()
+    drain()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return results
+
+
+def _sweep_chunks(body, lo: int, hi: int) -> dict:
+    """The comparisons of a chunked sweep, folded slot-major. body(a, b) returns, for
+    x in a..b-1, one CheckOutcome per comparison slot (a sequence, or a dict by slot);
+    the result holds each slot's parts merged over all chunks in chunk order. Merged
+    into a record slot by slot, in the check's order, the first counterexample is the
+    first failing comparison, then its first x, whatever the chunk size or worker count."""
+    folded = {}
+    for parts in _map_chunks(body, lo, hi):
+        for slot, part in parts.items() if isinstance(parts, dict) else enumerate(parts):
+            folded.setdefault(slot, CheckOutcome(part.check, {})).merge(part)
+    return folded
+
+
 def _injective(values: np.ndarray, q: int):
     """Along the last axis: whether every value lies in GF(q) and none occurs
     twice, by marking each row's values in its own row of a bool mask (q bytes
@@ -160,24 +225,50 @@ def _injective(values: np.ndarray, q: int):
     return ok if lead else bool(ok)
 
 
-def _class_images(ft, tab: np.ndarray):
-    """For T_0 and T_1, the class holding the image under `tab` (NOT_A_CLASS if it meets
-    both or leaves GF(q)) and whether `tab` is injective there; and whether `tab` permutes
-    GF(q): iff both are and the images, each marked in its own row by a plain store (one
-    shared `|=` scatter keeps only the last write of an index), do not overlap."""
-    q, t1 = ft.q, ft.tr == 1
-    inside = tab.min(initial=0) >= 0 and tab.max(initial=0) < q
-    marks = np.zeros((2, q), dtype=bool)
-    classes = []
-    for e, members in enumerate((ft.tr == 0, t1)):
-        image = tab[members].astype(np.intp)  # numpy scatters intp faster than int32
-        if not inside and _outside(image, q).any():
-            classes.append((NOT_A_CLASS, False))
-            continue
-        marks[e][image] = True
-        hit, in_t1 = np.count_nonzero(marks[e]), np.count_nonzero(marks[e] & t1)
-        classes.append((0 if in_t1 == 0 else 1 if in_t1 == hit else NOT_A_CLASS, hit == image.size))
-    return classes, classes[0][1] and classes[1][1] and not (marks[0] & marks[1]).any()
+def _class_images(ft, tables: int, values) -> list:
+    """For each of `tables` tables, given chunk by chunk by values(lo, hi), one array per
+    table of its values at x = lo..hi-1: for T_0 and T_1, the class holding the image
+    (NOT_A_CLASS if it meets both or leaves GF(q)) and whether the table is injective
+    there; and whether the table permutes GF(q): iff both are and the images do not overlap.
+
+    Each class's image is marked in its own bool row by plain stores, which are idempotent,
+    so chunks may mark in any order and on any thread (one shared `|=` scatter would keep
+    only the last write of an index). A chunk returns, per table and class, how many x it
+    holds, or None if a value leaves GF(q); after the sweep the rows are counted, and
+    their marks in T_1 counted chunk by chunk, so no whole-field temporary is made."""
+    q = ft.q
+    rows = np.zeros((tables, 2, q), dtype=bool)
+
+    def mark(lo: int, hi: int) -> list:
+        members = ft.tr[lo:hi] == 0, ft.tr[lo:hi] == 1
+        sizes = []
+        for marks, tab in zip(rows, values(lo, hi)):
+            for row, member in zip(marks, members):
+                image = tab[member].astype(np.intp)  # numpy scatters intp faster than int32
+                if _in_range(image, q):
+                    row[image] = True
+                    sizes.append(image.size)
+                else:
+                    sizes.append(None)
+        return sizes
+
+    chunks = _map_chunks(mark, 0, q)
+    out = []
+    for t, marks in enumerate(rows):
+        classes = []
+        for e, row in enumerate(marks):
+            sizes = [chunk[2 * t + e] for chunk in chunks]
+            if None in sizes:
+                classes.append((NOT_A_CLASS, False))
+                continue
+            hit = np.count_nonzero(row)
+            in_t1 = sum(np.count_nonzero(row[a:b] & (ft.tr[a:b] == 1))
+                        for a, b in _spans(0, q))
+            classes.append((0 if in_t1 == 0 else 1 if in_t1 == hit else NOT_A_CLASS,
+                            hit == sum(sizes)))
+        out.append((classes, classes[0][1] and classes[1][1]
+                    and not np.logical_and(marks[0], marks[1], out=marks[0]).any()))
+    return out
 
 
 def _expect_classes(sweep: CheckOutcome, classes, t1_target: int):
@@ -303,14 +394,18 @@ def run_check(name: str, cap: int):
 # ---------------------------------------------------------------------------
 
 def check_main_theorem(m: int, k: int) -> list[PermutationReport]:
-    """Brute-force permutation and trace-class behavior of H for all (alpha, gamma)."""
+    """Brute-force permutation and trace-class behavior of H for all (alpha, gamma):
+    per alpha, one occupancy pass over the chunks of x for both gamma."""
     ft = field_tables(m)
     reports = []
     for alpha in (0, 1):
         p = derive_params(m, k, alpha=alpha)
-        h_alpha = h_value_table(ft, p)
-        for gamma, h in enumerate((h_alpha, h_alpha ^ ft.tr)):
-            ((class0, bijective0), (class1, bijective1)), permutes = _class_images(ft, h)
+
+        def h_both_gammas(lo: int, hi: int):
+            h = h_value_table(ft, p, lo, hi)
+            return h, h ^ ft.tr[lo:hi]
+        for gamma, (((class0, bijective0), (class1, bijective1)), permutes) in enumerate(
+                _class_images(ft, 2, h_both_gammas)):
             reports.append(PermutationReport(
                 m=m, k=k, alpha=alpha, gamma=gamma,
                 is_permutation=permutes,
@@ -360,16 +455,16 @@ def check_nobauer(sweep: CheckOutcome, m_max: int):
 # properties of the linearized map pair
 # ---------------------------------------------------------------------------
 
-def _linear_map_parts(ft, tab: np.ndarray, par: int, frob_lhs, frob_rhs) -> tuple:
+def _linear_map_parts(ft, tab: np.ndarray, par: int, folded: dict, key) -> tuple:
     """fgprop's checks of one table, f_alpha or g_beta, as three records made once per
-    table and merged into each pair's: (i)-(ii) its trace multiplier `par` and value at 1,
-    (iii) frob_lhs[tab] + tab = frob_rhs[x] + x, (iv)-(v) its classes and permutation."""
-    xs = np.arange(ft.q, dtype=np.int32)
+    table and merged into each pair's: (i)-(ii) its trace multiplier `par`, the folded
+    slot (key, "i"), and its value at 1, (iii) the folded slot (key, "iii"), and
+    (iv)-(v) its classes and permutation, from one occupancy pass over its chunks."""
     parts = tuple(CheckOutcome("fgprop", {}) for _ in range(3))
-    parts[0].compare([xs], ft.tr[tab], par * ft.tr)
+    parts[0].merge(folded[key, "i"])
     parts[0].expect(int(tab[1]) == par, [1], tab[1], par)
-    parts[1].compare([xs], frob_lhs[tab] ^ tab, frob_rhs ^ xs)
-    classes, permutes = _class_images(ft, tab)
+    parts[1].merge(folded[key, "iii"])
+    [(classes, permutes)] = _class_images(ft, 1, lambda lo, hi: (tab[lo:hi],))
     _expect_classes(parts[2], classes, par)
     parts[2].expect(permutes == (par == 1), [par], permutes, par == 1)
     return parts
@@ -377,70 +472,110 @@ def _linear_map_parts(ft, tab: np.ndarray, par: int, frob_lhs, frob_rhs) -> tupl
 
 @_check("fgprop", _coprime_grid, 12)
 def check_fgprop(sweep: CheckOutcome, m: int, k: int):
+    """The f_alpha, g_beta and Frobenius tables are whole, as lookup tables; every
+    comparison on them is made chunk by chunk, before the pairs are walked in order."""
     ft = field_tables(m)
     q = ft.q
-    xs = np.arange(q, dtype=np.int32)
     frobk = ft.frobenius_table(k)
     fas = [f_alpha_table(ft, derive_params(m, k, alpha=alpha)) for alpha in (0, 1)]
     gs = [g_beta_table(ft, derive_params(m, k, beta=beta)) for beta in (0, 1)]
-    # g_0(ybar) for ybar = x + lambda*Tr(x), lambda = 0, 1
-    g0_ybar = [gs[0], gs[0][xs ^ ft.tr]]
-    # each table's own parts, made for the first pair that uses it
-    f_parts = functools.cache(lambda a, par: _linear_map_parts(ft, fas[a], par, frobk, ft.sq))
-    g_parts = functools.cache(lambda b, par: _linear_map_parts(ft, gs[b], par, ft.sq, frobk))
-
+    pairs = {(alpha, beta): derive_params(m, k, alpha=alpha, beta=beta)
+             for alpha in (0, 1) for beta in (0, 1)}
+    # only a pair whose two tables lie in GF(q) is swept; the walk below records the others
+    swept = [(a, b) for a, b in pairs if _in_range(fas[a], q) and _in_range(gs[b], q)]
+    # the trace multipliers of f_alpha and g_beta, each table's (i)
+    f_par = {a: (pairs[a, b].r + a * m) % 2 for a, b in swept}
+    g_par = {b: (k + b * m) % 2 for a, b in swept}
     # (vii) reads only g_beta, lambda and theta = beta + lambda*k mod 2, not alpha
-    @functools.cache
-    def vii_part(beta: int, lam: int, theta: int) -> CheckOutcome:
-        part = CheckOutcome("fgprop", {})
-        part.compare([xs], gs[beta], g0_ybar[lam] ^ (theta * ft.tr))
-        return part
+    vii = {(b, lam, derive_params(m, k, alpha=a, beta=b, lam=lam).theta)
+           for a, b in swept for lam in (0, 1)}
 
-    for alpha, fa in enumerate(fas):
-        for beta, g in enumerate(gs):
-            p = derive_params(m, k, alpha=alpha, beta=beta)
-            if not (sweep.in_field([alpha, beta], fa, q) and sweep.in_field([alpha, beta], g, q)):
-                continue
-            f_par = (p.r + alpha * m) % 2
-            g_par = (k + beta * m) % 2
-            # f (i), g (i), f (iii), g (iii), f (iv)-(v), g (iv)-(v): the order
-            # in which a sweep checking each pair's tables anew would meet them
-            for f_part, g_part in zip(f_parts(alpha, f_par), g_parts(beta, g_par)):
-                sweep.merge(f_part)
-                sweep.merge(g_part)
-            # (vi): composition collapses to x + delta*Tr(x)
-            delta = p.delta
-            target = xs ^ (delta * ft.tr)
-            sweep.compare([xs], fa[g], target)
-            sweep.compare([xs], g[fa], target)
-            sweep.expect((1 + delta * m) % 2 == (f_par * g_par) % 2,
-                         [alpha, beta], (1 + delta * m) % 2, (f_par * g_par) % 2)
-            # (vii): decomposition through g_0, for both lambda choices
-            for lam in (0, 1):
-                theta = derive_params(m, k, alpha=alpha, beta=beta, lam=lam).theta
-                sweep.merge(vii_part(beta, lam, theta))
-                if lam == delta:
-                    # the stated theta congruence is the lambda = delta instance
-                    lhs = (m * theta) % 2
-                    rhs = (k + beta * m + k * (1 + delta * m)) % 2
-                    sweep.expect(lhs == rhs, [alpha, beta, lam], lhs, rhs)
+    def compare_chunk(lo: int, hi: int) -> dict:
+        xs = np.arange(lo, hi, dtype=np.int32)
+        tr = ft.tr[lo:hi]
+        parts = {}
+
+        def compare(slot, lhs, rhs):
+            parts[slot] = CheckOutcome("fgprop", {})
+            parts[slot].compare([xs], lhs, rhs)
+        # (i) Tr(tab(x)) = par*Tr(x); (iii) frob_lhs[tab] + tab = frob_rhs[x] + x, with
+        # frob_lhs the Frobenius x^(2^k) and frob_rhs the squaring for f, and the reverse for g
+        for key, tab, par, frob_lhs, frob_rhs in (
+                *((("f", a), fas[a], f_par[a], frobk, ft.sq) for a in f_par),
+                *((("g", b), gs[b], g_par[b], ft.sq, frobk) for b in g_par)):
+            chunk = tab[lo:hi]
+            index = chunk.astype(np.intp)  # numpy gathers intp faster than int32
+            compare((key, "i"), ft.tr[index], par * tr)
+            compare((key, "iii"), frob_lhs[index] ^ chunk, frob_rhs[lo:hi] ^ xs)
+        # (vi): composition collapses to x + delta*Tr(x)
+        for a, b in swept:
+            target = xs ^ (pairs[a, b].delta * tr)
+            compare(("vi", a, b, "fg"), fas[a][gs[b][lo:hi].astype(np.intp)], target)
+            compare(("vi", a, b, "gf"), gs[b][fas[a][lo:hi].astype(np.intp)], target)
+        # (vii): g_beta = g_0(ybar) + theta*Tr for ybar = x + lambda*Tr(x)
+        for b, lam, theta in vii:
+            g0_ybar = gs[0][(xs ^ tr).astype(np.intp)] if lam else gs[0][lo:hi]
+            compare(("vii", b, lam, theta), gs[b][lo:hi], g0_ybar ^ (theta * tr))
+        return parts
+
+    folded = _sweep_chunks(compare_chunk, 0, q)
+    # each table's own parts, made for the first pair that uses it
+    f_parts = functools.cache(lambda a: _linear_map_parts(ft, fas[a], f_par[a], folded, ("f", a)))
+    g_parts = functools.cache(lambda b: _linear_map_parts(ft, gs[b], g_par[b], folded, ("g", b)))
+
+    for (alpha, beta), p in pairs.items():
+        if not (sweep.in_field([alpha, beta], fas[alpha], q)
+                and sweep.in_field([alpha, beta], gs[beta], q)):
+            continue
+        # f (i), g (i), f (iii), g (iii), f (iv)-(v), g (iv)-(v): the order
+        # in which a sweep checking each pair's tables anew would meet them
+        for f_part, g_part in zip(f_parts(alpha), g_parts(beta)):
+            sweep.merge(f_part)
+            sweep.merge(g_part)
+        # (vi): f(g(x)), then g(f(x)), and the parity of delta
+        delta = p.delta
+        sweep.merge(folded["vi", alpha, beta, "fg"])
+        sweep.merge(folded["vi", alpha, beta, "gf"])
+        f_g_par = f_par[alpha] * g_par[beta]
+        sweep.expect((1 + delta * m) % 2 == f_g_par % 2,
+                     [alpha, beta], (1 + delta * m) % 2, f_g_par % 2)
+        # (vii): decomposition through g_0, for both lambda choices
+        for lam in (0, 1):
+            theta = derive_params(m, k, alpha=alpha, beta=beta, lam=lam).theta
+            sweep.merge(folded["vii", beta, lam, theta])
+            if lam == delta:
+                # the stated theta congruence is the lambda = delta instance
+                lhs = (m * theta) % 2
+                rhs = (k + beta * m + k * (1 + delta * m)) % 2
+                sweep.expect(lhs == rhs, [alpha, beta, lam], lhs, rhs)
 
 
 @_check("hprop", _coprime_grid, 12)
 def check_hprop(sweep: CheckOutcome, m: int, k: int):
     """Both claims: the rewritten H form, and the trace multiplier of H."""
     ft = field_tables(m)
-    xs = np.arange(ft.q, dtype=np.int32)
-    for alpha in (0, 1):
-        p = derive_params(m, k, alpha=alpha)
-        fa = f_alpha_table(ft, p)
-        h_alpha = h_value_table(ft, p)
-        ratio = ft.pow_vec((fa, 1), (xs, -1))  # 0 at x = 0, where fa is 0
-        for gamma, h in enumerate((h_alpha, h_alpha ^ ft.tr)):
-            alt = ft.sq[ratio] ^ ratio ^ fa ^ (gamma * ft.tr)
-            sweep.compare([xs], h, alt)
-            par = (p.r + (alpha + gamma) * m) % 2
-            sweep.compare([xs], ft.tr[h], par * ft.tr)
+    params = [derive_params(m, k, alpha=alpha) for alpha in (0, 1)]
+
+    def compare_chunk(lo: int, hi: int) -> list:
+        xs = np.arange(lo, hi, dtype=np.int32)
+        tr = ft.tr[lo:hi]
+        parts = []
+        for alpha, p in enumerate(params):
+            fa = f_alpha_table(ft, p, lo, hi)
+            h_alpha = h_value_table(ft, p, lo, hi)
+            ratio = ft.pow_vec((fa, 1), (xs, -1))  # 0 at x = 0, where fa is 0
+            # numpy gathers intp faster than int32
+            alt = ft.sq[ratio.astype(np.intp)] ^ ratio ^ fa
+            del ratio, fa
+            for gamma, h in enumerate((h_alpha, h_alpha ^ tr)):
+                par = (p.r + (alpha + gamma) * m) % 2
+                for lhs, rhs in ((h, alt ^ (gamma * tr)), (ft.tr[h.astype(np.intp)], par * tr)):
+                    parts.append(CheckOutcome("hprop", {}))
+                    parts[-1].compare([xs], lhs, rhs)
+        return parts
+
+    for part in _sweep_chunks(compare_chunk, 0, ft.q).values():
+        sweep.merge(part)
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +629,6 @@ def check_perm_lemma(sweep: CheckOutcome, m: int, k: int):
             sweep.expect(observed == gcd_cond == predicted,
                          [widx, e], observed, predicted)
             sweep.tested += q - 1
-
-
-def _workers() -> int:
-    """The number of CPUs this process may run on (`taskset` narrows it)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _rotl(a, j: int, nbits: int):
@@ -575,11 +703,10 @@ def _zsum_chunk(et, k: int, g0: tuple[np.ndarray, np.ndarray], lo: int, hi: int)
 @_check("zsumexp", _coprime_grid, 10, EXT_MAX_DEGREE)
 def check_zsumexp(sweep: CheckOutcome, m: int, k: int):
     """Identities (i) and (ii) at every z = g^i of GF(q^2), i = 1..n-1 (so z != 0, 1),
-    chunk by chunk in log order on a thread pool (numpy releases the GIL in the
-    wrap-mode gathers); the parts are folded in chunk order: the serial outcome."""
-    # imported here: concurrent.futures loads logging, about 0.5 MB that no
-    # other check needs
-    from concurrent.futures import ThreadPoolExecutor
+    chunk by chunk in log order through `_sweep_chunks` (numpy releases the GIL in the
+    wrap-mode gathers). Each chunk is one slot, folded in chunk order, so the first
+    counterexample is that of the first failing chunk: its guard, else its first
+    failing comparison, then the first z; the serial outcome for any worker count."""
     et = ext_tables(m)
     g0 = et.g0_table(k)
     # _zsum_chunk uses the exp and g0 values as indices, and rotates the logs,
@@ -588,11 +715,8 @@ def check_zsumexp(sweep: CheckOutcome, m: int, k: int):
     if not (sweep.in_field([], et.exp, et.Q) and sweep.in_field([], et.log, et.n)
             and all(sweep.in_field([], half, et.Q) for half in g0)):
         return
-    starts = range(1, et.n, _CHUNK_ELEMENTS)
-    with ThreadPoolExecutor(max_workers=min(_workers(), len(starts))) as pool:
-        for part in pool.map(lambda lo: _zsum_chunk(et, k, g0, lo,
-                                                    min(lo + _CHUNK_ELEMENTS, et.n)), starts):
-            sweep.merge(part)
+    for part in _sweep_chunks(lambda lo, hi: [_zsum_chunk(et, k, g0, lo, hi)], 1, et.n).values():
+        sweep.merge(part)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +817,8 @@ def check_remark4(sweep: CheckOutcome, m: int, k: int):
     ft = field_tables(m)
     h00 = h_value_table(ft, p00)
     h01 = h00 ^ ft.tr
-    (classes00, _), (classes01, h01_permutes) = _class_images(ft, h00), _class_images(ft, h01)
+    (classes00, _), (classes01, h01_permutes) = _class_images(
+        ft, 2, lambda lo, hi: (h00[lo:hi], h01[lo:hi]))
     for classes, t1_target in ((classes00, 0), (classes01, 1)):
         _expect_classes(sweep, classes, t1_target)
         sweep.tested += ft.q - 2

@@ -182,6 +182,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.format not in (None, "json"):
+        raise OutOfRange(f"verify writes NDJSON only, not --format {args.format}")
     names = list(checks.CHECKS) if args.suite == "all" else [args.suite]
     if args.m_max and args.m_max < 2:
         raise OutOfRange(f"--m-max {args.m_max} is below 2 (0 selects each check's default)")
@@ -209,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permpoly",
         description="Permutation-polynomial family over GF(2^m): evaluation and verification.")
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    # unset means text, except for verify, which writes NDJSON and refuses csv and text
+    parser.add_argument("--format", choices=("json", "csv", "text"))
     parser.add_argument("--out", help="write output to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 

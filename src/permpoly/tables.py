@@ -16,7 +16,8 @@ where it could pass 2^31, and the `zsumexp` kernel's products are bit rotations.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import xor
 
 import numpy as np
 
@@ -59,9 +60,20 @@ def _linearized_images(sq: np.ndarray, poly: frozenset) -> list[int]:
     return images.tolist()
 
 
-def _linearized_table(sq: np.ndarray, poly: frozenset) -> np.ndarray:
-    """Tabulate sum(x^e for e in poly) over the field with squaring table `sq`."""
-    return _subset_xor_table(_linearized_images(sq, poly))
+def _linearized_table(sq: np.ndarray, poly: frozenset, lo: int = 0,
+                      hi: int | None = None) -> np.ndarray:
+    """Tabulate sum(x^e for e in poly) at x = lo..hi-1 (by default the whole
+    field) over the field with squaring table `sq`, index x - lo: a slice of
+    the table over the low bits that vary in the range, XOR the image of the
+    bits above them, which do not. A chunk of 2^j aligned x costs a 2^j table."""
+    images = _linearized_images(sq, poly)
+    hi = len(sq) if hi is None else hi
+    low = (lo ^ (hi - 1)).bit_length()
+    base = lo >> low << low
+    table = _subset_xor_table(images[:low])[lo - base:hi - base]
+    if const := reduce(xor, (img for j, img in enumerate(images) if base >> j & 1), 0):
+        table ^= const
+    return table
 
 
 def _exp_by_doubling(nbits: int, mul, gen: int) -> np.ndarray:
@@ -209,21 +221,23 @@ def field_tables(m: int) -> FieldTables:
     return FieldTables(make_field(m))
 
 
-def f_alpha_table(ft: FieldTables, p: ParamSet) -> np.ndarray:
-    return _linearized_table(ft.sq, f_alpha_poly(p))
+def f_alpha_table(ft: FieldTables, p: ParamSet, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """f_alpha at x = lo..hi-1, by default the whole field; index x - lo."""
+    return _linearized_table(ft.sq, f_alpha_poly(p), lo, hi)
 
 
 def g_beta_table(ft: FieldTables, p: ParamSet) -> np.ndarray:
     return _linearized_table(ft.sq, g_beta_poly(p))
 
 
-def h_value_table(ft: FieldTables, p: ParamSet) -> np.ndarray:
-    """H values over the whole field, index = element bit pattern; 0 at x = 0,
-    where f_alpha is 0."""
-    fa = f_alpha_table(ft, p)
-    h = ft.pow_vec((fa, p.sigma + 1), (np.arange(ft.q, dtype=np.int32), -2))
+def h_value_table(ft: FieldTables, p: ParamSet, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """H at x = lo..hi-1, by default the whole field; index x - lo, so over the
+    whole field the element bit pattern. 0 at x = 0, where f_alpha is 0."""
+    hi = ft.q if hi is None else hi
+    fa = f_alpha_table(ft, p, lo, hi)
+    h = ft.pow_vec((fa, p.sigma + 1), (np.arange(lo, hi, dtype=np.int32), -2))
     if p.gamma:
-        h ^= ft.tr
+        h ^= ft.tr[lo:hi]
     return h
 
 

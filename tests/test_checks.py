@@ -1,5 +1,8 @@
 import inspect
 import json
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -64,7 +67,7 @@ def _class_images_by_sets(tr: np.ndarray, tab: np.ndarray, q: int):
     return tuple(classes), sorted(tab.tolist()) == list(range(q))
 
 
-def test_class_images_match_a_set_count():
+def test_class_images_match_a_set_count(monkeypatch):
     rng = np.random.default_rng(2004)
     for m in (2, 3, 6):
         ft = field_tables(m)
@@ -86,8 +89,13 @@ def test_class_images_match_a_set_count():
                 tabs += [tab, collided, corrupted]
             for tab in tabs:
                 expected = _class_images_by_sets(ft.tr, tab, q)
-                classes, permutes = _class_images(ft, tab)
-                assert (tuple(classes), permutes) == expected, (q, tab)
+                # one chunk, and folded over two to four chunks, the last
+                # one shorter, that two workers mark side by side
+                for chunk, workers in ((_CHUNK_ELEMENTS, 1), (q // 4 + 1, 2)):
+                    monkeypatch.setattr(checks, "_CHUNK_ELEMENTS", chunk)
+                    monkeypatch.setattr(checks, "_workers", lambda: workers)
+                    [(classes, permutes)] = _class_images(ft, 1, lambda lo, hi: (tab[lo:hi],))
+                    assert (tuple(classes), permutes) == expected, (q, chunk, tab)
                 seen.add(expected)
         # the cases cover a permutation, overlapping bijective images, an
         # image in GF(q) that meets both classes, and one outside GF(q)
@@ -419,7 +427,8 @@ def test_each_registered_check_keeps_its_name_and_signature():
 
 
 #: checker, its arguments, and how many tables it builds through each builder
-#: it calls: one per parameter the table depends on (gamma only adds Tr to H)
+#: it calls: one per parameter the table depends on (gamma only adds Tr to H);
+#: main_theorem and hprop build f_alpha and H per chunk, and m = 5 is one chunk
 TABLE_BUILDS = {
     "main_theorem": (check_main_theorem_outcome, (5, 2), {"h_value_table": 2}),
     "hprop": (check_hprop, (5, 2), {"f_alpha_table": 2, "h_value_table": 2}),
@@ -460,9 +469,12 @@ def test_each_table_gets_one_occupancy_pass(monkeypatch, label):
     fn, args, expected = OCCUPANCY_PASSES[label]
     tables = []
 
-    def counted(ft, tab, orig=checks._class_images):
-        tables.append(tab)
-        return orig(ft, tab)
+    def counted(ft, count, values, orig=checks._class_images):
+        def recorded(lo, hi):  # one chunk at m = 5: the whole table
+            tabs = values(lo, hi)
+            tables.extend(tabs)
+            return tabs
+        return orig(ft, count, recorded)
     monkeypatch.setattr(checks, "_class_images", counted)
     assert fn(*args).passed
     assert len(tables) == expected
@@ -555,14 +567,140 @@ def test_fgprop_folds_its_table_parts_in_the_serial_order(monkeypatch):
         (False, 1064, {"inputs": ["3"], "lhs": "1", "rhs": "0"})
 
 
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_map_chunks_keeps_chunk_order_and_raises_the_first_failure(monkeypatch, workers):
+    monkeypatch.setattr(checks, "_CHUNK_ELEMENTS", 3)
+    monkeypatch.setattr(checks, "_workers", lambda: workers)
+    assert checks._map_chunks(lambda lo, hi: (lo, hi), 1, 12) == \
+        [(1, 4), (4, 7), (7, 10), (10, 12)]
+
+    def failing(lo, hi):
+        if lo in (7, 13):
+            raise ValueError(lo)
+        return lo
+    # chunk 7 fails first in chunk order, whichever thread meets chunk 13 first
+    with pytest.raises(ValueError, match="^7$"):
+        checks._map_chunks(failing, 1, 20)
+
+
+def test_map_chunks_claims_each_chunk_once_under_contention(monkeypatch):
+    # eight threads, more than the cores, switching every microsecond: a chunk
+    # claimed twice, or a result stored in the wrong slot, shows in the calls
+    monkeypatch.setattr(checks, "_CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(checks, "_workers", lambda: 8)
+    calls, out = [], []
+
+    def body(lo, hi):
+        time.sleep(0)  # lets the other threads in between claim and store
+        calls.append(lo)
+        return lo
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: out.append(checks._map_chunks(body, 0, 500)))
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert out == [list(range(500))]
+    assert sorted(calls) == list(range(500))
+
+
+def _corrupt_entries(monkeypatch, name, entries, new):
+    """Make checks.<name> (h_value_table, f_alpha_table or g_beta_table) return a copy
+    of its range of x with the entry of each x in `entries` that it holds set to
+    new(table), where table is what the builder returns over the whole field for the
+    same parameters: so the whole table is corrupted alike however it is chunked."""
+    orig = getattr(checks, name)
+
+    def corrupted(ft, p, *span):
+        out = orig(ft, p, *span).copy()
+        lo = span[0] if span else 0
+        for i in entries:
+            if lo <= i < lo + out.size:
+                out[i - lo] = new(orig(ft, p))
+        return out
+    monkeypatch.setattr(checks, name, corrupted)
+
+
+def _outcome(fn, args):
+    """(passed, tested, counterexample) of fn(*args), or the type of what it raised."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # an out-of-field index the check does not guard
+        return type(exc)
+    return out.passed, out.tested, out.counterexample
+
+
+#: the base-field checks swept in chunks, and the tables each reads through a builder
+CHUNKED_CHECKS = {
+    "main_theorem": (check_main_theorem_outcome, ("h_value_table",)),
+    "fgprop": (check_fgprop, ("f_alpha_table", "g_beta_table")),
+    "hprop": (check_hprop, ("f_alpha_table", "h_value_table")),
+}
+
+
+@pytest.mark.parametrize("m, k", [(7, 3), (8, 5), (9, 2), (10, 7)])
+@pytest.mark.parametrize("label", CHUNKED_CHECKS)
+def test_base_field_outcome_does_not_depend_on_chunk_size_or_workers(monkeypatch, label, m, k):
+    # at m <= 15 the field is one chunk of 2^15; in chunks of 2^6 it is 2 to 16.
+    # Entries q/2 + 3 and q - 5 are corrupted, in two late chunks, so that a
+    # comparison can fail in both, and a collision copies entry 9, in the first.
+    fn, names = CHUNKED_CHECKS[label]
+    q = 1 << m
+    corruptions = [(None, None)] + [
+        (name, new) for name in names
+        for new in (lambda tab: tab[9], lambda tab: -1, lambda tab: 1 << 24)]
+    for name, new in corruptions:
+        with monkeypatch.context() as mp:
+            if name is not None:
+                _corrupt_entries(mp, name, (q // 2 + 3, q - 5), new)
+            expected = _outcome(fn, (m, k))
+            if name is None:
+                assert expected[0] and expected[2] is None, expected
+            else:  # each corruption is seen
+                assert isinstance(expected, type) or not expected[0], (name, expected)
+            mp.setattr(checks, "_CHUNK_ELEMENTS", 1 << 6)
+            for workers in (1, 2):
+                mp.setattr(checks, "_workers", lambda: workers)
+                assert _outcome(fn, (m, k)) == expected, (name, workers)
+
+
+#: the bound in MiB on the numpy and Python allocations, beyond the cached
+#: FieldTables(18), of each base-field check at (18, 5) with one worker: the
+#: tracemalloc peaks read 2.3, 1.6 and 6.1 MiB, against 7.1, 11.1 and 12.5 MiB
+#: when each comparison was made on whole-field arrays; fgprop also holds its
+#: five whole lookup tables, 5 MiB
+BASE_SWEEP_PEAK_MIB = {
+    "main_theorem": (check_main_theorem_outcome, 4),
+    "hprop": (check_hprop, 4),
+    "fgprop": (check_fgprop, 7),
+}
+
+
+@pytest.mark.parametrize("label", BASE_SWEEP_PEAK_MIB)
+def test_base_field_checks_hold_little_beyond_their_tables(monkeypatch, label):
+    fn, bound = BASE_SWEEP_PEAK_MIB[label]
+    monkeypatch.setattr(checks, "_workers", lambda: 1)  # inline, one chunk at a time
+    field_tables(18)
+    tracemalloc.start()
+    try:
+        out = fn(18, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.passed and peak < bound << 20, peak / (1 << 20)
+
+
 def _no_class_on_t1(monkeypatch):
     # a table whose T_1 image meets both classes fails fgprop's (i),
     # Tr(f(x)) = par*Tr(x), before (iv) looks at it, so here the label is faked
     orig = checks._class_images
 
-    def no_class_on_t1(ft, tab):
-        (t0, _), permutes = orig(ft, tab)
-        return [t0, (NOT_A_CLASS, False)], permutes
+    def no_class_on_t1(ft, count, values):
+        return [([t0, (NOT_A_CLASS, False)], permutes)
+                for (t0, _), permutes in orig(ft, count, values)]
     monkeypatch.setattr(checks, "_class_images", no_class_on_t1)
 
 
@@ -792,10 +930,9 @@ def test_an_out_of_field_g0_value_fails_zsumexp(monkeypatch):
 
 
 def test_zsumexp_holds_little_beyond_its_tables(monkeypatch):
-    # one chunk at a time; g0 as two 2^10-entry halves, not a 4 MiB table,
-    # and a chunk holds only the temporaries it has yet to compare
+    # one chunk at a time, inline; g0 as two 2^10-entry halves, not a 4 MiB
+    # table, and a chunk holds only the temporaries it has yet to compare
     monkeypatch.setattr(checks, "_workers", lambda: 1)
-    check_zsumexp(3, 1)  # the thread pool's first imports are not the sweep's
     ext_tables(10)
     tracemalloc.start()
     try:

@@ -196,6 +196,26 @@ def test_verify_single_suite(capsys):
     assert all(r["counterexample"] is None for r in rows)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_verify_refuses_a_format_other_than_json(tmp_path, capsys, fmt):
+    # exit 2 with one line, before any check runs or the --out file is opened
+    path = tmp_path / "out.ndjson"
+    code, out, err = run(capsys, "--format", fmt, "--out", str(path), "verify",
+                         "--suite", "zsumexp", "--m-max", "2")
+    assert code == 2 and out == "" and not path.exists()
+    assert len(err.strip().splitlines()) == 1 and f"--format {fmt}" in err
+
+
+def test_verify_writes_ndjson_with_no_format_or_json(capsys):
+    outputs = []
+    for argv in ([], ["--format", "json"]):
+        code, out, _ = run(capsys, *argv, "verify", "--suite", "zsumexp", "--m-max", "2")
+        assert code == 0
+        outputs.append([{key: value for key, value in json.loads(line).items() if key != "ms"}
+                        for line in out.splitlines()])
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 1
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nonsense")
     assert code == 2 and "unknown check" in err
