@@ -24,8 +24,8 @@ from .field import MAX_DEGREE, coprime_ks, make_field
 from .maps import dickson_exponents
 from .params import derive_params
 from .sparsepoly import expand_h, sp_add, sp_reduce_mod_field, trace_poly
-from .tables import (EXT_MAX_DEGREE, ext_tables, f_alpha_table, field_tables,
-                     g_beta_table, h_value_table)
+from .tables import (_CHUNK_ELEMENTS, EXT_MAX_DEGREE, ext_tables, f_alpha_table,
+                     field_tables, g_beta_table, h_value_table)
 
 NOT_A_CLASS = -1
 
@@ -33,15 +33,6 @@ NOT_A_CLASS = -1
 MUL_TABLE_M_MAX = 5
 #: the largest k_max of dickson_linearized
 LINEARIZED_K_MAX = 16
-
-#: elements per chunk of a chunked sweep: the x of one chunk of main_theorem, fgprop and
-#: hprop, or the logs of z of one chunk of zsumexp, with workers x this many in flight,
-#: each with a few dozen chunk-sized temporaries; or the widest grid of one block of n in
-#: nobauer and dickson_methods. So memory beyond the tables grows with neither the field
-#: nor the number of n. A field of at most this many elements (m <= 15) is one chunk,
-#: swept inline. The first counterexample does not depend on this size or on the worker
-#: count: `_sweep_chunks` folds each comparison over all chunks before the next.
-_CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass
@@ -681,8 +672,8 @@ def _zsum_chunk(et, k: int, g0: tuple[np.ndarray, np.ndarray], lo: int, hi: int)
     # (ii): both displayed identities; the first has the right side of (i)
     yinv = exp.take(-ly, mode="wrap")
     del ly
-    gsq = et.sq.take(g0[0].take(yinv & (et.q - 1), mode="wrap")
-                     ^ g0[1].take(yinv >> et.m, mode="wrap"), mode="wrap")
+    gsq = et.square(g0[0].take(yinv & (et.q - 1), mode="wrap")
+                    ^ g0[1].take(yinv >> et.m, mode="wrap"))
     del yinv
     sweep.compare([z], gsq, rhs)
     del rhs

@@ -2,12 +2,12 @@
 
 Per-element work is table lookups on numpy arrays, derived from the reference
 arithmetic in `field` and the exponent sets in `sparsepoly`: linearized
-polynomials (trace, T_k, f_alpha, g_beta, Frobenius powers) from the squaring
-table's images of the polynomial basis, products of powers through log/antilog
+polynomials (trace, T_k, f_alpha, g_beta, Frobenius powers) from the images of
+the polynomial basis under squaring, products of powers through log/antilog
 tables (`_LogTables.pow_vec`), and the circle B_1 of GF(2^2m) as the GF(2^m)
 values z^i + z^-i (`FieldTables.circle`): only `zsumexp` and the benchmark build
-the packed GF(2^2m) `ExtTables`. The scalar evaluators in `maps` stay an
-independent oracle for these tables.
+the packed GF(2^2m) `ExtTables`, whose only Q-sized tables are exp and log (128 MB
+at m = 12). The scalar evaluators in `maps` stay an independent oracle for these tables.
 
 Every table is int32 (no element or log reaches 2^24), signed so that a corrupted
 -1 reads as outside the field; `pow_vec` and `dickson_vec` widen a product to int64
@@ -26,9 +26,17 @@ from .field import FieldSpec, extension_of, make_field, prime_factors
 from .params import ParamSet
 from .sparsepoly import f_alpha_poly, g_beta_poly, sp_reduce_mod_field, trace_poly
 
-#: largest m for which GF(2^2m) tables are built; at m = 12 the exp, log and
-#: squaring tables alone take about 0.2 GB
+#: largest m for which GF(2^2m) tables are built; at m = 12 exp and log take 128 MB
 EXT_MAX_DEGREE = 12
+
+#: elements per chunk: the x of one chunk of main_theorem, fgprop and hprop, or the logs
+#: of z of one chunk of zsumexp, with workers x this many in flight, each with a few dozen
+#: chunk-sized temporaries; the widest grid of one block of n in nobauer and dickson_methods;
+#: one piece of an exp or log build. So memory beyond the tables grows with neither the
+#: field nor the number of n. A field of at most this many elements (m <= 15) is one chunk,
+#: swept inline. The first counterexample depends on neither this size nor the worker
+#: count: `_sweep_chunks` folds each comparison over all chunks before the next.
+_CHUNK_ELEMENTS = 1 << 15
 
 
 def _subset_xor_table(images: list[int]) -> np.ndarray:
@@ -40,18 +48,17 @@ def _subset_xor_table(images: list[int]) -> np.ndarray:
     return table
 
 
-def _linearized_images(sq: np.ndarray, poly: frozenset) -> list[int]:
+def _linearized_images(square, nbits: int, poly: frozenset) -> list[int]:
     """The images of the basis bits 1 << i under sum(x^e for e in poly), over
-    the field with squaring table `sq`.
+    GF(2^nbits) with squaring `square` on arrays of elements.
 
     Every exponent must be a power of 2, so the map is F_2-linear: x^(2^j)
-    of the basis element 1 << i is read off the squaring table, with j taken
-    mod the degree since the Frobenius map has that order.
+    of the basis element 1 << i is squared j times, with j taken mod the
+    degree since the Frobenius map has that order.
     """
-    nbits = len(sq).bit_length() - 1
     orbit = [1 << np.arange(nbits, dtype=np.int64)]
     for _ in range(nbits - 1):
-        orbit.append(sq[orbit[-1]])
+        orbit.append(square(orbit[-1]))
     images = np.zeros(nbits, dtype=np.int64)
     for e in poly:
         if e < 1 or e & (e - 1):
@@ -66,7 +73,7 @@ def _linearized_table(sq: np.ndarray, poly: frozenset, lo: int = 0,
     field) over the field with squaring table `sq`, index x - lo: a slice of
     the table over the low bits that vary in the range, XOR the image of the
     bits above them, which do not. A chunk of 2^j aligned x costs a 2^j table."""
-    images = _linearized_images(sq, poly)
+    images = _linearized_images(sq.take, len(sq).bit_length() - 1, poly)
     hi = len(sq) if hi is None else hi
     low = (lo ^ (hi - 1)).bit_length()
     base = lo >> low << low
@@ -79,9 +86,9 @@ def _linearized_table(sq: np.ndarray, poly: frozenset, lo: int = 0,
 def _exp_by_doubling(nbits: int, mul, gen: int) -> np.ndarray:
     """gen^i for 0 <= i < 2^nbits - 1 in nbits doubling steps, under `mul`.
 
-    Each step sets exp[size:2*size] = gen^size * exp[:size], the F_2-linear
-    product by a constant tabulated on the low and high halves of the bits.
-    Raises ArithmeticError unless each nonzero element occurs exactly once.
+    Each step sets exp[size:2*size] = gen^size * exp[:size] in _CHUNK_ELEMENTS pieces,
+    the F_2-linear product by a constant tabulated on the low and high halves of the
+    bits. Raises ArithmeticError unless each nonzero element occurs exactly once.
     """
     n = (1 << nbits) - 1
     half = nbits // 2
@@ -91,32 +98,36 @@ def _exp_by_doubling(nbits: int, mul, gen: int) -> np.ndarray:
     while size < n:
         images = [mul(step, 1 << j) for j in range(nbits)]
         lo, hi = _subset_xor_table(images[:half]), _subset_xor_table(images[half:])
-        src = exp[:min(size, n - size)]
-        exp[size:size + src.size] = lo[src & ((1 << half) - 1)] ^ hi[src >> half]
-        size, step = size + src.size, mul(step, step)
+        count = min(size, n - size)
+        for a in range(0, count, _CHUNK_ELEMENTS):
+            src = exp[a:min(a + _CHUNK_ELEMENTS, count)]
+            exp[size + a:size + a + src.size] = lo.take(src & (lo.size - 1)) ^ hi.take(src >> half)
+        size, step = size + count, mul(step, step)
     # n powers that meet all n nonzero elements meet each once; a bool mask,
     # unlike a bincount, makes no 8-byte copy or count per element
     seen = np.zeros(n + 1, dtype=bool)
-    seen[exp] = True
+    for a in range(0, n, _CHUNK_ELEMENTS):
+        seen[exp[a:a + _CHUNK_ELEMENTS]] = True
     if seen[0] or not seen[1:].all():
         raise ArithmeticError(f"{gen:#x} is not primitive in GF(2^{nbits})")
     return exp
 
 
 class _LogTables:
-    """Antilog, log (log[0] a sentinel) and squaring tables `exp`, `log`, `sq` of
-    GF(2^nbits), with n nonzero elements, from its product `mul`, powers `pow_` and
-    squaring `square` on bit patterns; `exp` from the first primitive element >= start."""
+    """Antilog and log tables `exp`, `log` (log[0] a sentinel) of GF(2^nbits), with n
+    nonzero elements, from its product `mul` and powers `pow_` on bit patterns; `exp`
+    from the first primitive element >= start, `log` filled in _CHUNK_ELEMENTS pieces."""
 
-    def __init__(self, nbits: int, mul, pow_, square, start: int):
+    def __init__(self, nbits: int, mul, pow_, start: int):
         n = self.n = (1 << nbits) - 1
         primes = prime_factors(n)
         gen = next(c for c in range(start, n + 1)
                    if all(pow_(c, n // p) != 1 for p in primes))
         self.exp = _exp_by_doubling(nbits, mul, gen)
         self.log = np.zeros(n + 1, dtype=np.int32)
-        self.log[self.exp] = np.arange(n, dtype=np.int32)
-        self.sq = _subset_xor_table([square(1 << j) for j in range(nbits)])
+        for a in range(0, n, _CHUNK_ELEMENTS):
+            part = self.exp[a:a + _CHUNK_ELEMENTS]
+            self.log[part] = np.arange(a, a + part.size, dtype=np.int32)
 
     def pow_vec(self, *factors) -> np.ndarray:
         """The elementwise product of u^e over the (u, e) factors: 0 wherever
@@ -153,14 +164,15 @@ class _LogTables:
 
 
 class FieldTables(_LogTables):
-    """log/exp/trace tables for one GF(2^m), m >= 2."""
+    """log/exp, squaring and trace tables for one GF(2^m), m >= 2."""
 
     def __init__(self, spec: FieldSpec):
         if spec.m < 2:
             raise ValueError("tables need m >= 2")
         self.spec = spec
         self.q = spec.q
-        super().__init__(spec.m, spec.mul, spec.pow, spec.square, 2)
+        super().__init__(spec.m, spec.mul, spec.pow, 2)
+        self.sq = _subset_xor_table([spec.square(1 << j) for j in range(spec.m)])
         self.tr = _linearized_table(self.sq, trace_poly(spec.m))
 
     def frobenius_table(self, k: int) -> np.ndarray:
@@ -242,7 +254,8 @@ def h_value_table(ft: FieldTables, p: ParamSet, lo: int = 0, hi: int | None = No
 
 
 class ExtTables(_LogTables):
-    """Packed log/exp tables for GF(q^2), elements a | (b << m), that zsumexp sweeps."""
+    """Packed log/exp tables for GF(q^2), elements a | (b << m), that zsumexp sweeps, and
+    squaring as two q-entry halves: z^2 = sq_lo[z & (q-1)] ^ sq_hi[z >> m]."""
 
     def __init__(self, m: int):
         if not 2 <= m <= EXT_MAX_DEGREE:
@@ -256,13 +269,19 @@ class ExtTables(_LogTables):
         # every element below q lies in GF(q)*, whose order divides q - 1,
         # so no primitive element of GF(q^2) is skipped by starting at q
         super().__init__(2 * m, lambda a, b: pack(ext.mul(unpack(a), unpack(b))),
-                         lambda c, e: pack(ext.pow(unpack(c), e)),
-                         lambda a: pack(ext.square(unpack(a))), self.q)
+                         lambda c, e: pack(ext.pow(unpack(c), e)), self.q)
+        images = [pack(ext.square(unpack(1 << j))) for j in range(2 * m)]
+        self.sq_lo, self.sq_hi = _subset_xor_table(images[:m]), _subset_xor_table(images[m:])
+
+    def square(self, z: np.ndarray) -> np.ndarray:
+        """z^2 for packed z in GF(q^2), through the two halves, in wrap-mode takes."""
+        return (self.sq_lo.take(z & (self.q - 1), mode="wrap")
+                ^ self.sq_hi.take(z >> self.m, mode="wrap"))
 
     def g0_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k-term linearized map g0 = z + z^2 + ... + z^(2^(k-1)) as two 2^m-entry
         halves (lo, hi), one per half of the bits: g0(u) = lo[u & (q-1)] ^ hi[u >> m]."""
-        images = _linearized_images(self.sq, trace_poly(k))
+        images = _linearized_images(self.square, 2 * self.m, trace_poly(k))
         return _subset_xor_table(images[:self.m]), _subset_xor_table(images[self.m:])
 
     def b1_packed(self) -> np.ndarray:

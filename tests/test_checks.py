@@ -188,13 +188,21 @@ def test_rotation_is_a_product_by_a_power_of_two(nbits):
         assert got.tolist() == [(int(v) << j) % n for v in a], j
 
 
+def _whole_square(et) -> np.ndarray:
+    """The whole 4^m-entry squaring table that ExtTables' halves hold, z = lo | hi << m:
+    sq_hi[hi] ^ sq_lo[lo] for every (hi, lo), so that it reads each entry of both
+    halves, also one that a test corrupts."""
+    return np.bitwise_xor.outer(et.sq_hi, et.sq_lo).ravel()
+
+
 def _zsum_reference(et, k: int):
     """zsumexp in log order over z = exp[i], i = 1..n-1, with each log product
-    an int64 reduced by % n and g0 the full T_k table: z, the log of each z
-    that the guard compares with i (-1 for z = 0 or 1), and the (lhs, rhs)
-    pairs that it compares, in order."""
+    an int64 reduced by % n, the whole squaring table and g0 the full T_k table
+    from it: z, the log of each z that the guard compares with i (-1 for z = 0
+    or 1), and the (lhs, rhs) pairs that it compares, in order."""
     n, sigma = et.n, 1 << k
-    g0 = _linearized_table(et.sq, trace_poly(k))
+    sq = _whole_square(et)
+    g0 = _linearized_table(sq, trace_poly(k))
     e = lambda x: et.exp[x % n]  # noqa: E731
     i = np.arange(1, n, dtype=np.int64)
     z = e(i)
@@ -206,7 +214,7 @@ def _zsum_reference(et, k: int):
     t, yw1 = w0 ^ w0inv, w1 ^ w1inv
     rhs = np.where(t == 0, 0, e(et.log[t] - (sigma + 1) * ly))
     rhs1 = np.where(yw1 == 0, 0, e(et.log[yw1] - (sigma + 1) * ly))
-    gsq = et.sq[g0[e(-ly)]]
+    gsq = sq[g0[e(-ly)]]
     logz = np.where(z < 2, -1, et.log[z])
     return z, logz, [(lhs, rhs), (gsq, rhs), (1 ^ gsq, rhs1),
                       (e((sigma + 1) * ly), w1 ^ w0 ^ w0inv ^ w1inv)]
@@ -236,9 +244,9 @@ def test_zsum_chunk_matches_a_modulo_reference_on_corrupted_tables(monkeypatch, 
     compare = CheckOutcome.compare
     for k in coprime_ks(m):
         et = ExtTables(m)  # not the cached ext_tables(m), which other tests read
-        for tab in (et.exp, et.sq):
+        for tab in (et.exp, et.sq_lo, et.sq_hi):
             tab[rng.integers(1, tab.size, 3)] ^= 1
-        # the reference reads the full g0 table, the chunk its two halves
+        # the reference reads the whole squaring and g0 tables, the chunk their halves
         reference = _zsum_reference(et, k)
         pairs, expected = reference[2], _zsum_fold(reference, et.n)
         assert expected.counterexample is not None, k
@@ -830,15 +838,16 @@ def test_perm_lemma_names_the_value_with_wrong_preimages(monkeypatch, label):
 ZSUM_TESTED = 4 * ((1 << 18) - 2)
 
 #: label -> (ExtTables(9) table, entries, k, the new value or None to flip
-#: bit 0), and the (tested, counterexample); every entry lies past the first
-#: zsumexp chunk. The counterexamples of flipped entries are the modulo
-#: reference's, folded in log-order chunks. An exp value outside GF(2^18)
-#: fails the check before the sweep, where it used to raise IndexError in a chunk.
+#: bit 0), and the (tested, counterexample); every exp entry lies past the first
+#: zsumexp chunk, while an entry of a 2^9-entry squaring half is met in every
+#: chunk. The counterexamples of flipped entries are the modulo reference's,
+#: folded in log-order chunks. An exp value outside GF(2^18) fails the check
+#: before the sweep, where it used to raise IndexError in a chunk.
 ZSUM_CORRUPTED = {
-    "sq": (("sq", (150000,), 2, None),
-           (ZSUM_TESTED, {"inputs": ["13352"], "lhs": "32d69", "rhs": "32d68"})),
-    "sq_twice": (("sq", (40000, 250000), 5, None),
-                 (ZSUM_TESTED, {"inputs": ["1fd89"], "lhs": "37cdf", "rhs": "37cde"})),
+    "sq": (("sq_lo", (300,), 2, None),
+           (ZSUM_TESTED, {"inputs": ["126e"], "lhs": "a187", "rhs": "a186"})),
+    "sq_twice": (("sq_hi", (40, 250), 5, None),
+                 (ZSUM_TESTED, {"inputs": ["3a351"], "lhs": "274e3", "rhs": "274e2"})),
     "exp_twice": (("exp", (70000, 200000), 2, None),
                   (ZSUM_TESTED, {"inputs": ["1135d"], "lhs": "32017", "rhs": "328e"})),
     "exp_out_of_range": (("exp", (100000,), 2, 1 << 18),

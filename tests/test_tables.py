@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +11,14 @@ import pytest
 
 import permpoly
 from permpoly import (INFINITY, OutOfRange, build_b_set, coprime_ks, derive_params,
-                      extension_of, phi, w_map)
+                      extension_of, phi, tables, w_map)
 from permpoly.checks import _b_sets
+from permpoly.field import make_field
 from permpoly.maps import dickson_functional, dickson_recurrence, eval_h
 from permpoly.sparsepoly import trace_poly
-from permpoly.tables import (ExtTables, _exp_by_doubling, _linearized_table, ext_tables,
-                             f_alpha_table, field_tables, g_beta_table, h_value_table)
+from permpoly.tables import (ExtTables, FieldTables, _exp_by_doubling, _linearized_table,
+                             _subset_xor_table, ext_tables, f_alpha_table, field_tables,
+                             g_beta_table, h_value_table)
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(permpoly.__file__).resolve().parents[1])}
 
@@ -176,6 +179,11 @@ def test_doubling_rejects_non_primitive_elements():
             _exp_by_doubling(6, ext_mul, base_element)
 
 
+def _whole_square(et) -> np.ndarray:
+    """The whole squaring table that ExtTables' halves hold, z = lo | hi << m."""
+    return np.bitwise_xor.outer(et.sq_hi, et.sq_lo).ravel()
+
+
 def test_g0_halves_give_the_full_linearized_table():
     def joined(et, k):
         lo, hi = et.g0_table(k)
@@ -185,15 +193,79 @@ def test_g0_halves_give_the_full_linearized_table():
 
     for m in range(2, 11):
         et = ext_tables(m)
+        assert et.sq_lo.size == et.sq_hi.size == et.q, m
+        # the whole table from the halves' basis images: clean halves are F_2-linear
+        basis = 1 << np.arange(m)
+        sq = _subset_xor_table(et.sq_lo[basis].tolist() + et.sq_hi[basis].tolist())
+        assert np.array_equal(sq, _whole_square(et)), m
         for k in range(1, 2 * m):
-            assert np.array_equal(joined(et, k), _linearized_table(et.sq, trace_poly(k))), (m, k)
-    # on corrupted squares, halves and table read the same wrong basis images
+            assert np.array_equal(joined(et, k), _linearized_table(sq, trace_poly(k))), (m, k)
+    # on corrupted halves, g0's halves and the whole table read the same wrong squares
     et = ExtTables(6)  # not the cached ext_tables(6), which other tests read
     clean = [joined(et, k) for k in range(1, 12)]
-    et.sq[[1 << 3, 1 << 8, 1000]] ^= 1
+    et.sq_lo[[1 << 3, 40]] ^= 1
+    et.sq_hi[[1 << 2, 50]] ^= 1
+    sq = _whole_square(et)
     for k in range(1, 12):
-        assert np.array_equal(joined(et, k), _linearized_table(et.sq, trace_poly(k))), k
+        assert np.array_equal(joined(et, k), _linearized_table(sq, trace_poly(k))), k
     assert any(not np.array_equal(joined(et, k), was) for k, was in enumerate(clean, 1))
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_squaring_halves_and_g0_match_scalar_squares(m):
+    """sq_lo[z & (q-1)] ^ sq_hi[z >> m] against ExtField.square, and each g0_table(k)
+    against the scalar z + z^2 + ... + z^(2^(k-1)), at every z of GF(q^2) up to m = 6,
+    else at 4096 seeded z; the squares come from field, not from the tables."""
+    et, ext, q = ext_tables(m), extension_of(make_field(m)), 1 << m
+    zs = range(q * q) if m <= 6 else random.Random(m).sample(range(q * q), 4096)
+    zs = np.array(zs)
+    assert [int(s) for s in et.sq_lo[zs & (q - 1)] ^ et.sq_hi[zs >> m]] == \
+        [(s[0] | s[1] << m) for s in (ext.square((z & (q - 1), z >> m)) for z in zs.tolist())]
+    sums = []  # sums[k - 1][i]: z + ... + z^(2^(k-1)) at zs[i], packed
+    for z in zs.tolist():
+        term = acc = (z & (q - 1), z >> m)
+        row = [acc]
+        for _ in range(2, 2 * m):
+            term = ext.square(term)
+            acc = ext.add(acc, term)
+            row.append(acc)
+        sums.append([a | b << m for a, b in row])
+    for k in range(1, 2 * m):
+        lo, hi = et.g0_table(k)
+        assert (lo[zs & (q - 1)] ^ hi[zs >> m]).tolist() == [row[k - 1] for row in sums], k
+
+
+def test_chunked_builds_keep_their_tables_and_proofs(monkeypatch):
+    # at the default chunk size each of these fields is one chunk; at 2^4 each
+    # doubling step, the log fill and the primitivity mask span several
+    default = {m: (field_tables(m), ext_tables(m)) for m in range(2, 7)}
+    monkeypatch.setattr(tables, "_CHUNK_ELEMENTS", 1 << 4)
+    for m, built in default.items():
+        for was, now in zip(built, (FieldTables(make_field(m)), ExtTables(m))):
+            assert np.array_equal(now.exp, was.exp) and np.array_equal(now.log, was.log), m
+    et = ext_tables(4)
+
+    def ext_mul(a, b):
+        return et.pack(et.ext.mul(et.unpack(a), et.unpack(b)))
+
+    for base_element in (1, 2, et.q - 1):  # in GF(16)*: orders divide 15, not 255
+        with pytest.raises(ArithmeticError):
+            _exp_by_doubling(8, ext_mul, base_element)
+
+
+def test_ext_tables_hold_exp_and_log_alone():
+    # 4 MiB each for exp and log at m = 10, no whole squaring table, and no
+    # whole-field temporary in the build: the parent design held 12.00 MiB
+    # and peaked at 14.00 MiB
+    field_tables(10)
+    extension_of(make_field(10))
+    tracemalloc.start()
+    try:
+        et = ExtTables(10)  # not cached: the build itself is measured
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert et.exp.size == et.n and held < 8.2 * (1 << 20) and peak < 9 << 20, (held, peak)
 
 
 def test_linearized_builder_refuses_other_exponents():
@@ -223,15 +295,16 @@ def test_every_table_is_int32():
         "poly_table": ft.poly_table(frozenset({0, 3, 5})),
         "pow_vec": ft.pow_vec((xs, 3), (xs, -1)),
         "circle c": c, "circle idx": idx, "circle z0": z0, "dickson_vec": ft.dickson_vec(5, xs),
-        "ext exp": et.exp, "ext log": et.log, "ext sq": et.sq,
+        "ext exp": et.exp, "ext log": et.log, "ext sq_lo": et.sq_lo, "ext sq_hi": et.sq_hi,
         "g0_table lo": et.g0_table(2)[0], "g0_table hi": et.g0_table(2)[1],
         "ext pow_vec": et.pow_vec((np.arange(et.Q), 3)), "b1_packed": et.b1_packed(),
         "zmap": et.zmap(),
     }
     assert {name: str(t.dtype) for name, t in tables.items()} == dict.fromkeys(tables, "int32")
-    # 4 bytes for each of the 2^20 - 1 powers, 2^20 logs and 2^20 squares
+    # 4 bytes for each of the 2^20 - 1 powers, 2^20 logs and 2 x 2^10 half squares
     et = ext_tables(10)
-    assert et.exp.nbytes + et.log.nbytes + et.sq.nbytes == 4 * (3 * (1 << 20) - 1) == 12_582_908
+    assert et.exp.nbytes + et.log.nbytes + et.sq_lo.nbytes + et.sq_hi.nbytes == \
+        4 * (2 * (1 << 20) - 1 + 2 * (1 << 10)) == 8_396_796
 
 
 def test_dickson_vec_of_a_degree_past_int32():
