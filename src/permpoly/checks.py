@@ -14,7 +14,7 @@ import os
 import threading
 import time
 from dataclasses import asdict, dataclass
-from math import gcd, prod
+from math import gcd
 from typing import Callable
 
 import numpy as np
@@ -200,20 +200,42 @@ def _sweep_chunks(body, lo: int, hi: int) -> dict:
     return folded
 
 
+def _occupancy(q: int, rows: int, blocks, n: int):
+    """The one occupancy kernel: a (rows, q) bool grid where each value v of row i sets
+    grid[i, v], folded over the chunks [a, b) of 0..n-1 on _map_chunks; blocks(a, b) gives a
+    chunk's values as 1-D or 2-D arrays whose rows are, in order, the grid's. Marks are plain
+    stores, which are idempotent, so chunks may mark in any order on any thread (a fancy-index
+    `|=` keeps only the last write of an index). Returns the grid and, per row, how many values
+    it was given, or -1 if one leaves GF(q): a row is injective iff it has that many marks."""
+    grid = np.zeros((rows, q), dtype=bool)
+
+    def mark(a: int, b: int) -> np.ndarray:
+        given, row = np.empty(rows, dtype=np.int64), 0
+        for block in blocks(a, b):
+            keys = np.atleast_2d(block)
+            r = len(keys)
+            given[row:row + r] = keys.shape[-1]
+            if not _in_range(keys, q):  # the failed rows, clipped to mark only their own row
+                given[row:row + r][(keys.min(axis=-1) < 0) | (keys.max(axis=-1) >= q)] = -1
+                keys = np.clip(keys, 0, q - 1)
+            if r > 1:  # row i of the block marks in i*q .. i*q + q - 1
+                keys = keys + q * np.arange(r)[:, None]
+            # numpy scatters intp faster than int32
+            grid[row:row + r].reshape(-1)[keys.ravel().astype(np.intp, copy=False)] = True
+            row += r
+        return given
+    return grid, functools.reduce(lambda s, t: np.where((s < 0) | (t < 0), -1, s + t),
+                                  _map_chunks(mark, 0, n))
+
+
 def _injective(values: np.ndarray, q: int):
-    """Along the last axis: whether every value lies in GF(q) and none occurs
-    twice, by marking each row's values in its own row of a bool mask (q bytes
-    per row) and counting the marks; on q values, whether they permute GF(q)."""
-    lead, size = values.shape[:-1], values.shape[-1]
-    inside = (values.min(axis=-1, initial=0) >= 0) & (values.max(axis=-1, initial=0) < q)
-    # a row with a value outside GF(q) has failed; clipping keeps its keys in range
-    keys = values if inside.all() else np.clip(values, 0, q - 1)
-    if lead:  # row i marks in i*q .. i*q + q - 1
-        keys = keys + q * np.arange(prod(lead)).reshape(*lead, 1)
-    seen = np.zeros(q * prod(lead), dtype=bool)
-    seen[keys.ravel()] = True
-    ok = inside & (np.count_nonzero(seen.reshape(*lead, q), axis=-1) == size)
-    return ok if lead else bool(ok)
+    """Along the last axis: whether every value lies in GF(q) and none occurs twice,
+    from each row's occupancy marks, folded over chunks of that axis; on q values,
+    whether they permute GF(q)."""
+    rows = values.reshape(-1, values.shape[-1])
+    grid, given = _occupancy(q, len(rows), lambda a, b: (rows[:, a:b],), rows.shape[1])
+    ok = np.count_nonzero(grid, axis=-1) == given
+    return ok.reshape(values.shape[:-1]) if values.ndim > 1 else bool(ok[0])
 
 
 def _class_images(ft, tables: int, values) -> list:
@@ -221,45 +243,22 @@ def _class_images(ft, tables: int, values) -> list:
     table of its values at x = lo..hi-1: for T_0 and T_1, the class holding the image
     (NOT_A_CLASS if it meets both or leaves GF(q)) and whether the table is injective
     there; and whether the table permutes GF(q): iff both are and the images do not overlap.
-
-    Each class's image is marked in its own bool row by plain stores, which are idempotent,
-    so chunks may mark in any order and on any thread (one shared `|=` scatter would keep
-    only the last write of an index). A chunk returns, per table and class, how many x it
-    holds, or None if a value leaves GF(q); after the sweep the rows are counted, and
-    their marks in T_1 counted chunk by chunk, so no whole-field temporary is made."""
+    Each class's image is an occupancy row, whose marks in T_1 are counted chunk by chunk."""
     q = ft.q
-    rows = np.zeros((tables, 2, q), dtype=bool)
 
-    def mark(lo: int, hi: int) -> list:
+    def class_rows(lo: int, hi: int):  # compressed one at a time, as the kernel marks
         members = ft.tr[lo:hi] == 0, ft.tr[lo:hi] == 1
-        sizes = []
-        for marks, tab in zip(rows, values(lo, hi)):
-            for row, member in zip(marks, members):
-                image = tab[member].astype(np.intp)  # numpy scatters intp faster than int32
-                if _in_range(image, q):
-                    row[image] = True
-                    sizes.append(image.size)
-                else:
-                    sizes.append(None)
-        return sizes
-
-    chunks = _map_chunks(mark, 0, q)
-    out = []
-    for t, marks in enumerate(rows):
-        classes = []
-        for e, row in enumerate(marks):
-            sizes = [chunk[2 * t + e] for chunk in chunks]
-            if None in sizes:
-                classes.append((NOT_A_CLASS, False))
-                continue
-            hit = np.count_nonzero(row)
-            in_t1 = sum(np.count_nonzero(row[a:b] & (ft.tr[a:b] == 1))
-                        for a, b in _spans(0, q))
-            classes.append((0 if in_t1 == 0 else 1 if in_t1 == hit else NOT_A_CLASS,
-                            hit == sum(sizes)))
-        out.append((classes, classes[0][1] and classes[1][1]
-                    and not np.logical_and(marks[0], marks[1], out=marks[0]).any()))
-    return out
+        return (tab[member] for tab in values(lo, hi) for member in members)
+    grid, given = _occupancy(q, 2 * tables, class_rows, q)
+    classes = []
+    for row, size in zip(grid, given.tolist()):
+        marked = np.count_nonzero(row)
+        ones = sum(np.count_nonzero(row[a:b] & (ft.tr[a:b] == 1)) for a, b in _spans(0, q))
+        cls = 0 if ones == 0 else 1 if ones == marked else NOT_A_CLASS
+        classes.append((NOT_A_CLASS if size < 0 else cls, marked == size))
+    return [(classes[2 * t:2 * t + 2], classes[2 * t][1] and classes[2 * t + 1][1]
+             and not np.logical_and(marks[0], marks[1], out=marks[0]).any())
+            for t, marks in enumerate(grid.reshape(tables, 2, q))]
 
 
 def _expect_classes(sweep: CheckOutcome, classes, t1_target: int):
@@ -610,11 +609,9 @@ def check_perm_lemma(sweep: CheckOutcome, m: int, k: int):
     for widx in (0, 1):
         s = sigma - 1 if widx == 0 else sigma + 1
         for e, (b, _, w) in b_sets.items():
-            # w(s, .) permutes B_e iff its q values are distinct and lie in B_e
-            in_b = np.zeros(q + 1, dtype=bool)
-            in_b[b] = True
-            image = w(s, b)
-            observed = _injective(image, q + 1) and bool(in_b[image].all())
+            # B_e is 0..q without 1 - e, so w(s, .) permutes B_e iff its q values
+            # and 1 - e permute 0..q
+            observed = _injective(np.append(w(s, b), 1 - e), q + 1)
             gcd_cond = gcd(s, q - 1 if e == 0 else q + 1) == 1
             predicted = parity[(widx, e)]
             sweep.expect(observed == gcd_cond == predicted,
@@ -625,7 +622,7 @@ def check_perm_lemma(sweep: CheckOutcome, m: int, k: int):
 def _rotl(a, j: int, nbits: int):
     """a * 2^j mod 2^nbits - 1 for a in 0..2^nbits - 2: the nbits-bit pattern
     of a rotated left by j. Masked before the shift, so it stays below 2^nbits
-    and an int32 a holds up to nbits = 24 (GF(2^24) logs for m = 12)."""
+    and an int32 a holds up to nbits = 31."""
     j %= nbits
     return ((a & ((1 << (nbits - j)) - 1)) << j) | (a >> (nbits - j))
 
@@ -642,9 +639,11 @@ def _zsum_chunk(et, k: int, g0: tuple[np.ndarray, np.ndarray], lo: int, hi: int)
     Each exponent is +-2^j or sigma +- 1 = 2^k +- 1, so each product of a log
     (in 0..n-1) by one is a bit rotation and a sum or sign flip; the exp index
     lands in (-2n, 2n) and `take(mode="wrap")` reduces it mod n, with no int64
-    temporary and no division. Every other index is in range, so each `take` is
-    in wrap mode, which releases the GIL. Each temporary is dropped after its
-    last use, and no array is written to once it has been compared."""
+    temporary and no division. Those index sums (`rot + ly`, `slz +- lz`) lie below
+    2n = 2^(2m+1) in absolute value, so they stay in int32 while 2m <= 30. Every
+    other index is in range, so each `take` is in wrap mode, which releases the
+    GIL. Each temporary is dropped after its last use, and no array is written to
+    once it has been compared."""
     sweep = CheckOutcome("zsum_chunk", {"k": k, "lo": lo, "hi": hi})
     exp, log, n, nbits = et.exp, et.log, et.n, 2 * et.m
     lz = np.arange(lo, hi, dtype=np.int32)

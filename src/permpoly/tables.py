@@ -201,10 +201,10 @@ class FieldTables(_LogTables):
             raise ArithmeticError(f"exp[{bad[0]:x}] = {self.exp[bad[0]]:x} lies outside GF(q)")
         z = np.arange(1, q, dtype=np.int64)
         inv = self.pow_vec((z, -1))
-        # z + 1/z = x has z on B_1 iff Tr(1/x) = 1; c[1] is the first such x whose z has
-        # order q + 1, that is c[(q+1)/p] != 0 for each prime p | q + 1
-        for c1 in z[self.tr[inv] == 1].tolist():
-            c, s = np.array([0, c1], dtype=np.int32), 1
+        # z + 1/z = x has z on B_1 iff Tr(1/x) = 1; c[1] is the first such x (of q/2, met
+        # lazily) whose z has order q + 1, that is c[(q+1)/p] != 0 for each prime p | q + 1
+        for j in np.flatnonzero(self.tr[inv] == 1):
+            c, s = np.array([0, z[j]], dtype=np.int32), 1
             while s <= q // 2:  # c[s + i] = c[s] c[i] + c[s - i] for i = 1..s
                 c, s = np.append(c, self.pow_vec((c[1:], 1), (c[s], 1)) ^ c[s - 1::-1]), 2 * s
             if all(c[(q + 1) // p] for p in prime_factors(q + 1)):

@@ -24,32 +24,37 @@ from permpoly.sparsepoly import trace_poly
 from permpoly.tables import ExtTables, FieldTables, _linearized_table, ext_tables, field_tables
 
 
-def test_injective_matches_a_set_count():
-    rng = np.random.default_rng(2004)
-    for q in (4, 8, 64):
-        for size in (1, q // 2, q):
-            rows, verdicts = [], []
-            for _ in range(40):
-                # mostly in GF(q), with collisions, now and then -1 or q
-                values = rng.integers(-1, q + 1, size=size)
-                seen = set(values.tolist())
-                expected = seen <= set(range(q)) and len(seen) == size
-                assert _injective(values, q) is expected, (q, values)
-                rows.append(values)
-                verdicts.append(expected)
-            # the same rows at once, also as a 2 x 20 grid of rows
-            assert _injective(np.array(rows), q).tolist() == verdicts
-            assert _injective(np.array(rows).reshape(2, 20, size), q).tolist() == \
-                [verdicts[:20], verdicts[20:]]
-        perm = rng.permutation(q)
-        assert _injective(perm, q)
-        for bad in (-1, q, 1 << 40):
-            corrupted = perm.copy()
-            corrupted[1] = bad
-            assert not _injective(corrupted, q)
-        collided = perm.copy()
-        collided[0] = collided[1]
-        assert not _injective(collided, q)
+def test_injective_matches_a_set_count(monkeypatch):
+    # one chunk, and folded over chunks of 3 values of each row, the last one
+    # shorter, that two workers mark side by side
+    for chunk, workers in ((_CHUNK_ELEMENTS, 1), (3, 2)):
+        monkeypatch.setattr(checks, "_CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(checks, "_workers", lambda: workers)
+        rng = np.random.default_rng(2004)
+        for q in (4, 8, 64):
+            for size in (1, q // 2, q):
+                rows, verdicts = [], []
+                for _ in range(40):
+                    # mostly in GF(q), with collisions, now and then -1 or q
+                    values = rng.integers(-1, q + 1, size=size)
+                    seen = set(values.tolist())
+                    expected = seen <= set(range(q)) and len(seen) == size
+                    assert _injective(values, q) is expected, (q, chunk, values)
+                    rows.append(values)
+                    verdicts.append(expected)
+                # the same rows at once, also as a 2 x 20 grid of rows
+                assert _injective(np.array(rows), q).tolist() == verdicts
+                assert _injective(np.array(rows).reshape(2, 20, size), q).tolist() == \
+                    [verdicts[:20], verdicts[20:]]
+            perm = rng.permutation(q)
+            assert _injective(perm, q)
+            for bad in (-1, q, 1 << 40):
+                corrupted = perm.copy()
+                corrupted[1] = bad
+                assert not _injective(corrupted, q)
+            collided = perm.copy()
+            collided[0] = collided[1]
+            assert not _injective(collided, q)
 
 
 def _class_images_by_sets(tr: np.ndarray, tab: np.ndarray, q: int):
@@ -177,7 +182,7 @@ def test_zsum_top_chunk_where_int32_log_products_would_wrap():
     assert (part.counterexample, part.tested) == (None, 4 * _CHUNK_ELEMENTS)
 
 
-@pytest.mark.parametrize("nbits", [4, 20, 24])
+@pytest.mark.parametrize("nbits", [4, 20, 24, 28, 30])
 def test_rotation_is_a_product_by_a_power_of_two(nbits):
     n = (1 << nbits) - 1
     sample = np.random.default_rng(nbits).integers(0, n, 256)
@@ -832,6 +837,42 @@ def test_perm_lemma_names_the_value_with_wrong_preimages(monkeypatch, label):
     _phi_changed(monkeypatch, e, change)
     out = check_perm_lemma(4, 1)
     assert (out.passed, out.tested, out.counterexample) == expected
+
+
+#: label -> the value that w's image of B_e takes at position 2, from (e, q,
+#: the image): each leaves the image short of B_e
+W_CHANGED = {
+    "excluded_index": lambda e, q, image: 1 - e,
+    "minus_one": lambda e, q, image: -1,
+    "past_infinity": lambda e, q, image: q + 1,
+    "copy_of_position_3": lambda e, q, image: image[3],
+}
+
+
+@pytest.mark.parametrize("e", [0, 1])
+@pytest.mark.parametrize("label", W_CHANGED)
+def test_a_wrong_power_map_image_fails_perm_lemma(monkeypatch, label, e):
+    # at (4, 1), s = sigma - 1 = 1, so w(s, .) is the identity on B_e, which
+    # the parity says permutes B_e; with one image changed it does not, and
+    # (ii) fails for B_e, the (ii)/(iii) comparison [0, e]. The (passed,
+    # tested, counterexample) are those of the check that also read a bool
+    # mask of B_e
+    orig = checks._b_sets
+
+    def changed(ft):
+        sets = orig(ft)
+        members, phi, w = sets[e]
+
+        def w_changed(s, z):
+            image = w(s, z).copy()
+            image[2] = W_CHANGED[label](e, ft.q, image)
+            return image
+        sets[e] = members, phi, w_changed
+        return sets
+    monkeypatch.setattr(checks, "_b_sets", changed)
+    out = check_perm_lemma(4, 1)
+    assert (out.passed, out.tested, out.counterexample) == \
+        (False, 96, {"inputs": ["0", str(e)], "lhs": "0", "rhs": "1"})
 
 
 #: every comparison of zsumexp at m = 9
