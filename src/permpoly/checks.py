@@ -55,7 +55,8 @@ class PermutationReport:
 
 @dataclass
 class CheckOutcome:
-    """One check's record: a comparison count and the first counterexample, which fails it."""
+    """One check's record: `tested`, one per `expect` and one per element given to
+    `compare`, and the first counterexample, which fails it."""
 
     check: str
     params: dict
@@ -187,17 +188,15 @@ def _map_chunks(body, lo: int, hi: int) -> list:
     return results
 
 
-def _sweep_chunks(body, lo: int, hi: int) -> dict:
-    """The comparisons of a chunked sweep, folded slot-major. body(a, b) returns, for
-    x in a..b-1, one CheckOutcome per comparison slot (a sequence, or a dict by slot);
-    the result holds each slot's parts merged over all chunks in chunk order. Merged
-    into a record slot by slot, in the check's order, the first counterexample is the
-    first failing comparison, then its first x, whatever the chunk size or worker count."""
-    folded = {}
-    for parts in _map_chunks(body, lo, hi):
-        for slot, part in parts.items() if isinstance(parts, dict) else enumerate(parts):
-            folded.setdefault(slot, CheckOutcome(part.check, {})).merge(part)
-    return folded
+def _sweep_chunks(sweep: CheckOutcome, body, lo: int, hi: int):
+    """Merge a chunked sweep's comparisons into `sweep`, slot-major. body(a, b) returns,
+    for x in a..b-1, a list of one CheckOutcome per comparison slot, in the check's
+    order; each slot is merged over all chunks in chunk order before the next, so the
+    first counterexample is the first failing comparison, then its first x, whatever
+    the chunk size or worker count."""
+    for slot in zip(*_map_chunks(body, lo, hi)):
+        for part in slot:
+            sweep.merge(part)
 
 
 def _occupancy(q: int, rows: int, blocks, n: int):
@@ -250,11 +249,14 @@ def _class_images(ft, tables: int, values) -> list:
         members = ft.tr[lo:hi] == 0, ft.tr[lo:hi] == 1
         return (tab[member] for tab in values(lo, hi) for member in members)
     grid, given = _occupancy(q, 2 * tables, class_rows, q)
+    ones = [0] * len(grid)
+    for a, b in _spans(0, q):  # one T_1 mask per chunk, shared by the rows
+        t1 = ft.tr[a:b] == 1
+        ones = [n + np.count_nonzero(row[a:b] & t1) for n, row in zip(ones, grid)]
     classes = []
-    for row, size in zip(grid, given.tolist()):
+    for row, size, n1 in zip(grid, given.tolist(), ones):
         marked = np.count_nonzero(row)
-        ones = sum(np.count_nonzero(row[a:b] & (ft.tr[a:b] == 1)) for a, b in _spans(0, q))
-        cls = 0 if ones == 0 else 1 if ones == marked else NOT_A_CLASS
+        cls = 0 if n1 == 0 else 1 if n1 == marked else NOT_A_CLASS
         classes.append((NOT_A_CLASS if size < 0 else cls, marked == size))
     return [(classes[2 * t:2 * t + 2], classes[2 * t][1] and classes[2 * t + 1][1]
              and not np.logical_and(marks[0], marks[1], out=marks[0]).any())
@@ -414,7 +416,6 @@ def check_main_theorem_outcome(sweep: CheckOutcome, m: int, k: int):
               and rep.t1_bijective and rep.image_of_t1 == int(rep.predicted_by_theorem))
         sweep.expect(ok, [rep.alpha, rep.gamma],
                      rep.is_permutation, rep.predicted_by_theorem)
-        sweep.tested += (1 << m) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -445,99 +446,69 @@ def check_nobauer(sweep: CheckOutcome, m_max: int):
 # properties of the linearized map pair
 # ---------------------------------------------------------------------------
 
-def _linear_map_parts(ft, tab: np.ndarray, par: int, folded: dict, key) -> tuple:
-    """fgprop's checks of one table, f_alpha or g_beta, as three records made once per
-    table and merged into each pair's: (i)-(ii) its trace multiplier `par`, the folded
-    slot (key, "i"), and its value at 1, (iii) the folded slot (key, "iii"), and
-    (iv)-(v) its classes and permutation, from one occupancy pass over its chunks."""
-    parts = tuple(CheckOutcome("fgprop", {}) for _ in range(3))
-    parts[0].merge(folded[key, "i"])
-    parts[0].expect(int(tab[1]) == par, [1], tab[1], par)
-    parts[1].merge(folded[key, "iii"])
-    [(classes, permutes)] = _class_images(ft, 1, lambda lo, hi: (tab[lo:hi],))
-    _expect_classes(parts[2], classes, par)
-    parts[2].expect(permutes == (par == 1), [par], permutes, par == 1)
-    return parts
-
-
 @_check("fgprop", _coprime_grid, 12)
 def check_fgprop(sweep: CheckOutcome, m: int, k: int):
-    """The f_alpha, g_beta and Frobenius tables are whole, as lookup tables; every
-    comparison on them is made chunk by chunk, before the pairs are walked in order."""
+    """Each of f_0, f_1, g_0 and g_1 is checked once, then each (alpha, beta) pair, and
+    (vii) once per (beta, lambda). The f_alpha, g_beta and Frobenius tables are whole,
+    as lookup tables; every comparison on them is made chunk by chunk."""
     ft = field_tables(m)
     q = ft.q
     frobk = ft.frobenius_table(k)
-    fas = [f_alpha_table(ft, derive_params(m, k, alpha=alpha)) for alpha in (0, 1)]
+    fs = [f_alpha_table(ft, derive_params(m, k, alpha=alpha)) for alpha in (0, 1)]
     gs = [g_beta_table(ft, derive_params(m, k, beta=beta)) for beta in (0, 1)]
+    # the trace multipliers of f_alpha and g_beta
+    f_par = [(derive_params(m, k).r + alpha * m) % 2 for alpha in (0, 1)]
+    g_par = [(k + beta * m) % 2 for beta in (0, 1)]
+    # each map with its trace multiplier and the tables of (iii), frob_lhs[tab] + tab =
+    # frob_rhs[x] + x: the Frobenius x^(2^k), then the squaring for f, the reverse for g
+    maps = [*((f, par, frobk, ft.sq) for f, par in zip(fs, f_par)),
+            *((g, par, ft.sq, frobk) for g, par in zip(gs, g_par))]
     pairs = {(alpha, beta): derive_params(m, k, alpha=alpha, beta=beta)
              for alpha in (0, 1) for beta in (0, 1)}
-    # only a pair whose two tables lie in GF(q) is swept; the walk below records the others
-    swept = [(a, b) for a, b in pairs if _in_range(fas[a], q) and _in_range(gs[b], q)]
-    # the trace multipliers of f_alpha and g_beta, each table's (i)
-    f_par = {a: (pairs[a, b].r + a * m) % 2 for a, b in swept}
-    g_par = {b: (k + b * m) % 2 for a, b in swept}
-    # (vii) reads only g_beta, lambda and theta = beta + lambda*k mod 2, not alpha
-    vii = {(b, lam, derive_params(m, k, alpha=a, beta=b, lam=lam).theta)
-           for a, b in swept for lam in (0, 1)}
+    # every table is used as an index below
+    if not all(sweep.in_field([], tab, q) for tab, *_ in maps):
+        return
 
-    def compare_chunk(lo: int, hi: int) -> dict:
+    def compare_chunk(lo: int, hi: int) -> list:
         xs = np.arange(lo, hi, dtype=np.int32)
         tr = ft.tr[lo:hi]
-        parts = {}
+        parts = []
 
-        def compare(slot, lhs, rhs):
-            parts[slot] = CheckOutcome("fgprop", {})
-            parts[slot].compare([xs], lhs, rhs)
-        # (i) Tr(tab(x)) = par*Tr(x); (iii) frob_lhs[tab] + tab = frob_rhs[x] + x, with
-        # frob_lhs the Frobenius x^(2^k) and frob_rhs the squaring for f, and the reverse for g
-        for key, tab, par, frob_lhs, frob_rhs in (
-                *((("f", a), fas[a], f_par[a], frobk, ft.sq) for a in f_par),
-                *((("g", b), gs[b], g_par[b], ft.sq, frobk) for b in g_par)):
+        def compare(lhs, rhs):
+            parts.append(CheckOutcome("fgprop", {}))
+            parts[-1].compare([xs], lhs, rhs)
+        # per map: (i) Tr(tab(x)) = par*Tr(x), and (iii)
+        for tab, par, frob_lhs, frob_rhs in maps:
             chunk = tab[lo:hi]
             index = chunk.astype(np.intp)  # numpy gathers intp faster than int32
-            compare((key, "i"), ft.tr[index], par * tr)
-            compare((key, "iii"), frob_lhs[index] ^ chunk, frob_rhs[lo:hi] ^ xs)
-        # (vi): composition collapses to x + delta*Tr(x)
-        for a, b in swept:
-            target = xs ^ (pairs[a, b].delta * tr)
-            compare(("vi", a, b, "fg"), fas[a][gs[b][lo:hi].astype(np.intp)], target)
-            compare(("vi", a, b, "gf"), gs[b][fas[a][lo:hi].astype(np.intp)], target)
-        # (vii): g_beta = g_0(ybar) + theta*Tr for ybar = x + lambda*Tr(x)
-        for b, lam, theta in vii:
+            compare(ft.tr[index], par * tr)
+            compare(frob_lhs[index] ^ chunk, frob_rhs[lo:hi] ^ xs)
+        # per pair, (vi): f(g(x)), then g(f(x)), collapse to x + delta*Tr(x)
+        for (alpha, beta), p in pairs.items():
+            target = xs ^ (p.delta * tr)
+            compare(fs[alpha][gs[beta][lo:hi].astype(np.intp)], target)
+            compare(gs[beta][fs[alpha][lo:hi].astype(np.intp)], target)
+        # per (beta, lambda), (vii): g_beta = g_0(ybar) + theta*Tr for ybar = x + lambda*Tr(x)
+        for beta, lam in itertools.product((0, 1), (0, 1)):
+            theta = (beta + lam * k) % 2
             g0_ybar = gs[0][(xs ^ tr).astype(np.intp)] if lam else gs[0][lo:hi]
-            compare(("vii", b, lam, theta), gs[b][lo:hi], g0_ybar ^ (theta * tr))
+            compare(gs[beta][lo:hi], g0_ybar ^ (theta * tr))
         return parts
 
-    folded = _sweep_chunks(compare_chunk, 0, q)
-    # each table's own parts, made for the first pair that uses it
-    f_parts = functools.cache(lambda a: _linear_map_parts(ft, fas[a], f_par[a], folded, ("f", a)))
-    g_parts = functools.cache(lambda b: _linear_map_parts(ft, gs[b], g_par[b], folded, ("g", b)))
-
+    _sweep_chunks(sweep, compare_chunk, 0, q)
+    # per map: its value at 1, and (iv)-(v) its classes and permutation, from one
+    # occupancy pass over its chunks
+    for tab, par, *_ in maps:
+        sweep.expect(int(tab[1]) == par, [1], tab[1], par)
+        [(classes, permutes)] = _class_images(ft, 1, lambda lo, hi: (tab[lo:hi],))
+        _expect_classes(sweep, classes, par)
+        sweep.expect(permutes == (par == 1), [par], permutes, par == 1)
+    # per pair: the parity of delta, and the theta congruence, the lambda = delta instance
     for (alpha, beta), p in pairs.items():
-        if not (sweep.in_field([alpha, beta], fas[alpha], q)
-                and sweep.in_field([alpha, beta], gs[beta], q)):
-            continue
-        # f (i), g (i), f (iii), g (iii), f (iv)-(v), g (iv)-(v): the order
-        # in which a sweep checking each pair's tables anew would meet them
-        for f_part, g_part in zip(f_parts(alpha), g_parts(beta)):
-            sweep.merge(f_part)
-            sweep.merge(g_part)
-        # (vi): f(g(x)), then g(f(x)), and the parity of delta
-        delta = p.delta
-        sweep.merge(folded["vi", alpha, beta, "fg"])
-        sweep.merge(folded["vi", alpha, beta, "gf"])
-        f_g_par = f_par[alpha] * g_par[beta]
-        sweep.expect((1 + delta * m) % 2 == f_g_par % 2,
-                     [alpha, beta], (1 + delta * m) % 2, f_g_par % 2)
-        # (vii): decomposition through g_0, for both lambda choices
-        for lam in (0, 1):
-            theta = derive_params(m, k, alpha=alpha, beta=beta, lam=lam).theta
-            sweep.merge(folded["vii", beta, lam, theta])
-            if lam == delta:
-                # the stated theta congruence is the lambda = delta instance
-                lhs = (m * theta) % 2
-                rhs = (k + beta * m + k * (1 + delta * m)) % 2
-                sweep.expect(lhs == rhs, [alpha, beta, lam], lhs, rhs)
+        lhs, rhs = (1 + p.delta * m) % 2, f_par[alpha] * g_par[beta]
+        sweep.expect(lhs == rhs, [alpha, beta], lhs, rhs)
+        lhs, rhs = (m * p.theta) % 2, (k + beta * m + k * (1 + p.delta * m)) % 2
+        sweep.expect(lhs == rhs, [alpha, beta, p.delta], lhs, rhs)
 
 
 @_check("hprop", _coprime_grid, 12)
@@ -564,8 +535,7 @@ def check_hprop(sweep: CheckOutcome, m: int, k: int):
                     parts[-1].compare([xs], lhs, rhs)
         return parts
 
-    for part in _sweep_chunks(compare_chunk, 0, ft.q).values():
-        sweep.merge(part)
+    _sweep_chunks(sweep, compare_chunk, 0, ft.q)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +572,6 @@ def check_perm_lemma(sweep: CheckOutcome, m: int, k: int):
         expected = 2 * np.append(ft.tr == e, False)
         x = int(np.argmax(preimages != expected))  # the first that is off, else 0
         sweep.expect(preimages[x] == expected[x], [e, x], preimages[x], expected[x])
-        sweep.tested += q - 1
     # (ii), (iii): the power maps, checked three ways
     parity = {(0, 0): True, (0, 1): k % 2 == 1,
               (1, 0): m % 2 == 1, (1, 1): (m + k) % 2 == 1}
@@ -616,7 +585,6 @@ def check_perm_lemma(sweep: CheckOutcome, m: int, k: int):
             predicted = parity[(widx, e)]
             sweep.expect(observed == gcd_cond == predicted,
                          [widx, e], observed, predicted)
-            sweep.tested += q - 1
 
 
 def _rotl(a, j: int, nbits: int):
@@ -705,8 +673,7 @@ def check_zsumexp(sweep: CheckOutcome, m: int, k: int):
     if not (sweep.in_field([], et.exp, et.Q) and sweep.in_field([], et.log, et.n)
             and all(sweep.in_field([], half, et.Q) for half in g0)):
         return
-    for part in _sweep_chunks(lambda lo, hi: [_zsum_chunk(et, k, g0, lo, hi)], 1, et.n).values():
-        sweep.merge(part)
+    _sweep_chunks(sweep, lambda lo, hi: [_zsum_chunk(et, k, g0, lo, hi)], 1, et.n)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +706,6 @@ def check_h_dickson(sweep: CheckOutcome, m: int, k: int):
         observed = _injective(hs[a], q)
         predicted = (p.r + a * m) % 2 == 1
         sweep.expect(observed == predicted, [a], observed, predicted)
-        sweep.tested += q - 1
 
 
 # ---------------------------------------------------------------------------
@@ -757,12 +723,14 @@ def check_hitt(sweep: CheckOutcome, m: int, k: int):
         return
     b_sets = _b_sets(ft)
     g = g_beta_table(ft, derive_params(m, k, beta=beta))
+    sweep.expect((k + beta * m) % 2 == 1, [beta], (k + beta * m) % 2, 1)
+    if not sweep.in_field([], g, q):  # g indexes h below
+        return
     for alpha in (0, 1):
         p = derive_params(m, k, alpha=alpha, beta=beta)
         h_alpha = h_value_table(ft, p)
         delta, theta = p.delta, p.theta
         for gamma, h in enumerate((h_alpha, h_alpha ^ ft.tr)):
-            sweep.expect((k + beta * m) % 2 == 1, [beta], (k + beta * m) % 2, 1)
             for e in (0, 1):
                 z, phi, w = b_sets[(e * (1 + delta * m)) % 2]
                 pz = phi[z]
@@ -782,7 +750,6 @@ def check_remark3(sweep: CheckOutcome, m: int):
     h = t1 ^ ft.pow_vec((t1, -1)) ^ ft.pow_vec((t1, -2))
     ok = _injective(h, ft.q) and bool((ft.tr[h] == 1).all())
     sweep.expect(ok, [m], ok, True)
-    sweep.tested += t1.size - 1
     p = derive_params(m, 1, alpha=1, gamma=1)
     htab = h_value_table(ft, p)
     t0_idx = np.nonzero(ft.tr == 0)[0].astype(np.int64)
@@ -802,7 +769,6 @@ def check_remark4(sweep: CheckOutcome, m: int, k: int):
                 sigma * sigma + sigma - 2}
     got = set(expand_h(p00))
     sweep.expect(got == expected, [m, k], min(got ^ expected, default=0), 0)
-    sweep.tested += len(expected) - 1
     # (b) the trace-class behavior of H_00 and H_01
     ft = field_tables(m)
     h00 = h_value_table(ft, p00)
@@ -811,7 +777,6 @@ def check_remark4(sweep: CheckOutcome, m: int, k: int):
         ft, 2, lambda lo, hi: (h00[lo:hi], h01[lo:hi]))
     for classes, t1_target in ((classes00, 0), (classes01, 1)):
         _expect_classes(sweep, classes, t1_target)
-        sweep.tested += ft.q - 2
     # (c) the simplified 5-term polynomial: a PP that agrees with H_01
     five_poly = sp_add(trace_poly(m),
                        frozenset({sigma - 1, 2 * (sigma - 1), 1, sigma}))
@@ -838,7 +803,6 @@ def check_dickson_linearized(sweep: CheckOutcome, k_max: int):
         lhs = set(dickson_exponents((1 << k) - 1))
         rhs = {(1 << k) + 1 - (1 << (j + 1)) for j in range(k)}
         sweep.expect(lhs == rhs, [k], min(lhs ^ rhs, default=0), 0)
-        sweep.tested += len(rhs) - 1
     for m in range(2, 11):
         ft = field_tables(m)
         if not sweep.guard_holds([m], ft.circle):

@@ -270,10 +270,12 @@ def test_zsum_chunk_matches_a_modulo_reference_on_corrupted_tables(monkeypatch, 
             assert np.array_equal(lhs, ref_lhs) and np.array_equal(rhs, ref_rhs), k
 
 
-# (passed, tested) of the scalar-loop implementation these checks replaced:
-# m -> (perm_lemma tested, hitt tested), the same for every coprime k
-B_SET_COUNTS = {2: (24, 36), 3: (48, 68), 4: (96, 132), 5: (192, 260),
-                6: (384, 516), 7: (768, 1028), 8: (1536, 2052)}
+# m -> (perm_lemma tested, hitt tested), the same for every coprime k: perm_lemma
+# makes six verdicts, (i) for each B_e and (ii)-(iii) for each (s, B_e); hitt
+# one beta parity and, per (alpha, gamma, e), one comparison per z in B_e (q of
+# them), 8q + 1
+B_SET_COUNTS = {2: (6, 33), 3: (6, 65), 4: (6, 129), 5: (6, 257),
+                6: (6, 513), 7: (6, 1025), 8: (6, 2049)}
 
 
 def test_b_set_checks_keep_their_counts():
@@ -513,21 +515,20 @@ def _corrupt(monkeypatch, name, i, new):
 
 
 #: label -> (checker, its arguments, the table given one collision, entry i,
-#: entry j), and the (passed, tested, counterexample) of the parent commit
-#: with table[i] = table[j]
+#: entry j), and the (passed, tested, counterexample) with table[i] = table[j]
 CORRUPTED = {
     "main_theorem": ((check_main_theorem_outcome, (5, 2), "h_value_table", 3, 5),
-                     (False, 128, {"inputs": ["0", "0"], "lhs": "0", "rhs": "1"})),
+                     (False, 4, {"inputs": ["0", "0"], "lhs": "0", "rhs": "1"})),
     "fgprop_f": ((check_fgprop, (5, 2), "f_alpha_table", 3, 5),
-                 (False, 1064, {"inputs": ["3"], "lhs": "14", "rhs": "6"})),
+                 (False, 664, {"inputs": ["3"], "lhs": "14", "rhs": "6"})),
     "fgprop_g": ((check_fgprop, (5, 2), "g_beta_table", 3, 5),
-                 (False, 1064, {"inputs": ["3"], "lhs": "9", "rhs": "12"})),
+                 (False, 664, {"inputs": ["3"], "lhs": "9", "rhs": "12"})),
     "h_dickson": ((check_h_dickson, (5, 2), "h_value_table", 3, 5),
-                  (False, 130, {"inputs": ["8"], "lhs": "c", "rhs": "11"})),
+                  (False, 68, {"inputs": ["8"], "lhs": "c", "rhs": "11"})),
     "remark3": ((check_remark3, (5,), "field_tables", 5, 1),
-                (False, 48, {"inputs": ["5"], "lhs": "0", "rhs": "1"})),
+                (False, 33, {"inputs": ["5"], "lhs": "0", "rhs": "1"})),
     "remark4": ((check_remark4, (5, 3), "h_value_table", 3, 5),
-                (False, 104, {"inputs": ["1"], "lhs": "0", "rhs": "0"})),
+                (False, 41, {"inputs": ["1"], "lhs": "0", "rhs": "0"})),
     "nobauer": ((check_nobauer, (3,), "_mul_table", 4, 5),
                 (False, 486, {"inputs": ["2", "1", "4"], "lhs": "0", "rhs": "1"})),
 }
@@ -565,19 +566,44 @@ def _corrupt_one(monkeypatch, name, which, i, value):
     monkeypatch.setattr(checks, name, corrupted)
 
 
-def test_fgprop_folds_its_table_parts_in_the_serial_order(monkeypatch):
+def test_fgprop_checks_each_map_before_the_pairs(monkeypatch):
     # at m = 5, k = 2: f_0 permutes and f_0(4) = 11 has the trace of 2, so
     # f_0(2) = 11 keeps (i) but fails (iii) and (iv)-(v) at x = 2; every g_0
     # value has trace 0, so g_0(3) = 1 fails (i) at x = 3. Both then fail the
-    # pair comparisons (vi) and (vii). The first counterexample is g (i) of the
-    # pair (0, 0), which comes before f (iii); the (passed, tested,
-    # counterexample) are those of the parent commit, which checked both tables
-    # anew for each pair.
+    # pair comparisons (vi) and (vii). Each map's comparisons come before the
+    # next map's, so the first counterexample is f_0 (iii) at x = 2, and every
+    # comparison is counted once: 20q + 24
     _corrupt_one(monkeypatch, "f_alpha_table", 0, 2, 11)
     _corrupt_one(monkeypatch, "g_beta_table", 0, 3, 1)
     out = check_fgprop(5, 2)
     assert (out.passed, out.tested, out.counterexample) == \
-        (False, 1064, {"inputs": ["3"], "lhs": "1", "rhs": "0"})
+        (False, 664, {"inputs": ["2"], "lhs": "14", "rhs": "6"})
+
+
+#: check -> its comparisons at m, the same for every coprime k: fgprop per map
+#: (f_0, f_1, g_0, g_1) compares (i) and (iii) at each x and makes three class
+#: verdicts and one at x = 1, per (alpha, beta) compares (vi) both ways at each
+#: x and makes two parity verdicts, and per (beta, lambda) compares (vii) at
+#: each x: 4(2q + 4) + 4(2q + 2) + 4q; main_theorem makes one verdict per
+#: (alpha, gamma), and perm_lemma one per B_e for (i) and per (s, B_e) for (ii)
+COUNT_RULE = {
+    "fgprop": (check_fgprop, lambda q: 20 * q + 24),
+    "main_theorem": (check_main_theorem_outcome, lambda q: 4),
+    "perm_lemma": (check_perm_lemma, lambda q: 6),
+}
+
+
+@pytest.mark.parametrize("label", COUNT_RULE)
+def test_tested_counts_each_comparison_once(monkeypatch, label):
+    # in one chunk, and in chunks of 2^6 on two workers: two chunks of x at m = 7, four at m = 8
+    fn, rule = COUNT_RULE[label]
+    for chunk, workers in ((_CHUNK_ELEMENTS, 1), (1 << 6, 2)):
+        monkeypatch.setattr(checks, "_CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(checks, "_workers", lambda: workers)
+        for m in range(2, 9):
+            for k in coprime_ks(m):
+                out = fn(m, k)
+                assert (out.passed, out.tested) == (True, rule(1 << m)), (chunk, m, k)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -750,12 +776,14 @@ def test_a_corrupted_minus_one_prints_as_minus_one(monkeypatch):
 #: exp, each call raises IndexError
 IDENTITY_TABLES = {
     "h_dickson_g": ((check_h_dickson, (5, 2), "g_beta_table", 3),
-                    (False, 66, {"inputs": ["3"], "lhs": "1000000", "rhs": "20"})),
+                    (False, 4, {"inputs": ["3"], "lhs": "1000000", "rhs": "20"})),
     "h_dickson_exp": ((check_h_dickson, (5, 2), "field_tables", 2),
-                      (False, 66, {"inputs": [],
+                      (False, 4, {"inputs": [],
                                    "guard": "circle: exp[2] = 1000000 lies outside GF(q)"})),
+    "hitt_g": ((check_hitt, (5, 2), "g_beta_table", 3),
+               (False, 1, {"inputs": ["3"], "lhs": "1000000", "rhs": "20"})),
     "dickson_linearized_exp": ((check_dickson_linearized, (6,), "field_tables", 2),
-                               (False, 21, {"inputs": ["2"], "guard":
+                               (False, 6, {"inputs": ["2"], "guard":
                                             "circle: exp[2] = 1000000 lies outside GF(q)"})),
     "dickson_methods_mul": ((check_dickson_methods, (3,), "_mul_table", 5),
                             (False, 0, {"inputs": ["2", "5"], "lhs": "1000000",
@@ -776,7 +804,7 @@ def test_a_zero_of_g_fails_h_dickson_at_its_x(monkeypatch):
     _corrupt(monkeypatch, "g_beta_table", 3, lambda tab: 0)
     out = check_h_dickson(5, 2)
     assert (out.passed, out.tested, out.counterexample) == \
-        (False, 67, {"inputs": ["3"], "lhs": "0", "rhs": "20"})
+        (False, 5, {"inputs": ["3"], "lhs": "0", "rhs": "20"})
 
 
 @pytest.mark.parametrize("value", [1 << 24, 0, -1], ids=["far", "zero", "pinf"])
@@ -792,7 +820,7 @@ def test_a_bad_dickson_value_fails_h_dickson(monkeypatch, value):
     monkeypatch.setattr(FieldTables, "dickson_vec", corrupted)
     out = check_h_dickson(5, 2)
     assert (out.passed, out.tested, out.counterexample) == \
-        (False, 99, {"inputs": ["4"], "lhs": format(value, "x"), "rhs": "20"})
+        (False, 37, {"inputs": ["4"], "lhs": format(value, "x"), "rhs": "20"})
 
 
 def _phi_changed(monkeypatch, e, change):
@@ -821,13 +849,13 @@ def _move_pair_to_t1(ft, members, phi):
 #: first B_1 member is the circle's z, so b[0] maps to 1/c[1] = 1/2 = 9 in GF(16)
 PHI_CHANGED = {
     "pair_moved_to_t1": ((0, _move_pair_to_t1),
-                         (False, 96, {"inputs": ["0", "0"], "lhs": "0", "rhs": "2"})),
+                         (False, 6, {"inputs": ["0", "0"], "lhs": "0", "rhs": "2"})),
     "infinity_in_the_image": ((0, lambda ft, b, phi: phi.__setitem__(b[2], ft.q)),
-                              (False, 96, {"inputs": ["0", "4"], "lhs": "1", "rhs": "2"})),
+                              (False, 6, {"inputs": ["0", "4"], "lhs": "1", "rhs": "2"})),
     "circle_value_minus_one": ((1, lambda ft, b, phi: phi.__setitem__(b[0], -1)),
-                               (False, 96, {"inputs": ["1", "9"], "lhs": "1", "rhs": "2"})),
+                               (False, 6, {"inputs": ["1", "9"], "lhs": "1", "rhs": "2"})),
     "circle_value_far": ((1, lambda ft, b, phi: phi.__setitem__(b[0], 1 << 24)),
-                         (False, 96, {"inputs": ["1", "9"], "lhs": "1", "rhs": "2"})),
+                         (False, 6, {"inputs": ["1", "9"], "lhs": "1", "rhs": "2"})),
 }
 
 
@@ -855,8 +883,7 @@ def test_a_wrong_power_map_image_fails_perm_lemma(monkeypatch, label, e):
     # at (4, 1), s = sigma - 1 = 1, so w(s, .) is the identity on B_e, which
     # the parity says permutes B_e; with one image changed it does not, and
     # (ii) fails for B_e, the (ii)/(iii) comparison [0, e]. The (passed,
-    # tested, counterexample) are those of the check that also read a bool
-    # mask of B_e
+    # counterexample) are those of the check that also read a bool mask of B_e
     orig = checks._b_sets
 
     def changed(ft):
@@ -872,7 +899,7 @@ def test_a_wrong_power_map_image_fails_perm_lemma(monkeypatch, label, e):
     monkeypatch.setattr(checks, "_b_sets", changed)
     out = check_perm_lemma(4, 1)
     assert (out.passed, out.tested, out.counterexample) == \
-        (False, 96, {"inputs": ["0", str(e)], "lhs": "0", "rhs": "1"})
+        (False, 6, {"inputs": ["0", str(e)], "lhs": "0", "rhs": "1"})
 
 
 #: every comparison of zsumexp at m = 9
@@ -1045,8 +1072,8 @@ CIRCLE_CORRUPTIONS = {
 GUARDED = {
     "perm_lemma": (check_perm_lemma, (4, 1), (False, 0)),
     "hitt": (check_hitt, (4, 1), (False, 0)),
-    "h_dickson": (check_h_dickson, (4, 1), (False, 34)),
-    "dickson_linearized": (check_dickson_linearized, (6,), (False, 18339, "4")),
+    "h_dickson": (check_h_dickson, (4, 1), (False, 4)),
+    "dickson_linearized": (check_dickson_linearized, (6,), (False, 18324, "4")),
     "dickson_methods": (check_dickson_methods, (4,), (False, 1152, "4")),
 }
 

@@ -252,33 +252,35 @@ def test_verify_rejects_cap_below_two(capsys, m_max):
 
 
 #: (check, params, tested) of every `verify --suite all --m-max 4` record;
-#: each passed with no counterexample.
+#: each passed with no counterexample. `tested` is one per `expect` plus one
+#: per element compared: main_theorem 4 and perm_lemma 6 verdicts, fgprop
+#: 20q + 24, h_dickson 2q + 4, hitt 8q + 1, remark3 q + 1.
 ALL_AT_M4 = [
-    ("main_theorem", {"m": 2, "k": 1}, 16), ("main_theorem", {"m": 3, "k": 1}, 32),
-    ("main_theorem", {"m": 3, "k": 2}, 32), ("main_theorem", {"m": 4, "k": 1}, 64),
-    ("main_theorem", {"m": 4, "k": 3}, 64),
+    ("main_theorem", {"m": 2, "k": 1}, 4), ("main_theorem", {"m": 3, "k": 1}, 4),
+    ("main_theorem", {"m": 3, "k": 2}, 4), ("main_theorem", {"m": 4, "k": 1}, 4),
+    ("main_theorem", {"m": 4, "k": 3}, 4),
     ("nobauer", {"m_max": 4}, 4311),
-    ("fgprop", {"m": 2, "k": 1}, 168), ("fgprop", {"m": 3, "k": 1}, 296),
-    ("fgprop", {"m": 3, "k": 2}, 296), ("fgprop", {"m": 4, "k": 1}, 552),
-    ("fgprop", {"m": 4, "k": 3}, 552),
+    ("fgprop", {"m": 2, "k": 1}, 104), ("fgprop", {"m": 3, "k": 1}, 184),
+    ("fgprop", {"m": 3, "k": 2}, 184), ("fgprop", {"m": 4, "k": 1}, 344),
+    ("fgprop", {"m": 4, "k": 3}, 344),
     ("hprop", {"m": 2, "k": 1}, 32), ("hprop", {"m": 3, "k": 1}, 64),
     ("hprop", {"m": 3, "k": 2}, 64), ("hprop", {"m": 4, "k": 1}, 128),
     ("hprop", {"m": 4, "k": 3}, 128),
-    ("perm_lemma", {"m": 2, "k": 1}, 24), ("perm_lemma", {"m": 3, "k": 1}, 48),
-    ("perm_lemma", {"m": 3, "k": 2}, 48), ("perm_lemma", {"m": 4, "k": 1}, 96),
-    ("perm_lemma", {"m": 4, "k": 3}, 96),
+    ("perm_lemma", {"m": 2, "k": 1}, 6), ("perm_lemma", {"m": 3, "k": 1}, 6),
+    ("perm_lemma", {"m": 3, "k": 2}, 6), ("perm_lemma", {"m": 4, "k": 1}, 6),
+    ("perm_lemma", {"m": 4, "k": 3}, 6),
     ("zsumexp", {"m": 2, "k": 1}, 56), ("zsumexp", {"m": 3, "k": 1}, 248),
     ("zsumexp", {"m": 3, "k": 2}, 248), ("zsumexp", {"m": 4, "k": 1}, 1016),
     ("zsumexp", {"m": 4, "k": 3}, 1016),
-    ("h_dickson", {"m": 2, "k": 1}, 18), ("h_dickson", {"m": 3, "k": 1}, 34),
-    ("h_dickson", {"m": 3, "k": 2}, 34), ("h_dickson", {"m": 4, "k": 1}, 66),
-    ("h_dickson", {"m": 4, "k": 3}, 66),
-    ("hitt", {"m": 2, "k": 1}, 36), ("hitt", {"m": 3, "k": 1}, 68),
-    ("hitt", {"m": 3, "k": 2}, 68), ("hitt", {"m": 4, "k": 1}, 132),
-    ("hitt", {"m": 4, "k": 3}, 132),
-    ("remark3", {"m": 2}, 6), ("remark3", {"m": 3}, 12), ("remark3", {"m": 4}, 24),
-    ("remark4", {"m": 3, "k": 2}, 32),
-    ("dickson_linearized", {"k_max": 4}, 18388),
+    ("h_dickson", {"m": 2, "k": 1}, 12), ("h_dickson", {"m": 3, "k": 1}, 20),
+    ("h_dickson", {"m": 3, "k": 2}, 20), ("h_dickson", {"m": 4, "k": 1}, 36),
+    ("h_dickson", {"m": 4, "k": 3}, 36),
+    ("hitt", {"m": 2, "k": 1}, 33), ("hitt", {"m": 3, "k": 1}, 65),
+    ("hitt", {"m": 3, "k": 2}, 65), ("hitt", {"m": 4, "k": 1}, 129),
+    ("hitt", {"m": 4, "k": 3}, 129),
+    ("remark3", {"m": 2}, 5), ("remark3", {"m": 3}, 9), ("remark3", {"m": 4}, 17),
+    ("remark4", {"m": 3, "k": 2}, 17),
+    ("dickson_linearized", {"k_max": 4}, 18382),
     ("dickson_methods", {"m_max": 4}, 9344),
     ("polynomiality", {"m_max": 4}, 228),
 ]
