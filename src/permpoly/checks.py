@@ -151,9 +151,11 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _spans(lo: int, hi: int) -> list[tuple[int, int]]:
-    """The chunks [a, b) of _CHUNK_ELEMENTS consecutive x in lo..hi-1, the last one shorter."""
-    return [(a, min(a + _CHUNK_ELEMENTS, hi)) for a in range(lo, hi, _CHUNK_ELEMENTS)]
+def _spans(lo: int, hi: int, width: int = 1) -> list[tuple[int, int]]:
+    """The chunks [a, b) of lo..hi-1, each of as many consecutive values, `width` elements
+    per value, as fit in _CHUNK_ELEMENTS (at least one), the last one shorter."""
+    step = max(1, _CHUNK_ELEMENTS // width)
+    return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
 
 def _map_chunks(body, lo: int, hi: int) -> list:
@@ -281,25 +283,22 @@ def _mul_table(m: int) -> np.ndarray:
     return tab
 
 
-def _dickson_rows(mul: np.ndarray, a, n_max: int):
-    """(n, D_n(x, a) for every x) for n = 1..n_max, by D_n = x*D_(n-1) + a*D_(n-2);
-    for a column of a values, one row per a."""
-    xs = np.arange(len(mul), dtype=np.int64)
+def _dickson_blocks(mul: np.ndarray, a, n_max: int, width: int):
+    """(int32 ns, D_n(x, a) for every x, one row per n) for n = 1..n_max in the _spans blocks
+    of `width` elements per n, by D_n = x*D_(n-1) + a*D_(n-2); rows [a, x] for a column of a.
+    Rows are copied into their block, so changing a block does not reach the recurrence."""
+    q = len(mul)
+    flat = mul.astype(np.intp).ravel()  # mul[u, v] = flat[u*q + v]
+    xs = np.arange(q)
+    xq, aq = q * xs, q * a
     cur = np.broadcast_to(xs, np.broadcast(a, xs).shape)
     prev = np.zeros_like(cur)
-    for n in range(1, n_max + 1):
-        yield n, cur
-        prev, cur = cur, mul[xs, cur] ^ mul[a, prev]
-
-
-def _n_blocks(rows, width: int):
-    """(int32 ns, their rows stacked) for the (n, row) pairs of `rows`, such as
-    _dickson_rows, in blocks of consecutive pairs: as many n as keep a block's
-    widest grid, `width` elements per n, within _CHUNK_ELEMENTS."""
-    step = max(1, _CHUNK_ELEMENTS // width)
-    while block := list(itertools.islice(rows, step)):
-        ns, stacked = zip(*block)
-        yield np.array(ns, dtype=np.int32), np.stack(stacked)
+    for lo, hi in _spans(1, n_max + 1, width):
+        block = np.empty((hi - lo, *cur.shape), dtype=mul.dtype)
+        for row in block:
+            row[...] = cur
+            prev, cur = cur, flat[xq + cur] ^ flat[aq + prev]
+        yield np.arange(lo, hi, dtype=np.int32), block
 
 
 def _closed_form_rows(powers: np.ndarray, ns: np.ndarray) -> np.ndarray:
@@ -434,8 +433,7 @@ def check_nobauer(sweep: CheckOutcome, m_max: int):
             continue
         a, ns = np.arange(1, q), np.arange(1, q * q)
         observed = np.empty((q * q - 1, q - 1), dtype=bool)  # observed[n - 1, a - 1]
-        rows = _dickson_rows(mul, a[:, None], q * q - 1)  # one recurrence for all a
-        for block_ns, dn in _n_blocks(rows, (q - 1) * q):  # dn[n, a, x]
+        for block_ns, dn in _dickson_blocks(mul, a[:, None], q * q - 1, (q - 1) * q):
             observed[block_ns - 1] = _injective(dn, q)
         predicted = np.gcd(ns, q * q - 1) == 1
         # a-major, as a loop over a and then n
@@ -465,8 +463,8 @@ def check_fgprop(sweep: CheckOutcome, m: int, k: int):
             *((g, par, ft.sq, frobk) for g, par in zip(gs, g_par))]
     pairs = {(alpha, beta): derive_params(m, k, alpha=alpha, beta=beta)
              for alpha in (0, 1) for beta in (0, 1)}
-    # every table is used as an index below
-    if not all(sweep.in_field([], tab, q) for tab, *_ in maps):
+    # every table, and tr, is used as an index below
+    if not (sweep.in_field([], ft.tr, 2) and all(sweep.in_field([], tab, q) for tab, *_ in maps)):
         return
 
     def compare_chunk(lo: int, hi: int) -> list:
@@ -516,6 +514,8 @@ def check_hprop(sweep: CheckOutcome, m: int, k: int):
     """Both claims: the rewritten H form, and the trace multiplier of H."""
     ft = field_tables(m)
     params = [derive_params(m, k, alpha=alpha) for alpha in (0, 1)]
+    if not (sweep.in_field([], ft.tr, 2) and sweep.in_field([], ft.exp, ft.q)):  # used as indices
+        return
 
     def compare_chunk(lo: int, hi: int) -> list:
         xs = np.arange(lo, hi, dtype=np.int32)
@@ -829,7 +829,7 @@ def check_dickson_methods(sweep: CheckOutcome, m_max: int):
             continue
         xs = np.arange(q, dtype=np.int64)
         powers = ft.pow_vec((xs, xs[:, None]))  # powers[e, x] = x^e
-        for ns, rec in _n_blocks(_dickson_rows(mul, 1, q * q), q * q):
+        for ns, rec in _dickson_blocks(mul, 1, q * q, q * q):
             methods = np.stack((_closed_form_rows(powers, ns),
                                 ft.dickson_vec(ns[:, None], xs)), axis=1)
             # n-major, then closed form before functional, then x

@@ -11,7 +11,7 @@ import pytest
 from permpoly import OutOfRange, checks, cli
 from permpoly.checks import (_CHUNK_ELEMENTS, CHECKS, LINEARIZED_K_MAX, MUL_TABLE_M_MAX,
                              NOT_A_CLASS, CheckOutcome, _class_images, _closed_form_rows,
-                             _injective, _mul_table, _rotl, _zsum_chunk,
+                             _dickson_blocks, _injective, _mul_table, _rotl, _zsum_chunk,
                              check_dickson_linearized, check_dickson_methods, check_fgprop,
                              check_h_dickson, check_hitt, check_hprop,
                              check_main_theorem, check_main_theorem_outcome,
@@ -19,7 +19,7 @@ from permpoly.checks import (_CHUNK_ELEMENTS, CHECKS, LINEARIZED_K_MAX, MUL_TABL
                              check_polynomiality, check_remark3,
                              check_remark4, check_zsumexp)
 from permpoly.field import coprime_ks, make_field
-from permpoly.maps import dickson_exponents
+from permpoly.maps import dickson_exponents, dickson_recurrence
 from permpoly.sparsepoly import trace_poly
 from permpoly.tables import ExtTables, FieldTables, _linearized_table, ext_tables, field_tables
 
@@ -314,6 +314,37 @@ def test_the_multiplication_table_is_built_once_per_m():
                                 for x in spec.elements()]
 
 
+@pytest.mark.parametrize("m", range(2, 5))
+def test_dickson_blocks_match_the_scalar_recurrence(monkeypatch, m):
+    """Every (n, a), n <= q^2, against maps.dickson_recurrence, for a column of
+    every a, as nobauer runs it; a = 1 alone, as dickson_methods runs it, gives
+    the column's first row. Each in blocks of 2^15 elements and of 2^6 (1 to 5 n
+    each). Each block is overwritten once read, which must not reach the next.
+    Every x at m <= 3; at m = 4, where that takes about 9 s, x = n + a mod q,
+    which meets every x for every a."""
+    spec = make_field(m)
+    q = spec.q
+    mul = _mul_table(m)
+    runs = []
+    for chunk in (_CHUNK_ELEMENTS, 1 << 6):
+        monkeypatch.setattr(checks, "_CHUNK_ELEMENTS", chunk)
+        for a, width in ((np.arange(1, q)[:, None], (q - 1) * q), (1, q * q)):
+            blocks = []
+            for ns, block in _dickson_blocks(mul, a, q * q, width):
+                blocks.append((ns, block.copy()))
+                block[...] = -1
+            ns = np.concatenate([ns for ns, _ in blocks])
+            assert ns.dtype == np.int32 and ns.tolist() == list(range(1, q * q + 1))
+            runs.append(np.concatenate([block for _, block in blocks]).reshape(q * q, -1, q))
+    column, one, *rechunked = runs
+    assert all(np.array_equal(r, e) for r, e in zip(rechunked, (column, one)))
+    assert np.array_equal(one[:, 0], column[:, 0])
+    for n, row in enumerate(column.tolist(), start=1):
+        for a, values in enumerate(row, start=1):
+            for x in range(q) if q <= 8 else [(n + a) % q]:
+                assert values[x] == dickson_recurrence(spec, n, x, a), (n, a, x)
+
+
 @pytest.mark.parametrize("m", range(2, 6))
 def test_batched_dickson_rows_match_the_per_n_evaluators(m):
     """The closed-form rows against poly_table of dickson_exponents, and
@@ -336,19 +367,19 @@ def test_batched_dickson_rows_match_the_per_n_evaluators(m):
 
 
 def _corrupt_dickson_rows(monkeypatch, q, corruptions):
-    """Make checks._dickson_rows yield, over GF(q), for each n in `corruptions`
-    a copy of row n with entry `index` set to new(row), an element of GF(q) other
-    than the true one; the recurrence goes on from the true rows."""
-    orig = checks._dickson_rows
+    """Make checks._dickson_blocks yield, over GF(q), for each n in `corruptions`
+    row n with entry `index` set to new(row), an element of GF(q) other than the
+    true one, written into the yielded block; the recurrence goes on from the true rows."""
+    orig = checks._dickson_blocks
 
-    def corrupted(mul, a, n_max):
-        for n, row in orig(mul, a, n_max):
-            if len(mul) == q and n in corruptions:
-                index, new = corruptions[n]
-                row = row.copy()
-                row[index] = new(row)
-            yield n, row
-    monkeypatch.setattr(checks, "_dickson_rows", corrupted)
+    def corrupted(mul, *args):
+        for ns, block in orig(mul, *args):
+            for n, row in zip(ns.tolist(), block):
+                if len(mul) == q and n in corruptions:
+                    index, new = corruptions[n]
+                    row[index] = new(row)
+            yield ns, block
+    monkeypatch.setattr(checks, "_dickson_blocks", corrupted)
 
 
 #: label -> (checker, {n: (entry, its new value)} for m = 5), and the (passed,
@@ -497,16 +528,17 @@ def test_each_table_gets_one_occupancy_pass(monkeypatch, label):
 
 
 def _corrupt(monkeypatch, name, i, new):
-    """Make checks.<name> return a copy of its table (for field_tables, fresh
-    tables, whose circle is yet to be built, and their exp table) with flat
-    entry i set to new(table)."""
+    """Make checks.<name> return a copy of its table with flat entry i set to
+    new(table); for field_tables (or field_tables.tr), fresh tables, whose circle
+    is yet to be built, and their exp (or tr) table."""
+    name, _, attr = name.partition(".")
     orig = getattr(checks, name)
 
     def corrupted(*args):
         out = orig(*args)
         if name == "field_tables":
             out = FieldTables(out.spec)
-            tab = out.exp
+            tab = getattr(out, attr or "exp")
         else:
             out = tab = out.copy()
         tab.flat[i] = new(tab)
@@ -775,6 +807,12 @@ def test_a_corrupted_minus_one_prints_as_minus_one(monkeypatch):
 #: with table[i] = 2^24; without the in_field guard, or the circle's guard on
 #: exp, each call raises IndexError
 IDENTITY_TABLES = {
+    "hprop_exp": ((check_hprop, (5, 2), "field_tables", 3),
+                  (False, 0, {"inputs": ["3"], "lhs": "1000000", "rhs": "20"})),
+    "hprop_tr": ((check_hprop, (5, 2), "field_tables.tr", 3),
+                 (False, 0, {"inputs": ["3"], "lhs": "1000000", "rhs": "2"})),
+    "fgprop_tr": ((check_fgprop, (5, 2), "field_tables.tr", 3),
+                  (False, 0, {"inputs": ["3"], "lhs": "1000000", "rhs": "2"})),
     "h_dickson_g": ((check_h_dickson, (5, 2), "g_beta_table", 3),
                     (False, 4, {"inputs": ["3"], "lhs": "1000000", "rhs": "20"})),
     "h_dickson_exp": ((check_h_dickson, (5, 2), "field_tables", 2),
@@ -797,6 +835,17 @@ def test_an_out_of_field_value_in_an_identity_table_fails_the_check(monkeypatch,
     _corrupt(monkeypatch, table, i, lambda tab: 1 << 24)
     out = fn(*args)
     assert (out.passed, out.tested, out.counterexample) == expected
+
+
+@pytest.mark.parametrize("table", ["field_tables", "field_tables.tr"], ids=["exp", "tr"])
+@pytest.mark.parametrize("name", CHECKS)
+def test_an_out_of_field_base_table_entry_gives_a_record(monkeypatch, name, table):
+    # exp[2] or tr[2] = 2^24 in every GF(2^m) a check builds (GF(4) has 3 exp
+    # entries), at its m = 5 grid point
+    check = CHECKS[name]
+    args = next(args for args in check.grid(5) if args[0] == 5)
+    _corrupt(monkeypatch, table, 2, lambda tab: 1 << 24)
+    assert isinstance(check.fn(*args), CheckOutcome)
 
 
 def test_a_zero_of_g_fails_h_dickson_at_its_x(monkeypatch):
