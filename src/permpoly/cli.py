@@ -182,8 +182,6 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.format not in (None, "json"):
-        raise OutOfRange(f"verify writes NDJSON only, not --format {args.format}")
     names = list(checks.CHECKS) if args.suite == "all" else [args.suite]
     if args.m_max and args.m_max < 2:
         raise OutOfRange(f"--m-max {args.m_max} is below 2 (0 selects each check's default)")
@@ -211,15 +209,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permpoly",
         description="Permutation-polynomial family over GF(2^m): evaluation and verification.")
-    # unset means text, except for verify, which writes NDJSON and refuses csv and text
-    parser.add_argument("--format", choices=("json", "csv", "text"))
+    # unset means text, except for verify, which writes NDJSON; each command
+    # declares the formats it writes (`formats`), and main refuses the others
+    rows = ("json", "csv", "text")  # what _emit_rows writes
+    parser.add_argument("--format", choices=rows)
     parser.add_argument("--out", help="write output to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_params = sub.add_parser("params", help="derive r, m', sigma, delta, theta")
     p_params.add_argument("--m", type=int, required=True)
     p_params.add_argument("--k", type=int, required=True)
-    p_params.set_defaults(fn=cmd_params)
+    p_params.set_defaults(fn=cmd_params, formats=rows)
 
     p_eval = sub.add_parser("eval", help="evaluate one map at one point")
     p_eval.add_argument("map", choices=MAP_NAMES)
@@ -237,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--method", choices=("recurrence", "closed_form", "functional"),
                         default="recurrence")
     p_eval.add_argument("--cross-check", action="store_true")
-    p_eval.set_defaults(fn=cmd_eval)
+    p_eval.set_defaults(fn=cmd_eval, formats=("text",))
 
     p_sweep = sub.add_parser("sweep", help="main-theorem permutation sweep")
     p_sweep.add_argument("--m-min", type=int, default=2)
     p_sweep.add_argument("--m-max", type=int, default=12)
     p_sweep.add_argument("--k-min", type=int, default=1)
     p_sweep.add_argument("--k-max", type=int, default=1 << 30)
-    p_sweep.set_defaults(fn=cmd_sweep)
+    p_sweep.set_defaults(fn=cmd_sweep, formats=rows)
 
     p_expand = sub.add_parser("expand", help="symbolic exponent-set expansion of H")
     p_expand.add_argument("--m", type=int, required=True)
@@ -253,13 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--gamma", type=int, default=0, choices=(0, 1))
     p_expand.add_argument("--reduce", action="store_true",
                           help="reduce mod X^q - X before printing")
-    p_expand.set_defaults(fn=cmd_expand)
+    p_expand.set_defaults(fn=cmd_expand, formats=("text",))
 
     p_verify = sub.add_parser("verify", help="run the verification checkers")
     p_verify.add_argument("--suite", default="all")
     p_verify.add_argument("--m-max", type=int, default=0,
                           help="cap the sweep degree, at least 2 (0 = per-suite default)")
-    p_verify.set_defaults(fn=cmd_verify)
+    p_verify.set_defaults(fn=cmd_verify, formats=("json",))
     return parser
 
 
@@ -267,6 +267,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.format not in (None, *args.formats):  # before --out is opened
+            raise OutOfRange(f"{args.command} writes {' or '.join(args.formats)} only, "
+                             f"not --format {args.format}")
         return args.fn(args)
     except (PermpolyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,4 +26,4 @@ class NotDivisible(PermpolyError, ArithmeticError):
 
 
 class PreconditionFailed(PermpolyError, ValueError):
-    """A checker's entry condition does not hold for the given parameters."""
+    """A precondition does not hold (a check called off its grid raises OutOfRange)."""

@@ -102,10 +102,7 @@ def functional_preimage(ext: ExtField, x: int):
     base = ext.base
     c = (base.square(base.inv(x)), 0)  # 1/x^2, absolute trace 0
     s = ext.solve_quadratic(c)
-    z = ext.mul((x, 0), s)
-    if z == ExtField.ZERO:  # the other root of s^2 + s = c
-        z = (x, 0)
-    return z
+    return ext.mul((x, 0), s)  # nonzero: s^2 + s = c is not 0, so neither is s
 
 
 def dickson_functional(spec: FieldSpec, n: int, x: int) -> int:

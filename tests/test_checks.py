@@ -18,7 +18,7 @@ from permpoly.checks import (_CHUNK_ELEMENTS, CHECKS, LINEARIZED_K_MAX, MUL_TABL
                              check_nobauer, check_perm_lemma,
                              check_polynomiality, check_remark3,
                              check_remark4, check_zsumexp)
-from permpoly.field import coprime_ks, make_field
+from permpoly.field import MAX_DEGREE, coprime_ks, make_field
 from permpoly.maps import dickson_exponents, dickson_recurrence
 from permpoly.sparsepoly import trace_poly
 from permpoly.tables import ExtTables, FieldTables, _linearized_table, ext_tables, field_tables
@@ -158,6 +158,37 @@ def test_a_clamped_cap_has_one_limit(name, limit):
     assert check.grid(limit + 20) == [(limit,)] and check.grid(3) == [(3,)]
     with pytest.raises(OutOfRange):
         check.fn(limit + 1)
+
+
+def test_each_grid_point_lies_in_the_grid_of_its_first_argument():
+    # verify runs every point of grid(cap), and a registered check runs only at
+    # a point of grid(its first argument), at most its max_cap
+    for name, check in CHECKS.items():
+        for cap in range(2, MAX_DEGREE + 1):
+            for point in check.grid(cap):
+                assert point in check.grid(point[0]), (name, cap, point)
+                if check.max_cap is not None and cap <= check.max_cap:
+                    assert point[0] <= check.max_cap, (name, cap, point)
+
+
+#: check, and arguments where the paper makes no claim: above a clamped cap,
+#: m < 2, 2k != 1 mod m for remark4, gcd(k, m) != 1 or k outside 1..m-1, and
+#: m above the largest field
+OFF_GRID = [("nobauer", (6,)), ("dickson_methods", (6,)), ("dickson_linearized", (17,)),
+            ("remark3", (1,)), ("remark4", (5, 2)), ("remark4", (4, 1)),
+            ("fgprop", (4, 2)), ("perm_lemma", (5, 7)), ("zsumexp", (6, 3)),
+            ("zsumexp", (5, 0)), ("main_theorem", (MAX_DEGREE + 1, 2)),
+            ("polynomiality", (MAX_DEGREE + 1,))]
+
+
+@pytest.mark.parametrize("name, args", OFF_GRID, ids=[f"{n}{a}" for n, a in OFF_GRID])
+def test_a_call_off_its_grid_raises_before_any_work(monkeypatch, name, args):
+    def no_work(*_):
+        raise AssertionError("a record or a table was made")
+    for made in ("CheckOutcome", "field_tables", "ext_tables", "_mul_table"):
+        monkeypatch.setattr(checks, made, no_work)
+    with pytest.raises(OutOfRange):
+        CHECKS[name].fn(*args)
 
 
 def test_fgprop_hprop():
@@ -529,8 +560,8 @@ def test_each_table_gets_one_occupancy_pass(monkeypatch, label):
 
 def _corrupt(monkeypatch, name, i, new):
     """Make checks.<name> return a copy of its table with flat entry i set to
-    new(table); for field_tables (or field_tables.tr), fresh tables, whose circle
-    is yet to be built, and their exp (or tr) table."""
+    new(table); for field_tables (or field_tables.tr, field_tables.sq), fresh
+    tables, whose circle is yet to be built, and their exp (or tr, sq) table."""
     name, _, attr = name.partition(".")
     orig = getattr(checks, name)
 
@@ -793,13 +824,14 @@ def test_no_class_prints_none_not_inf(monkeypatch, label):
 
 
 def test_a_corrupted_minus_one_prints_as_minus_one(monkeypatch):
-    # no value stands for the point at infinity, so -1 prints as itself
+    # no value stands for the point at infinity, so -1 prints as itself; the
+    # squaring table's guard names it, with q as rhs
     ft = FieldTables(make_field(4))
     ft.sq[0] = -1
     monkeypatch.setattr(checks, "field_tables", lambda m: ft)
     out = check_hprop(4, 1)
     assert (out.passed, out.counterexample) == \
-        (False, {"inputs": ["0"], "lhs": "0", "rhs": "-1"})
+        (False, {"inputs": ["0"], "lhs": "-1", "rhs": "10"})
 
 
 #: label -> (checker, its arguments, a table that feeds an identity rather than
@@ -837,15 +869,38 @@ def test_an_out_of_field_value_in_an_identity_table_fails_the_check(monkeypatch,
     assert (out.passed, out.tested, out.counterexample) == expected
 
 
-@pytest.mark.parametrize("table", ["field_tables", "field_tables.tr"], ids=["exp", "tr"])
+@pytest.mark.parametrize("table", ["field_tables", "field_tables.tr", "field_tables.sq"],
+                         ids=["exp", "tr", "sq"])
 @pytest.mark.parametrize("name", CHECKS)
 def test_an_out_of_field_base_table_entry_gives_a_record(monkeypatch, name, table):
-    # exp[2] or tr[2] = 2^24 in every GF(2^m) a check builds (GF(4) has 3 exp
-    # entries), at its m = 5 grid point
+    # exp[2], tr[2] or sq[2] = 2^24 in every GF(2^m) a check builds (GF(4) has 3
+    # exp entries), at its m = 5 grid point
     check = CHECKS[name]
     args = next(args for args in check.grid(5) if args[0] == 5)
     _corrupt(monkeypatch, table, 2, lambda tab: 1 << 24)
     assert isinstance(check.fn(*args), CheckOutcome)
+
+
+#: the checks that build a table (f_alpha, g_beta, H, Frobenius, T_k) from sq
+READS_SQ = {"main_theorem", "fgprop", "hprop", "h_dickson", "hitt", "remark3", "remark4",
+            "dickson_linearized", "polynomiality"}
+
+
+@pytest.mark.parametrize("value", [-1, 1 << 24], ids=["pinf", "far"])
+@pytest.mark.parametrize("name", CHECKS)
+def test_a_squaring_entry_outside_the_field_fails_each_check_that_reads_sq(
+        monkeypatch, name, value):
+    # sq[2] in every GF(2^m) a check builds, at its m = 5 grid point: numpy reads
+    # sq[-1] as the last entry, which once let h_dickson pass on a wrong orbit
+    check = CHECKS[name]
+    args = next(args for args in check.grid(5) if args[0] == 5)
+    _corrupt(monkeypatch, "field_tables.sq", 2, lambda tab: value)
+    out = check.fn(*args)
+    if name in READS_SQ:  # the guard names the entry
+        assert not out.passed and out.counterexample["inputs"][-1] == "2"
+        assert out.counterexample["lhs"] == format(value, "x")
+    else:
+        assert out.passed
 
 
 def test_a_zero_of_g_fails_h_dickson_at_its_x(monkeypatch):

@@ -206,6 +206,18 @@ def test_verify_refuses_a_format_other_than_json(tmp_path, capsys, fmt):
     assert len(err.strip().splitlines()) == 1 and f"--format {fmt}" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [["eval", "h", "--m", "5", "--k", "2", "--x", "5"],
+                                  ["expand", "--m", "5", "--k", "2", "--reduce"]],
+                         ids=["eval", "expand"])
+def test_a_text_command_refuses_another_format(tmp_path, capsys, argv, fmt):
+    # eval and expand print one text line: exit 2 with one line, no --out file
+    path = tmp_path / "out.txt"
+    code, out, err = run(capsys, "--format", fmt, "--out", str(path), *argv)
+    assert code == 2 and out == "" and not path.exists()
+    assert len(err.strip().splitlines()) == 1 and f"--format {fmt}" in err
+
+
 def test_verify_writes_ndjson_with_no_format_or_json(capsys):
     outputs = []
     for argv in ([], ["--format", "json"]):
