@@ -211,15 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Permutation-polynomial family over GF(2^m): evaluation and verification.")
     # unset means text, except for verify, which writes NDJSON; each command
     # declares the formats it writes (`formats`), and main refuses the others
-    rows = ("json", "csv", "text")  # what _emit_rows writes
-    parser.add_argument("--format", choices=rows)
+    row_formats = ("json", "csv", "text")  # what _emit_rows writes
+    parser.add_argument("--format", choices=row_formats)
     parser.add_argument("--out", help="write output to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_params = sub.add_parser("params", help="derive r, m', sigma, delta, theta")
     p_params.add_argument("--m", type=int, required=True)
     p_params.add_argument("--k", type=int, required=True)
-    p_params.set_defaults(fn=cmd_params, formats=rows)
+    p_params.set_defaults(fn=cmd_params, formats=row_formats)
 
     p_eval = sub.add_parser("eval", help="evaluate one map at one point")
     p_eval.add_argument("map", choices=MAP_NAMES)
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m-max", type=int, default=12)
     p_sweep.add_argument("--k-min", type=int, default=1)
     p_sweep.add_argument("--k-max", type=int, default=1 << 30)
-    p_sweep.set_defaults(fn=cmd_sweep, formats=rows)
+    p_sweep.set_defaults(fn=cmd_sweep, formats=row_formats)
 
     p_expand = sub.add_parser("expand", help="symbolic exponent-set expansion of H")
     p_expand.add_argument("--m", type=int, required=True)

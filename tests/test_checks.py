@@ -891,7 +891,7 @@ READS_SQ = {"main_theorem", "fgprop", "hprop", "h_dickson", "hitt", "remark3", "
 def test_a_squaring_entry_outside_the_field_fails_each_check_that_reads_sq(
         monkeypatch, name, value):
     # sq[2] in every GF(2^m) a check builds, at its m = 5 grid point: numpy reads
-    # sq[-1] as the last entry, which once let h_dickson pass on a wrong orbit
+    # sq[-1] as the last entry, so without the guard h_dickson passes on a wrong orbit
     check = CHECKS[name]
     args = next(args for args in check.grid(5) if args[0] == 5)
     _corrupt(monkeypatch, "field_tables.sq", 2, lambda tab: value)
