@@ -1,7 +1,7 @@
 """Permutation-polynomial family over GF(2^m) and its verification suite."""
 
 from .errors import (NotCoprime, NotDivisible, OutOfRange, PermpolyError,
-                     PreconditionFailed, ReducibleModulus, UnsupportedDegree)
+                     ReducibleModulus, UnsupportedDegree)
 from .field import (INFINITY, ExtField, FieldSpec, build_b_set, coprime_ks,
                     element_to_hex, extension_of, load_field_table, make_field,
                     smallest_irreducible)

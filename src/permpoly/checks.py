@@ -377,9 +377,10 @@ def _coprime_grid(cap: int) -> list[tuple]:
     return [(m, k) for m in range(2, cap + 1) for k in coprime_ks(m)]
 
 
-def _clamped(limit: int) -> Callable[[int], list[tuple]]:
-    """The grid of a check run once at min(cap, limit), so that it takes any cap."""
-    return lambda cap: [(min(cap, limit),)]
+def _clamped(limit: int, least: int = 2) -> Callable[[int], list[tuple]]:
+    """The grid of a check run once at min(cap, limit), so that it takes any cap of at
+    least `least`; below it, where nothing would be checked, the grid is empty."""
+    return lambda cap: [(min(cap, limit),)] if cap >= least else []
 
 
 def run_check(name: str, cap: int):
@@ -611,14 +612,15 @@ def _rotl(a, j: int, nbits: int):
     return ((a & ((1 << (nbits - j)) - 1)) << j) | (a >> (nbits - j))
 
 
-def _zsum_chunk(et, k: int, g0: tuple[np.ndarray, np.ndarray], lo: int, hi: int) -> CheckOutcome:
+def _zsum_chunk(et, k: int, g0: tuple[np.ndarray, np.ndarray], lo: int, hi: int) -> list:
     """The identities of check_zsumexp for z = g^i, i in lo..hi-1 (1 <= lo < hi <= n,
     n = 2^2m - 1, g the generator of `exp`), with g0 as its two halves from
     ExtTables.g0_table. In log order z and 1/z = g^(n-i) are slices of exp, and
     the exp indices of w0^(+-1) and w1^(+-1) step by sigma -+ 1 per i, so these
-    reads are strided. First a guard, counting nothing, names the first z whose
-    log (-1 for z = 0, 1) is not i: passed in every chunk, with every exp value
-    in GF(q^2), it proves that the sweep meets each z other than 0 and 1 once.
+    reads are strided. One CheckOutcome per `_sweep_chunks` slot: first a guard,
+    counting nothing, that names the first z whose log (-1 for z = 0, 1) is not i
+    (passed in every chunk, with every exp value in GF(q^2), it proves that the sweep
+    meets each z other than 0 and 1 once); then (i), the two of (ii), the expansion.
 
     Each exponent is +-2^j or sigma +- 1 = 2^k +- 1, so each product of a log
     (in 0..n-1) by one is a bit rotation and a sum or sign flip; the exp index
@@ -628,13 +630,13 @@ def _zsum_chunk(et, k: int, g0: tuple[np.ndarray, np.ndarray], lo: int, hi: int)
     other index is in range, so each `take` is in wrap mode, which releases the
     GIL. Each temporary is dropped after its last use, and no array is written to
     once it has been compared."""
-    sweep = CheckOutcome("zsum_chunk", {"k": k, "lo": lo, "hi": hi})
+    guard, *slots = (CheckOutcome("zsum_chunk", {"k": k, "lo": lo, "hi": hi}) for _ in range(5))
     exp, log, n, nbits = et.exp, et.log, et.n, 2 * et.m
     lz = np.arange(lo, hi, dtype=np.int32)
     z = exp[lo:hi]  # a view of the table: nothing below writes to it
     bad = np.flatnonzero(np.where(z < 2, -1, log.take(z, mode="wrap")) != lz)
     for j in bad[:1]:  # the first z whose log (-1 for z = 0, 1) is not i
-        sweep.fail([z[j]], log[z[j]] if z[j] >= 2 else -1, lz[j])
+        guard.fail([z[j]], log[z[j]] if z[j] >= 2 else -1, lz[j])
     y = exp[n - hi + 1:n - lo + 1][::-1] ^ z  # z + 1/z, nonzero since z != 1
     ly = log.take(y, mode="wrap")
     del y
@@ -650,7 +652,7 @@ def _zsum_chunk(et, k: int, g0: tuple[np.ndarray, np.ndarray], lo: int, hi: int)
     t = exp.take(slz - lz, mode="wrap")  # w0 = z^(sigma-1)
     t ^= exp.take(lz - slz, mode="wrap")  # + 1/w0
     rhs = np.where(t == 0, 0, exp.take(log.take(t, mode="wrap") - s1ly, mode="wrap"))
-    sweep.compare([z], lhs, rhs)
+    slots[0].compare([z], lhs, rhs)
     del lhs
     # (ii): both displayed identities; the first has the right side of (i)
     yinv = exp.take(-ly, mode="wrap")
@@ -658,29 +660,27 @@ def _zsum_chunk(et, k: int, g0: tuple[np.ndarray, np.ndarray], lo: int, hi: int)
     gsq = et.square(g0[0].take(yinv & (et.q - 1), mode="wrap")
                     ^ g0[1].take(yinv >> et.m, mode="wrap"))
     del yinv
-    sweep.compare([z], gsq, rhs)
+    slots[1].compare([z], gsq, rhs)
     del rhs
     slz += lz  # (sigma + 1) * lz
     yw1 = exp.take(slz, mode="wrap")  # w1 = z^(sigma+1)
     yw1 ^= exp.take(-slz, mode="wrap")  # + 1/w1
     del slz
     rhs1 = np.where(yw1 == 0, 0, exp.take(log.take(yw1, mode="wrap") - s1ly, mode="wrap"))
-    sweep.compare([z], 1 ^ gsq, rhs1)
+    slots[2].compare([z], 1 ^ gsq, rhs1)
     del gsq, rhs1
     # the expansion of (z + 1/z)^(sigma+1) used to prove (ii): w1 + w0 + 1/w0 + 1/w1
     t ^= yw1
     del yw1
-    sweep.compare([z], exp.take(s1ly, mode="wrap"), t)
-    return sweep
+    slots[3].compare([z], exp.take(s1ly, mode="wrap"), t)
+    return [guard, *slots]
 
 
 @_check("zsumexp", _coprime_grid, 10, EXT_MAX_DEGREE)
 def check_zsumexp(sweep: CheckOutcome, m: int, k: int):
     """Identities (i) and (ii) at every z = g^i of GF(q^2), i = 1..n-1 (so z != 0, 1),
     chunk by chunk in log order through `_sweep_chunks` (numpy releases the GIL in the
-    wrap-mode gathers). Each chunk is one slot, folded in chunk order, so the first
-    counterexample is that of the first failing chunk: its guard, else its first
-    failing comparison, then the first z; the serial outcome for any worker count."""
+    wrap-mode gathers)."""
     et = ext_tables(m)
     g0 = et.g0_table(k)
     # _zsum_chunk uses the exp and g0 values as indices, and rotates the logs,
@@ -689,7 +689,7 @@ def check_zsumexp(sweep: CheckOutcome, m: int, k: int):
     if not (sweep.in_field([], et.exp, et.Q) and sweep.in_field([], et.log, et.n)
             and all(sweep.in_field([], half, et.Q) for half in g0)):
         return
-    _sweep_chunks(sweep, lambda lo, hi: [_zsum_chunk(et, k, g0, lo, hi)], 1, et.n)
+    _sweep_chunks(sweep, lambda lo, hi: _zsum_chunk(et, k, g0, lo, hi), 1, et.n)
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +812,7 @@ def check_remark4(sweep: CheckOutcome, m: int, k: int):
 # the Dickson identities and the polynomiality of the symbolic expansion
 # ---------------------------------------------------------------------------
 
-@_check("dickson_linearized", _clamped(LINEARIZED_K_MAX), LINEARIZED_K_MAX, None)
+@_check("dickson_linearized", _clamped(LINEARIZED_K_MAX, least=1), LINEARIZED_K_MAX, None)
 def check_dickson_linearized(sweep: CheckOutcome, k_max: int):
     """Symbolic and pointwise forms of D_{2^k-1} = X^(2^k+1) * T_k(1/X)^2."""
     for k in range(1, k_max + 1):
@@ -850,7 +850,7 @@ def check_dickson_methods(sweep: CheckOutcome, m_max: int):
             sweep.compare([ns[:, None, None], xs], rec[:, None], methods)
 
 
-@_check("polynomiality", lambda cap: [(cap,)], 12)
+@_check("polynomiality", lambda cap: [(cap,)] if cap >= 2 else [], 12)
 def check_polynomiality(sweep: CheckOutcome, m_max: int):
     """expand_h never fails exact division; reduced form matches the evaluator."""
     for m in range(2, m_max + 1):
@@ -869,7 +869,7 @@ def check_polynomiality(sweep: CheckOutcome, m_max: int):
                     except NotDivisible:
                         sweep.expect(False, [m, k, alpha, gamma], 1, 0)
                         continue
-                    sweep.expect(0 not in poly, [m, k, alpha, gamma], 0, 0)
+                    sweep.expect(0 not in poly, [m, k, alpha, gamma], int(0 in poly), 0)
                     if ft is not None:
                         sweep.compare([np.arange(ft.q)], ft.poly_table(poly),
                                       h_alpha ^ ft.tr if gamma else h_alpha)

@@ -24,6 +24,3 @@ class OutOfRange(PermpolyError, ValueError):
 class NotDivisible(PermpolyError, ArithmeticError):
     """Exact division by X^2 failed: an exponent below 2 is present."""
 
-
-class PreconditionFailed(PermpolyError, ValueError):
-    """A precondition does not hold (a check called off its grid raises OutOfRange)."""

@@ -34,10 +34,8 @@ EXT_MAX_DEGREE = 12
 #: chunk-sized temporaries; the widest grid of one block of n in nobauer and dickson_methods;
 #: one piece of an exp or log build. So memory beyond the tables grows with neither the
 #: field nor the number of n. A field of at most this many elements (m <= 15) is one chunk,
-#: swept inline. The first counterexample of the base-field sweeps depends on neither this
-#: size nor the worker count: `_sweep_chunks` folds each comparison over all chunks before
-#: the next. zsumexp folds its one slot chunk by chunk, so its first counterexample is that
-#: of the first failing chunk, which this size decides (the worker count still does not).
+#: swept inline. The first counterexample of a sweep depends on neither this size nor
+#: the worker count: `_sweep_chunks` folds each comparison over all chunks before the next.
 _CHUNK_ELEMENTS = 1 << 15
 
 

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import sys
 import threading
@@ -173,8 +174,10 @@ def test_each_grid_point_lies_in_the_grid_of_its_first_argument():
 
 #: check, and arguments where the paper makes no claim: above a clamped cap,
 #: m < 2, 2k != 1 mod m for remark4, gcd(k, m) != 1 or k outside 1..m-1, and
-#: m above the largest field
+#: m above the largest field; and caps where nothing would be checked
 OFF_GRID = [("nobauer", (6,)), ("dickson_methods", (6,)), ("dickson_linearized", (17,)),
+            ("nobauer", (1,)), ("dickson_methods", (-3,)), ("dickson_linearized", (0,)),
+            ("polynomiality", (1,)), ("polynomiality", (0,)),
             ("remark3", (1,)), ("remark4", (5, 2)), ("remark4", (4, 1)),
             ("fgprop", (4, 2)), ("perm_lemma", (5, 7)), ("zsumexp", (6, 3)),
             ("zsumexp", (5, 0)), ("main_theorem", (MAX_DEGREE + 1, 2)),
@@ -209,8 +212,30 @@ def test_zsum_top_chunk_where_int32_log_products_would_wrap():
     # at m = 11, k = 10 the top log chunk has sigma * log z > 2^31: an int32
     # product would wrap there, so the int32 rotation must not
     et = ExtTables(11)  # not cached: 48 MB of tables no other test reads
-    part = _zsum_chunk(et, 10, et.g0_table(10), et.n - _CHUNK_ELEMENTS, et.n)
+    slots = _zsum_chunk(et, 10, et.g0_table(10), et.n - _CHUNK_ELEMENTS, et.n)
+    # the guard counts nothing, and each of the four comparisons one per z
+    assert [slot.tested for slot in slots] == [0] + 4 * [_CHUNK_ELEMENTS]
+    part = _merged(slots)
     assert (part.counterexample, part.tested) == (None, 4 * _CHUNK_ELEMENTS)
+
+
+@pytest.mark.parametrize("nbits", [24, 28, 30])
+def test_zsum_index_sums_stay_in_int32_at_the_top_of_their_range(nbits):
+    # _zsum_chunk's sums of two logs, with no table: sigma * a by k one-bit
+    # rotations, plus a, stays a non-negative int32 (below 2^31 at nbits = 30),
+    # and _rotl(a, k) - a is (sigma - 1) * a, both mod n = 2^nbits - 1
+    n = (1 << nbits) - 1
+    sample = np.random.default_rng(nbits).integers(0, n, 256)
+    a = np.concatenate([[0, 1, n - 2, n - 1], sample]).astype(np.int32)
+    for k in (1, nbits - 1):
+        rot = a
+        for _ in range(k):
+            rot = _rotl(rot, 1, nbits)
+        s1ly, w0 = rot + a, _rotl(a, k, nbits) - a
+        assert s1ly.min() >= 0, k
+        for got, factor in ((s1ly, (1 << k) + 1), (w0, (1 << k) - 1)):
+            assert got.dtype == np.int32, k
+            assert [v % n for v in got.tolist()] == [factor * v % n for v in a.tolist()], k
 
 
 @pytest.mark.parametrize("nbits", [4, 20, 24, 28, 30])
@@ -256,21 +281,24 @@ def _zsum_reference(et, k: int):
                       (e((sigma + 1) * ly), w1 ^ w0 ^ w0inv ^ w1inv)]
 
 
-def _zsum_fold(reference, chunk: int) -> CheckOutcome:
-    """A _zsum_reference folded as zsumexp folds its chunks of `chunk` logs: the
-    first failing chunk, then the guard or the first failing comparison in it,
-    then the first i."""
+def _zsum_fold(reference) -> CheckOutcome:
+    """A _zsum_reference folded in one pass: the guard over every i, then each
+    comparison in turn; the first failing one, then its first i."""
     z, logz, pairs = reference
     i = np.arange(1, z.size + 1)
     out = CheckOutcome("reference", {})
-    for lo in range(0, z.size, chunk):
-        part = slice(lo, lo + chunk)
-        bad = np.flatnonzero(logz[part] != i[part])
-        if bad.size:
-            j = lo + bad[0]
-            out.fail([z[j]], logz[j], i[j])
-        for lhs, rhs in pairs:
-            out.compare([z[part]], lhs[part], rhs[part])
+    for j in np.flatnonzero(logz != i)[:1]:
+        out.fail([z[j]], logz[j], i[j])
+    for lhs, rhs in pairs:
+        out.compare([z], lhs, rhs)
+    return out
+
+
+def _merged(slots) -> CheckOutcome:
+    """A chunk's slots folded in order, as `_sweep_chunks` folds them."""
+    out = CheckOutcome("merged", {})
+    for slot in slots:
+        out.merge(slot)
     return out
 
 
@@ -284,7 +312,7 @@ def test_zsum_chunk_matches_a_modulo_reference_on_corrupted_tables(monkeypatch, 
             tab[rng.integers(1, tab.size, 3)] ^= 1
         # the reference reads the whole squaring and g0 tables, the chunk their halves
         reference = _zsum_reference(et, k)
-        pairs, expected = reference[2], _zsum_fold(reference, et.n)
+        pairs, expected = reference[2], _zsum_fold(reference)
         assert expected.counterexample is not None, k
         seen = []
 
@@ -293,7 +321,7 @@ def test_zsum_chunk_matches_a_modulo_reference_on_corrupted_tables(monkeypatch, 
             compare(self, inputs, lhs, rhs)
         with monkeypatch.context() as mp:
             mp.setattr(CheckOutcome, "compare", recorded)
-            part = _zsum_chunk(et, k, et.g0_table(k), 1, et.n)
+            part = _merged(_zsum_chunk(et, k, et.g0_table(k), 1, et.n))
         assert (part.tested, part.counterexample) == (expected.tested, expected.counterexample), k
         # every comparison, also those after the first failing one
         assert len(seen) == len(pairs), k
@@ -465,6 +493,15 @@ def test_a_wrong_dickson_row_fails_at_the_serial_counterexample(monkeypatch, lab
 def test_polynomiality_small():
     out = check_polynomiality(6)
     assert out.passed and out.counterexample is None
+
+
+def test_a_constant_term_fails_polynomiality_with_lhs_unequal_to_rhs(monkeypatch):
+    # lhs is whether X^0 is in the expansion: 1 against 0 on a failed record
+    expand = checks.expand_h
+    monkeypatch.setattr(checks, "expand_h", lambda p: expand(p) | {0})
+    out = check_polynomiality(3)
+    assert (out.passed, out.tested, out.counterexample) == \
+        (False, 92, {"inputs": ["2", "1", "0", "0"], "lhs": "1", "rhs": "0"})
 
 
 def test_outcome_counterexample_shape():
@@ -1013,15 +1050,15 @@ ZSUM_TESTED = 4 * ((1 << 18) - 2)
 #: bit 0), and the (tested, counterexample); every exp entry lies past the first
 #: zsumexp chunk, while an entry of a 2^9-entry squaring half is met in every
 #: chunk. The counterexamples of flipped entries are the modulo reference's,
-#: folded in log-order chunks. An exp value outside GF(2^18) fails the check
-#: before the sweep, where it used to raise IndexError in a chunk.
+#: folded in one pass. An exp value outside GF(2^18) fails the check before the
+#: sweep.
 ZSUM_CORRUPTED = {
     "sq": (("sq_lo", (300,), 2, None),
            (ZSUM_TESTED, {"inputs": ["126e"], "lhs": "a187", "rhs": "a186"})),
     "sq_twice": (("sq_hi", (40, 250), 5, None),
                  (ZSUM_TESTED, {"inputs": ["3a351"], "lhs": "274e3", "rhs": "274e2"})),
     "exp_twice": (("exp", (70000, 200000), 2, None),
-                  (ZSUM_TESTED, {"inputs": ["1135d"], "lhs": "32017", "rhs": "328e"})),
+                  (ZSUM_TESTED, {"inputs": ["9256"], "lhs": "bff9", "rhs": "11170"})),
     "exp_out_of_range": (("exp", (100000,), 2, 1 << 18),
                          (0, {"inputs": ["186a0"], "lhs": "40000", "rhs": "40000"})),
 }
@@ -1035,13 +1072,17 @@ def test_zsumexp_outcome_does_not_depend_on_the_worker_count(monkeypatch, label)
     for i in entries:
         tab[i] = tab[i] ^ 1 if value is None else value
     if value is None:  # the pin is the reference's, not the kernel's
-        ref = _zsum_fold(_zsum_reference(et, k), _CHUNK_ELEMENTS)
+        ref = _zsum_fold(_zsum_reference(et, k))
         assert (ref.passed, ref.tested, ref.counterexample) == (False, *expected)
     monkeypatch.setattr(checks, "ext_tables", lambda m: et)
-    for workers in (1, 8):  # 8 runs all eight chunks of GF(2^18) at once
+    # eight chunks of 2^15 logs (8 workers run them all at once), 263 of 1000, the
+    # last one shorter, and two
+    for chunk, workers in itertools.product((1 << 15, 1000, 1 << 17), (1, 8)):
+        monkeypatch.setattr(checks, "_CHUNK_ELEMENTS", chunk)
         monkeypatch.setattr(checks, "_workers", lambda: workers)
         out = check_zsumexp(9, k)
-        assert (out.passed, out.tested, out.counterexample) == (False, *expected), workers
+        assert (out.passed, out.tested, out.counterexample) == (False, *expected), \
+            (chunk, workers)
 
 
 def _swap(et):
