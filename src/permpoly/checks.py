@@ -410,7 +410,7 @@ def check_main_theorem(m: int, k: int) -> list[PermutationReport]:
             reports.append(PermutationReport(
                 m=m, k=k, alpha=alpha, gamma=gamma,
                 is_permutation=permutes,
-                predicted_by_theorem=(p.r + (alpha + gamma) * m) % 2 == 1,
+                predicted_by_theorem=derive_params(m, k, alpha=alpha, gamma=gamma).h_trace == 1,
                 image_of_t0=class0, image_of_t1=class1,
                 t0_bijective=bijective0, t1_bijective=bijective1))
     return reports
@@ -465,15 +465,13 @@ def check_fgprop(sweep: CheckOutcome, m: int, k: int):
     if not sweep.in_field([], ft.sq, q):  # every table below is built from it
         return
     frobk = ft.frobenius_table(k)
-    fs = [f_alpha_table(ft, derive_params(m, k, alpha=alpha)) for alpha in (0, 1)]
-    gs = [g_beta_table(ft, derive_params(m, k, beta=beta)) for beta in (0, 1)]
-    # the trace multipliers of f_alpha and g_beta
-    f_par = [(derive_params(m, k).r + alpha * m) % 2 for alpha in (0, 1)]
-    g_par = [(k + beta * m) % 2 for beta in (0, 1)]
+    fps = [derive_params(m, k, alpha=alpha) for alpha in (0, 1)]
+    gps = [derive_params(m, k, beta=beta) for beta in (0, 1)]
+    fs, gs = [f_alpha_table(ft, p) for p in fps], [g_beta_table(ft, p) for p in gps]
     # each map with its trace multiplier and the tables of (iii), frob_lhs[tab] + tab =
     # frob_rhs[x] + x: the Frobenius x^(2^k), then the squaring for f, the reverse for g
-    maps = [*((f, par, frobk, ft.sq) for f, par in zip(fs, f_par)),
-            *((g, par, ft.sq, frobk) for g, par in zip(gs, g_par))]
+    maps = [*((f, p.f_trace, frobk, ft.sq) for f, p in zip(fs, fps)),
+            *((g, p.g_trace, ft.sq, frobk) for g, p in zip(gs, gps))]
     pairs = {(alpha, beta): derive_params(m, k, alpha=alpha, beta=beta)
              for alpha in (0, 1) for beta in (0, 1)}
     # (vii)'s theta, per (beta, lambda)
@@ -518,9 +516,9 @@ def check_fgprop(sweep: CheckOutcome, m: int, k: int):
         sweep.expect(permutes == (par == 1), [par], permutes, par == 1)
     # per pair: the parity of delta, and the theta congruence, the lambda = delta instance
     for (alpha, beta), p in pairs.items():
-        lhs, rhs = (1 + p.delta * m) % 2, f_par[alpha] * g_par[beta]
+        lhs, rhs = p.fg_trace, p.f_trace * p.g_trace
         sweep.expect(lhs == rhs, [alpha, beta], lhs, rhs)
-        lhs, rhs = (m * p.theta) % 2, (k + beta * m + k * (1 + p.delta * m)) % 2
+        lhs, rhs = (m * p.theta) % 2, (p.g_trace + k * p.fg_trace) % 2
         sweep.expect(lhs == rhs, [alpha, beta, p.delta], lhs, rhs)
 
 
@@ -546,7 +544,7 @@ def check_hprop(sweep: CheckOutcome, m: int, k: int):
             alt = ft.sq[ratio.astype(np.intp)] ^ ratio ^ fa
             del ratio, fa
             for gamma, h in enumerate((h_alpha, h_alpha ^ tr)):
-                par = (p.r + (alpha + gamma) * m) % 2
+                par = derive_params(m, k, alpha=alpha, gamma=gamma).h_trace
                 for lhs, rhs in ((h, alt ^ (gamma * tr)), (ft.tr[h.astype(np.intp)], par * tr)):
                     parts.append(CheckOutcome("hprop", {}))
                     parts[-1].compare([xs], lhs, rhs)
@@ -700,11 +698,11 @@ def check_zsumexp(sweep: CheckOutcome, m: int, k: int):
 def check_h_dickson(sweep: CheckOutcome, m: int, k: int):
     ft = field_tables(m)
     base = derive_params(m, k)
-    alpha = 0 if base.r % 2 == 1 else 1
+    alpha = 1 - base.f_trace
     beta = (base.m_prime + alpha * k) % 2
     p = derive_params(m, k, alpha=alpha, beta=beta)
-    sweep.expect((p.r + alpha * m) % 2 == 1, [alpha], (p.r + alpha * m) % 2, 1)
-    sweep.expect((k + beta * m) % 2 == 1, [beta], (k + beta * m) % 2, 1)
+    sweep.expect(p.f_trace == 1, [alpha], p.f_trace, 1)
+    sweep.expect(p.g_trace == 1, [beta], p.g_trace, 1)
     if not sweep.in_field([], ft.sq, ft.q):  # g and H are built from it
         return
     g = g_beta_table(ft, p)
@@ -722,7 +720,7 @@ def check_h_dickson(sweep: CheckOutcome, m: int, k: int):
     # permutation status for both alpha choices
     for a in (0, 1):
         observed = _injective(hs[a], q)
-        predicted = (p.r + a * m) % 2 == 1
+        predicted = derive_params(m, k, alpha=a).h_trace == 1
         sweep.expect(observed == predicted, [a], observed, predicted)
 
 
@@ -735,27 +733,25 @@ def check_hitt(sweep: CheckOutcome, m: int, k: int):
     """The single equation covering injectivity on both trace classes."""
     ft = field_tables(m)
     q = ft.q
-    sigma = 1 << k
-    beta = 0 if k % 2 == 1 else 1
+    beta = 1 - derive_params(m, k).g_trace
     if not (sweep.guard_holds([], ft.circle) and sweep.in_field([], ft.sq, q)):
         return
     b_sets = _b_sets(ft)
-    g = g_beta_table(ft, derive_params(m, k, beta=beta))
-    sweep.expect((k + beta * m) % 2 == 1, [beta], (k + beta * m) % 2, 1)
+    g = g_beta_table(ft, pg := derive_params(m, k, beta=beta))
+    sweep.expect(pg.g_trace == 1, [beta], pg.g_trace, 1)
     if not sweep.in_field([], g, q):  # g indexes h below
         return
     for alpha in (0, 1):
         p = derive_params(m, k, alpha=alpha, beta=beta)
         h_alpha = h_value_table(ft, p)
-        delta, theta = p.delta, p.theta
         for gamma, h in enumerate((h_alpha, h_alpha ^ ft.tr)):
             for e in (0, 1):
-                z, phi, w = b_sets[(e * (1 + delta * m)) % 2]
+                z, phi, w = b_sets[e * p.fg_trace]
                 pz = phi[z]
-                pw = phi[w(sigma - 1 if theta * e == 0 else sigma + 1, z)]
+                pw = phi[w(p.sigma - 1 if p.theta * e == 0 else p.sigma + 1, z)]
                 inputs = [alpha, gamma, e]
                 if sweep.in_field(inputs, pz, q) and sweep.in_field(inputs, pw, q):
-                    sweep.compare([*inputs, z], h[g[pz ^ (delta * e)]], pw ^ (gamma * e))
+                    sweep.compare([*inputs, z], h[g[pz ^ (p.delta * e)]], pw ^ (gamma * e))
 
 
 @_check("remark3", lambda cap: [(m,) for m in range(2, cap + 1)], 12)

@@ -149,8 +149,8 @@ def cmd_sweep(args) -> int:
             if gcd(k, m) != 1:
                 print(f"skipping m={m} k={k}: gcd != 1", file=sys.stderr)
                 continue
+            p = derive_params(m, k)
             for rep in checks.check_main_theorem(m, k):
-                p = derive_params(m, k)
                 rows.append({
                     "m": m, "k": k, "r": p.r, "m_prime": p.m_prime,
                     "alpha": rep.alpha, "gamma": rep.gamma,
@@ -191,6 +191,8 @@ def cmd_verify(args) -> int:
         limit = checks.CHECKS[name].max_cap
         if limit is not None and args.m_max > limit:
             raise OutOfRange(f"--m-max {args.m_max} exceeds {limit}, the largest m for {name}")
+        if len(names) == 1 and args.m_max and not checks.CHECKS[name].grid(args.m_max):
+            raise OutOfRange(f"{name} has no grid point up to --m-max {args.m_max}")
     all_passed = True
     with _output(args) as stream:
         for name in names:

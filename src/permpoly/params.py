@@ -31,6 +31,26 @@ class ParamSet:
     sigma: int
     field: FieldSpec
 
+    @property
+    def f_trace(self) -> int:
+        """(r + alpha*m) mod 2, the trace multiplier: Tr(f_alpha(x)) = f_trace*Tr(x)."""
+        return (self.r + self.alpha * self.m) % 2
+
+    @property
+    def g_trace(self) -> int:
+        """(k + beta*m) mod 2, the trace multiplier: Tr(g_beta(x)) = g_trace*Tr(x)."""
+        return (self.k + self.beta * self.m) % 2
+
+    @property
+    def h_trace(self) -> int:
+        """(r + (alpha+gamma)*m) mod 2: Tr(H) = h_trace*Tr, and H permutes iff it is 1."""
+        return (self.f_trace + self.gamma * self.m) % 2
+
+    @property
+    def fg_trace(self) -> int:
+        """(1 + delta*m) mod 2, the trace multiplier of f_alpha(g_beta(x)) = x + delta*Tr(x)."""
+        return (1 + self.delta * self.m) % 2
+
 
 def derive_params(m: int, k: int, alpha: int = 0, beta: int = 0, gamma: int = 0,
                   lam: int | None = None, field: FieldSpec | None = None) -> ParamSet:
@@ -53,15 +73,13 @@ def derive_params(m: int, k: int, alpha: int = 0, beta: int = 0, gamma: int = 0,
     if k * r != 1 + m * m_prime:
         raise ArithmeticError(f"k*r = {k * r} is not 1 + m*m' for m'={m_prime}")
     delta = (m_prime + alpha * k + beta * r + alpha * beta * m) % 2
-    if (1 + delta * m) % 2 != ((r + alpha * m) * (k + beta * m)) % 2:
-        raise ArithmeticError(f"delta={delta} breaks the composition congruence")
     if lam is None:
         lam = delta
     elif lam not in (0, 1):
         raise OutOfRange(f"lambda={lam} not in {{0, 1}}")
-    theta = (beta + lam * k) % 2
-    if field is None:
-        field = make_field(m)
-    return ParamSet(m=m, k=k, r=r, m_prime=m_prime, alpha=alpha, beta=beta,
-                    gamma=gamma, delta=delta, theta=theta, lam=lam,
-                    sigma=1 << k, field=field)
+    p = ParamSet(m=m, k=k, r=r, m_prime=m_prime, alpha=alpha, beta=beta, gamma=gamma,
+                 delta=delta, theta=(beta + lam * k) % 2, lam=lam, sigma=1 << k,
+                 field=make_field(m) if field is None else field)
+    if p.fg_trace != p.f_trace * p.g_trace:
+        raise ArithmeticError(f"delta={delta} breaks the composition congruence")
+    return p

@@ -495,15 +495,6 @@ def test_polynomiality_small():
     assert out.passed and out.counterexample is None
 
 
-def test_a_constant_term_fails_polynomiality_with_lhs_unequal_to_rhs(monkeypatch):
-    # lhs is whether X^0 is in the expansion: 1 against 0 on a failed record
-    expand = checks.expand_h
-    monkeypatch.setattr(checks, "expand_h", lambda p: expand(p) | {0})
-    out = check_polynomiality(3)
-    assert (out.passed, out.tested, out.counterexample) == \
-        (False, 92, {"inputs": ["2", "1", "0", "0"], "lhs": "1", "rhs": "0"})
-
-
 def test_outcome_counterexample_shape():
     # force a failing comparison through the internal sweeper
     from permpoly.checks import CheckOutcome

@@ -263,6 +263,30 @@ def test_verify_rejects_cap_below_two(capsys, m_max):
     assert code == 2 and out == ""
 
 
+def test_verify_refuses_a_suite_with_no_grid_point_at_its_cap(tmp_path, capsys, monkeypatch):
+    # remark4's grid starts at m = 3: exit 2 with one line, before any check
+    # runs or the --out file is opened
+    def no_check(*_):
+        raise AssertionError("a check ran")
+    monkeypatch.setattr(checks, "run_check", no_check)
+    path = tmp_path / "out.ndjson"
+    code, out, err = run(capsys, "--out", str(path), "verify", "--suite", "remark4",
+                         "--m-max", "2")
+    assert code == 2 and out == "" and not path.exists()
+    assert err == "error: remark4 has no grid point up to --m-max 2\n"
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "verify", "--suite", "remark4", "--m-max", "3")
+    assert code == 0
+    assert [json.loads(line)["params"] for line in out.splitlines()] == [{"m": 3, "k": 2}]
+
+
+def test_verify_all_runs_every_check_with_a_grid_point_at_its_cap(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--m-max", "2")
+    assert code == 0
+    checks_run = [json.loads(line)["check"] for line in out.splitlines()]
+    assert checks_run == [name for name in checks.CHECKS if name != "remark4"]
+
+
 #: (check, params, tested) of every `verify --suite all --m-max 4` record;
 #: each passed with no counterexample. `tested` is one per `expect` plus one
 #: per element compared: main_theorem 4 and perm_lemma 6 verdicts, fgprop
