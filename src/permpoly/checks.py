@@ -24,8 +24,8 @@ from .field import MAX_DEGREE, coprime_ks, make_field
 from .maps import dickson_exponents
 from .params import derive_params
 from .sparsepoly import expand_h, sp_add, sp_reduce_mod_field, trace_poly
-from .tables import (_CHUNK_ELEMENTS, EXT_MAX_DEGREE, ext_tables, f_alpha_table,
-                     field_tables, g_beta_table, h_value_table)
+from .tables import (_CHUNK_ELEMENTS, EXT_MAX_DEGREE, ext_tables, f_alpha_map,
+                     f_alpha_table, field_tables, g_beta_map, g_beta_table, h_value_table)
 
 NOT_A_CLASS = -1
 
@@ -267,6 +267,13 @@ def _class_images(ft, tables: int, values) -> list:
             for t, marks in enumerate(grid.reshape(tables, 2, q))]
 
 
+def _expect_same_set(sweep: CheckOutcome, inputs, lhs: set | frozenset, rhs: set | frozenset):
+    """One verdict that two exponent sets are equal: a failure names the least exponent
+    in only one of them, after `inputs`, with whether each side holds it (1 or 0)."""
+    e = min(lhs ^ rhs, default=0)
+    sweep.expect(lhs == rhs, [*inputs, e], int(e in lhs), int(e in rhs))
+
+
 def _expect_classes(sweep: CheckOutcome, classes, t1_target: int):
     """The `_class_images` classes: T_0 onto T_0 and T_1 onto T_(t1_target), bijectively."""
     for e, ((cls, bijective), target) in enumerate(zip(classes, (0, t1_target))):
@@ -458,60 +465,64 @@ def check_nobauer(sweep: CheckOutcome, m_max: int):
 @_check("fgprop", _coprime_grid, 12)
 def check_fgprop(sweep: CheckOutcome, m: int, k: int):
     """Each of f_0, f_1, g_0 and g_1 is checked once, then each (alpha, beta) pair, and
-    (vii) once per (beta, lambda). The f_alpha, g_beta and Frobenius tables are whole,
-    as lookup tables; every comparison on them is made chunk by chunk."""
+    (vii) once per (beta, lambda). Each map, x^(2^k) too, is a `LinearMap`, two half
+    tables: every comparison is made chunk by chunk, on the maps' spans, and each
+    composition takes through the halves."""
     ft = field_tables(m)
     q = ft.q
-    if not sweep.in_field([], ft.sq, q):  # every table below is built from it
+    if not sweep.in_field([], ft.sq, q):  # every map below is built from it
         return
-    frobk = ft.frobenius_table(k)
+    frobk = ft.linear_map(frozenset({1 << k}))
     fps = [derive_params(m, k, alpha=alpha) for alpha in (0, 1)]
     gps = [derive_params(m, k, beta=beta) for beta in (0, 1)]
-    fs, gs = [f_alpha_table(ft, p) for p in fps], [g_beta_table(ft, p) for p in gps]
-    # each map with its trace multiplier and the tables of (iii), frob_lhs[tab] + tab =
-    # frob_rhs[x] + x: the Frobenius x^(2^k), then the squaring for f, the reverse for g
-    maps = [*((f, p.f_trace, frobk, ft.sq) for f, p in zip(fs, fps)),
-            *((g, p.g_trace, ft.sq, frobk) for g, p in zip(gs, gps))]
+    fs, gs = [f_alpha_map(ft, p) for p in fps], [g_beta_map(ft, p) for p in gps]
     pairs = {(alpha, beta): derive_params(m, k, alpha=alpha, beta=beta)
              for alpha in (0, 1) for beta in (0, 1)}
     # (vii)'s theta, per (beta, lambda)
     thetas = {(beta, lam): derive_params(m, k, beta=beta, lam=lam).theta
               for beta, lam in itertools.product((0, 1), (0, 1))}
-    # every table, and tr, is used as an index below
-    if not (sweep.in_field([], ft.tr, 2) and all(sweep.in_field([], tab, q) for tab, *_ in maps)):
+    # tr and the values of f and g are used as indices below, in wrap-mode takes: with
+    # both halves of a map in GF(q), so is every XOR of them; a counterexample names
+    # the entry's index in its half, lo before hi
+    if not (sweep.in_field([], ft.tr, 2)
+            and all(sweep.in_field([], half, q) for mp in (*fs, *gs) for half in (mp.lo, mp.hi))):
         return
+    square = functools.partial(ft.sq.take, mode="wrap")
 
     def compare_chunk(lo: int, hi: int) -> list:
         xs = np.arange(lo, hi, dtype=np.int32)
         tr = ft.tr[lo:hi]
+        fx, gx = [f.span(lo, hi) for f in fs], [g.span(lo, hi) for g in gs]
         parts = []
 
         def compare(lhs, rhs):
             parts.append(CheckOutcome("fgprop", {}))
             parts[-1].compare([xs], lhs, rhs)
-        # per map: (i) Tr(tab(x)) = par*Tr(x), and (iii)
-        for tab, par, frob_lhs, frob_rhs in maps:
-            chunk = tab[lo:hi]
-            index = chunk.astype(np.intp)  # numpy gathers intp faster than int32
-            compare(ft.tr[index], par * tr)
-            compare(frob_lhs[index] ^ chunk, frob_rhs[lo:hi] ^ xs)
+        # per map: (i) Tr(map(x)) = par*Tr(x), and (iii), frob_lhs(map(x)) + map(x) =
+        # frob_rhs(x) + x: the Frobenius x^(2^k), then the squaring for f, the reverse for g
+        sq_x, frob_x = ft.sq[lo:hi] ^ xs, frobk.span(lo, hi) ^ xs
+        for values, par, frob_lhs, frob_rhs in (
+                *((f, p.f_trace, frobk, sq_x) for f, p in zip(fx, fps)),
+                *((g, p.g_trace, square, frob_x) for g, p in zip(gx, gps))):
+            compare(ft.tr.take(values, mode="wrap"), par * tr)
+            compare(frob_lhs(values) ^ values, frob_rhs)
         # per pair, (vi): f(g(x)), then g(f(x)), collapse to x + delta*Tr(x)
         for (alpha, beta), p in pairs.items():
             target = xs ^ (p.delta * tr)
-            compare(fs[alpha][gs[beta][lo:hi].astype(np.intp)], target)
-            compare(gs[beta][fs[alpha][lo:hi].astype(np.intp)], target)
+            compare(fs[alpha](gx[beta]), target)
+            compare(gs[beta](fx[alpha]), target)
         # per (beta, lambda), (vii): g_beta = g_0(ybar) + theta*Tr for ybar = x + lambda*Tr(x)
         for (beta, lam), theta in thetas.items():
-            g0_ybar = gs[0][(xs ^ tr).astype(np.intp)] if lam else gs[0][lo:hi]
-            compare(gs[beta][lo:hi], g0_ybar ^ (theta * tr))
+            g0_ybar = gs[0](xs ^ tr) if lam else gx[0]
+            compare(gx[beta], g0_ybar ^ (theta * tr))
         return parts
 
     _sweep_chunks(sweep, compare_chunk, 0, q)
     # per map: its value at 1, and (iv)-(v) its classes and permutation, from one
-    # occupancy pass over its chunks
-    for tab, par, *_ in maps:
-        sweep.expect(int(tab[1]) == par, [1], tab[1], par)
-        [(classes, permutes)] = _class_images(ft, 1, lambda lo, hi: (tab[lo:hi],))
+    # occupancy pass over its spans
+    for mp, par in zip((*fs, *gs), [p.f_trace for p in fps] + [p.g_trace for p in gps]):
+        sweep.expect(int(mp(1)) == par, [1], mp(1), par)
+        [(classes, permutes)] = _class_images(ft, 1, lambda lo, hi: (mp.span(lo, hi),))
         _expect_classes(sweep, classes, par)
         sweep.expect(permutes == (par == 1), [par], permutes, par == 1)
     # per pair: the parity of delta, and the theta congruence, the lambda = delta instance
@@ -598,8 +609,9 @@ def check_perm_lemma(sweep: CheckOutcome, m: int, k: int):
             observed = _injective(np.append(w(s, b), 1 - e), q + 1)
             gcd_cond = gcd(s, q - 1 if e == 0 else q + 1) == 1
             predicted = parity[(widx, e)]
-            sweep.expect(observed == gcd_cond == predicted,
-                         [widx, e], observed, predicted)
+            # a failure records the pair that differs: observed, else the gcd condition
+            sweep.expect(observed == gcd_cond == predicted, [widx, e],
+                         gcd_cond if observed == predicted else observed, predicted)
 
 
 def _rotl(a, j: int, nbits: int):
@@ -779,8 +791,7 @@ def check_remark4(sweep: CheckOutcome, m: int, k: int):
     # (a) the quoted 4-term expansion
     expected = {sigma - 1, 2 * (sigma - 1), sigma * sigma - 1,
                 sigma * sigma + sigma - 2}
-    got = set(expand_h(p00))
-    sweep.expect(got == expected, [m, k], min(got ^ expected, default=0), 0)
+    _expect_same_set(sweep, [m, k], set(expand_h(p00)), expected)
     # (b) the trace-class behavior of H_00 and H_01
     ft = field_tables(m)
     if not sweep.in_field([], ft.sq, ft.q):  # H is built from it
@@ -799,9 +810,8 @@ def check_remark4(sweep: CheckOutcome, m: int, k: int):
     for five_term, observed in enumerate((h01_permutes, _injective(five, ft.q))):
         sweep.expect(observed, [five_term], observed, True)
     # reduced exponent sets coincide
-    lhs = sp_reduce_mod_field(expand_h(derive_params(m, k, gamma=1)), m)
-    rhs = sp_reduce_mod_field(five_poly, m)
-    sweep.expect(lhs == rhs, [m, k], min(lhs ^ rhs, default=0), 0)
+    reduced = sp_reduce_mod_field(expand_h(derive_params(m, k, gamma=1)), m)
+    _expect_same_set(sweep, [m, k], reduced, sp_reduce_mod_field(five_poly, m))
 
 
 # ---------------------------------------------------------------------------
@@ -812,9 +822,8 @@ def check_remark4(sweep: CheckOutcome, m: int, k: int):
 def check_dickson_linearized(sweep: CheckOutcome, k_max: int):
     """Symbolic and pointwise forms of D_{2^k-1} = X^(2^k+1) * T_k(1/X)^2."""
     for k in range(1, k_max + 1):
-        lhs = set(dickson_exponents((1 << k) - 1))
-        rhs = {(1 << k) + 1 - (1 << (j + 1)) for j in range(k)}
-        sweep.expect(lhs == rhs, [k], min(lhs ^ rhs, default=0), 0)
+        _expect_same_set(sweep, [k], set(dickson_exponents((1 << k) - 1)),
+                         {(1 << k) + 1 - (1 << (j + 1)) for j in range(k)})
     for m in range(2, 11):
         ft = field_tables(m)
         if not (sweep.guard_holds([m], ft.circle) and sweep.in_field([m], ft.sq, ft.q)):

@@ -1,13 +1,21 @@
 """Precomputed lookup tables backing the exhaustive sweeps.
 
 Per-element work is table lookups on numpy arrays, derived from the reference
-arithmetic in `field` and the exponent sets in `sparsepoly`: linearized
-polynomials (trace, T_k, f_alpha, g_beta, Frobenius powers) from the images of
-the polynomial basis under squaring, products of powers through log/antilog
-tables (`_LogTables.pow_vec`), and the circle B_1 of GF(2^2m) as the GF(2^m)
-values z^i + z^-i (`FieldTables.circle`): only `zsumexp` and the benchmark build
-the packed GF(2^2m) `ExtTables`, whose only Q-sized tables are exp and log (128 MB
-at m = 12). The scalar evaluators in `maps` stay an independent oracle for these tables.
+arithmetic in `field` and the exponent sets in `sparsepoly`: products of powers
+through log/antilog tables (`_LogTables.pow_vec`), and the circle B_1 of GF(2^2m)
+as the GF(2^m) values z^i + z^-i (`FieldTables.circle`): only `zsumexp` and the
+benchmark build the packed GF(2^2m) `ExtTables`, whose only Q-sized tables are exp
+and log (128 MB at m = 12). The scalar evaluators in `maps` stay an independent
+oracle for these tables.
+
+Every F_2-linear map is built one way, as a `LinearMap` of two half tables over the
+low and high halves of the bits, from its images on the basis bits: squaring, the
+trace, x^(2^k), f_alpha and g_beta (linearized polynomials, their images from the
+basis orbits under squaring), T_k and squaring on GF(2^2m), and each product by a
+constant of the exp build. Its value at any x is two takes on tables of at most
+2^ceil(nbits/2) entries, and its `span(a, b)` the values at a..b-1 as one broadcast
+XOR of the halves; the whole tables (`sq`, `tr`, `frobenius_table`, `f_alpha_table`,
+`g_beta_table`) are spans of the whole field.
 
 Every table is int32 (no element or log reaches 2^24), signed so that a corrupted
 -1 reads as outside the field; `pow_vec` and `dickson_vec` widen a product to int64
@@ -16,8 +24,7 @@ where it could pass 2^31, and the `zsumexp` kernel's products are bit rotations.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
-from operator import xor
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,6 +55,32 @@ def _subset_xor_table(images: list[int]) -> np.ndarray:
     return table
 
 
+class LinearMap:
+    """An F_2-linear map on nbits-bit patterns, from its images on the basis bits, as two
+    subset-XOR half tables: `lo` over the low ceil(nbits/2) bits, `hi` over the others,
+    so that its value at x is lo[x & mask] ^ hi[x >> shift]. Each half has at most
+    2^ceil(nbits/2) entries; whole tables are spans of it."""
+
+    def __init__(self, images: list[int]):
+        self.shift = (len(images) + 1) // 2
+        self.mask = (1 << self.shift) - 1
+        self.lo = _subset_xor_table(images[:self.shift])
+        self.hi = _subset_xor_table(images[self.shift:])
+
+    def __call__(self, x):
+        """The map at each x in 0..2^nbits - 1, by two wrap-mode takes (they release the
+        GIL), whose indices lie in range there."""
+        return (self.lo.take(x & self.mask, mode="wrap")
+                ^ self.hi.take(x >> self.shift, mode="wrap"))
+
+    def span(self, a: int, b: int) -> np.ndarray:
+        """The map at x = a..b-1, index x - a: the rows hi[j] ^ lo for every high part j
+        that the range meets, one broadcast XOR with no gather, sliced to the range."""
+        first = a >> self.shift
+        rows = self.hi[first:((b - 1) >> self.shift) + 1, None] ^ self.lo
+        return rows.ravel()[a - (first << self.shift):b - (first << self.shift)]
+
+
 def _linearized_images(square, nbits: int, poly: frozenset) -> list[int]:
     """The images of the basis bits 1 << i under sum(x^e for e in poly), over
     GF(2^nbits) with squaring `square` on arrays of elements.
@@ -67,41 +100,23 @@ def _linearized_images(square, nbits: int, poly: frozenset) -> list[int]:
     return images.tolist()
 
 
-def _linearized_table(sq: np.ndarray, poly: frozenset, lo: int = 0,
-                      hi: int | None = None) -> np.ndarray:
-    """Tabulate sum(x^e for e in poly) at x = lo..hi-1 (by default the whole
-    field) over the field with squaring table `sq`, index x - lo: a slice of
-    the table over the low bits that vary in the range, XOR the image of the
-    bits above them, which do not. A chunk of 2^j aligned x costs a 2^j table."""
-    images = _linearized_images(sq.take, len(sq).bit_length() - 1, poly)
-    hi = len(sq) if hi is None else hi
-    low = (lo ^ (hi - 1)).bit_length()
-    base = lo >> low << low
-    table = _subset_xor_table(images[:low])[lo - base:hi - base]
-    if const := reduce(xor, (img for j, img in enumerate(images) if base >> j & 1), 0):
-        table ^= const
-    return table
-
-
 def _exp_by_doubling(nbits: int, mul, gen: int) -> np.ndarray:
     """gen^i for 0 <= i < 2^nbits - 1 in nbits doubling steps, under `mul`.
 
     Each step sets exp[size:2*size] = gen^size * exp[:size] in _CHUNK_ELEMENTS pieces,
-    the F_2-linear product by a constant tabulated on the low and high halves of the
-    bits. Raises ArithmeticError unless each nonzero element occurs exactly once.
+    the F_2-linear product by a constant as a `LinearMap`. Raises ArithmeticError
+    unless each nonzero element occurs exactly once.
     """
     n = (1 << nbits) - 1
-    half = nbits // 2
     exp = np.empty(n, dtype=np.int32)
     exp[0] = 1
     size, step = 1, gen
     while size < n:
-        images = [mul(step, 1 << j) for j in range(nbits)]
-        lo, hi = _subset_xor_table(images[:half]), _subset_xor_table(images[half:])
+        times_step = LinearMap([mul(step, 1 << j) for j in range(nbits)])
         count = min(size, n - size)
         for a in range(0, count, _CHUNK_ELEMENTS):
             src = exp[a:min(a + _CHUNK_ELEMENTS, count)]
-            exp[size + a:size + a + src.size] = lo.take(src & (lo.size - 1)) ^ hi.take(src >> half)
+            exp[size + a:size + a + src.size] = times_step(src)
         size, step = size + count, mul(step, step)
     # n powers that meet all n nonzero elements meet each once; a bool mask,
     # unlike a bincount, makes no 8-byte copy or count per element
@@ -172,12 +187,17 @@ class FieldTables(_LogTables):
         self.spec = spec
         self.q = spec.q
         super().__init__(spec.m, spec.mul, spec.pow, 2)
-        self.sq = _subset_xor_table([spec.square(1 << j) for j in range(spec.m)])
-        self.tr = _linearized_table(self.sq, trace_poly(spec.m))
+        self.sq = LinearMap([spec.square(1 << j) for j in range(spec.m)]).span(0, self.q)
+        self.tr = self.linear_map(trace_poly(spec.m)).span(0, self.q)
+
+    def linear_map(self, poly: frozenset) -> LinearMap:
+        """sum(x^e for e in poly) as a `LinearMap`, its basis images squared through `sq`;
+        every exponent a power of 2."""
+        return LinearMap(_linearized_images(self.sq.take, self.spec.m, poly))
 
     def frobenius_table(self, k: int) -> np.ndarray:
         """x -> x^(2^k) as a full table."""
-        return _linearized_table(self.sq, frozenset({1 << k}))
+        return self.linear_map(frozenset({1 << k})).span(0, self.q)
 
     def poly_table(self, poly: frozenset) -> np.ndarray:
         """The function that the exponent set `poly` induces on GF(q), as a table;
@@ -233,13 +253,21 @@ def field_tables(m: int) -> FieldTables:
     return FieldTables(make_field(m))
 
 
+def f_alpha_map(ft: FieldTables, p: ParamSet) -> LinearMap:
+    return ft.linear_map(f_alpha_poly(p))
+
+
+def g_beta_map(ft: FieldTables, p: ParamSet) -> LinearMap:
+    return ft.linear_map(g_beta_poly(p))
+
+
 def f_alpha_table(ft: FieldTables, p: ParamSet, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """f_alpha at x = lo..hi-1, by default the whole field; index x - lo."""
-    return _linearized_table(ft.sq, f_alpha_poly(p), lo, hi)
+    return f_alpha_map(ft, p).span(lo, ft.q if hi is None else hi)
 
 
 def g_beta_table(ft: FieldTables, p: ParamSet) -> np.ndarray:
-    return _linearized_table(ft.sq, g_beta_poly(p))
+    return g_beta_map(ft, p).span(0, ft.q)
 
 
 def h_value_table(ft: FieldTables, p: ParamSet, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -255,7 +283,7 @@ def h_value_table(ft: FieldTables, p: ParamSet, lo: int = 0, hi: int | None = No
 
 class ExtTables(_LogTables):
     """Packed log/exp tables for GF(q^2), elements a | (b << m), that zsumexp sweeps, and
-    squaring as two q-entry halves: z^2 = sq_lo[z & (q-1)] ^ sq_hi[z >> m]."""
+    squaring as a `LinearMap` of two q-entry halves: z^2 = sq_lo[z & (q-1)] ^ sq_hi[z >> m]."""
 
     def __init__(self, m: int):
         if not 2 <= m <= EXT_MAX_DEGREE:
@@ -270,19 +298,15 @@ class ExtTables(_LogTables):
         # so no primitive element of GF(q^2) is skipped by starting at q
         super().__init__(2 * m, lambda a, b: pack(ext.mul(unpack(a), unpack(b))),
                          lambda c, e: pack(ext.pow(unpack(c), e)), self.q)
-        images = [pack(ext.square(unpack(1 << j))) for j in range(2 * m)]
-        self.sq_lo, self.sq_hi = _subset_xor_table(images[:m]), _subset_xor_table(images[m:])
-
-    def square(self, z: np.ndarray) -> np.ndarray:
-        """z^2 for packed z in GF(q^2), through the two halves, in wrap-mode takes."""
-        return (self.sq_lo.take(z & (self.q - 1), mode="wrap")
-                ^ self.sq_hi.take(z >> self.m, mode="wrap"))
+        #: z^2 for packed z in GF(q^2)
+        self.square = LinearMap([pack(ext.square(unpack(1 << j))) for j in range(2 * m)])
+        self.sq_lo, self.sq_hi = self.square.lo, self.square.hi
 
     def g0_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k-term linearized map g0 = z + z^2 + ... + z^(2^(k-1)) as two 2^m-entry
         halves (lo, hi), one per half of the bits: g0(u) = lo[u & (q-1)] ^ hi[u >> m]."""
-        images = _linearized_images(self.square, 2 * self.m, trace_poly(k))
-        return _subset_xor_table(images[:self.m]), _subset_xor_table(images[self.m:])
+        g0 = LinearMap(_linearized_images(self.square, 2 * self.m, trace_poly(k)))
+        return g0.lo, g0.hi
 
     def b1_packed(self) -> np.ndarray:
         """B_1 as theta^i for i = 1..q, theta = g^(q-1); checked against the norm-1 form."""

@@ -1,3 +1,4 @@
+import copy
 import inspect
 import itertools
 import json
@@ -20,9 +21,11 @@ from permpoly.checks import (_CHUNK_ELEMENTS, CHECKS, LINEARIZED_K_MAX, MUL_TABL
                              check_polynomiality, check_remark3,
                              check_remark4, check_zsumexp)
 from permpoly.field import MAX_DEGREE, coprime_ks, make_field
-from permpoly.maps import dickson_exponents, dickson_recurrence
+from permpoly.maps import dickson_exponents, dickson_recurrence, eval_f_alpha, eval_g_beta
+from permpoly.params import derive_params
 from permpoly.sparsepoly import trace_poly
-from permpoly.tables import ExtTables, FieldTables, _linearized_table, ext_tables, field_tables
+from permpoly.tables import (ExtTables, FieldTables, LinearMap, _linearized_images, ext_tables,
+                             field_tables)
 
 
 def test_injective_matches_a_set_count(monkeypatch):
@@ -259,11 +262,12 @@ def _whole_square(et) -> np.ndarray:
 def _zsum_reference(et, k: int):
     """zsumexp in log order over z = exp[i], i = 1..n-1, with each log product
     an int64 reduced by % n, the whole squaring table and g0 the full T_k table
-    from it: z, the log of each z that the guard compares with i (-1 for z = 0
-    or 1), and the (lhs, rhs) pairs that it compares, in order."""
+    spanned from the basis images that it gives: z, the log of each z that the
+    guard compares with i (-1 for z = 0 or 1), and the (lhs, rhs) pairs that it
+    compares, in order."""
     n, sigma = et.n, 1 << k
     sq = _whole_square(et)
-    g0 = _linearized_table(sq, trace_poly(k))
+    g0 = LinearMap(_linearized_images(sq.take, 2 * et.m, trace_poly(k))).span(0, et.Q)
     e = lambda x: et.exp[x % n]  # noqa: E731
     i = np.arange(1, n, dtype=np.int64)
     z = e(i)
@@ -531,14 +535,15 @@ def test_each_registered_check_keeps_its_name_and_signature():
     assert out.params == {"m": 5, "k": 3} and out.passed
 
 
-#: checker, its arguments, and how many tables it builds through each builder
-#: it calls: one per parameter the table depends on (gamma only adds Tr to H);
-#: main_theorem and hprop build f_alpha and H per chunk, and m = 5 is one chunk
+#: checker, its arguments, and how many tables or maps it builds through each
+#: builder it calls: one per parameter the table depends on (gamma only adds Tr to
+#: H); main_theorem and hprop build f_alpha and H per chunk, and m = 5 is one chunk;
+#: fgprop builds each f_alpha and g_beta map once, as two half tables
 TABLE_BUILDS = {
     "main_theorem": (check_main_theorem_outcome, (5, 2), {"h_value_table": 2}),
     "hprop": (check_hprop, (5, 2), {"f_alpha_table": 2, "h_value_table": 2}),
     "hitt": (check_hitt, (5, 2), {"g_beta_table": 1, "h_value_table": 2}),
-    "fgprop": (check_fgprop, (5, 2), {"f_alpha_table": 2, "g_beta_table": 2}),
+    "fgprop": (check_fgprop, (5, 2), {"f_alpha_map": 2, "g_beta_map": 2}),
     "h_dickson": (check_h_dickson, (5, 2), {"g_beta_table": 1, "h_value_table": 2}),
     "remark4": (check_remark4, (5, 3), {"h_value_table": 1}),
     # 9 (m, k) pairs with m <= 5, each with two alpha
@@ -550,7 +555,7 @@ TABLE_BUILDS = {
 def test_each_table_is_built_once_per_parameter(monkeypatch, label):
     fn, args, expected = TABLE_BUILDS[label]
     builds = {}
-    for name in ("f_alpha_table", "g_beta_table", "h_value_table"):
+    for name in ("f_alpha_table", "g_beta_table", "h_value_table", "f_alpha_map", "g_beta_map"):
         def counted(*a, name=name, build=getattr(checks, name)):
             builds[name] = builds.get(name, 0) + 1
             return build(*a)
@@ -589,7 +594,8 @@ def test_each_table_gets_one_occupancy_pass(monkeypatch, label):
 def _corrupt(monkeypatch, name, i, new):
     """Make checks.<name> return a copy of its table with flat entry i set to
     new(table); for field_tables (or field_tables.tr, field_tables.sq), fresh
-    tables, whose circle is yet to be built, and their exp (or tr, sq) table."""
+    tables, whose circle is yet to be built, and their exp (or tr, sq) table; for
+    f_alpha_map.lo (or .hi, or g_beta_map's), a copy of the map with that half copied."""
     name, _, attr = name.partition(".")
     orig = getattr(checks, name)
 
@@ -598,6 +604,10 @@ def _corrupt(monkeypatch, name, i, new):
         if name == "field_tables":
             out = FieldTables(out.spec)
             tab = getattr(out, attr or "exp")
+        elif attr:
+            out = copy.copy(out)
+            tab = getattr(out, attr).copy()
+            setattr(out, attr, tab)
         else:
             out = tab = out.copy()
         tab.flat[i] = new(tab)
@@ -606,13 +616,15 @@ def _corrupt(monkeypatch, name, i, new):
 
 
 #: label -> (checker, its arguments, the table given one collision, entry i,
-#: entry j), and the (passed, tested, counterexample) with table[i] = table[j]
+#: entry j), and the (passed, tested, counterexample) with table[i] = table[j];
+#: fgprop's f_alpha and g_beta maps get theirs in the low half, so that each
+#: map reads the same at x = 3 and x = 5 (hi[0] is 0), and at 3 + 8j and 5 + 8j
 CORRUPTED = {
     "main_theorem": ((check_main_theorem_outcome, (5, 2), "h_value_table", 3, 5),
                      (False, 4, {"inputs": ["0", "0"], "lhs": "0", "rhs": "1"})),
-    "fgprop_f": ((check_fgprop, (5, 2), "f_alpha_table", 3, 5),
+    "fgprop_f": ((check_fgprop, (5, 2), "f_alpha_map.lo", 3, 5),
                  (False, 664, {"inputs": ["3"], "lhs": "14", "rhs": "6"})),
-    "fgprop_g": ((check_fgprop, (5, 2), "g_beta_table", 3, 5),
+    "fgprop_g": ((check_fgprop, (5, 2), "g_beta_map.lo", 3, 5),
                  (False, 664, {"inputs": ["3"], "lhs": "9", "rhs": "12"})),
     "h_dickson": ((check_h_dickson, (5, 2), "h_value_table", 3, 5),
                   (False, 68, {"inputs": ["8"], "lhs": "c", "rhs": "11"})),
@@ -633,6 +645,35 @@ def test_a_collision_fails_the_check(monkeypatch, label):
     assert (out.passed, out.tested, out.counterexample) == expected
 
 
+@pytest.mark.parametrize("label", ["fgprop_f", "fgprop_g"])
+def test_a_collision_in_a_half_fails_fgprop_at_the_named_x(monkeypatch, label):
+    # the map first built, f_0 or g_0, read at the pin's x through its corrupted
+    # halves: it differs from the scalar map there, and the scalar field gives
+    # both sides of that map's (iii) from it, f(x)^(2^k) + f(x) = x^2 + x for f_0
+    # and g(x)^2 + g(x) = x^(2^k) + x for g_0
+    (fn, (m, k), table, i, j), (_, _, counterexample) = CORRUPTED[label]
+    _corrupt(monkeypatch, table, i, lambda tab: tab.flat[j])
+    name = table.partition(".")[0]
+    built = []
+
+    def recorded(ft, p, build=getattr(checks, name)):
+        built.append((p, build(ft, p)))
+        return built[-1][1]
+    monkeypatch.setattr(checks, name, recorded)
+    assert not fn(m, k).passed
+    (p, half), spec = built[0], make_field(m)
+    x = int(counterexample["inputs"][0], 16)
+    value = int(half.lo[x & half.mask] ^ half.hi[x >> half.shift])
+    if name == "f_alpha_map":
+        assert value != eval_f_alpha(p, x)
+        lhs, rhs = spec.pow(value, 1 << k) ^ value, spec.pow(x, 2) ^ x
+    else:
+        assert value != eval_g_beta(p, x)
+        lhs, rhs = spec.pow(value, 2) ^ value, spec.pow(x, 1 << k) ^ x
+    assert counterexample == {"inputs": [format(x, "x")], "lhs": format(lhs, "x"),
+                              "rhs": format(rhs, "x")}
+
+
 @pytest.mark.parametrize("value", [-1, 1 << 24], ids=["pinf", "far"])
 @pytest.mark.parametrize("label", CORRUPTED)
 def test_an_out_of_field_value_fails_the_check(monkeypatch, label, value):
@@ -642,33 +683,60 @@ def test_an_out_of_field_value_fails_the_check(monkeypatch, label, value):
     assert not out.passed and out.counterexample is not None
 
 
+@pytest.mark.parametrize("value", [-1, 1 << 24], ids=["pinf", "far"])
+@pytest.mark.parametrize("half", ["f_alpha_map.lo", "f_alpha_map.hi", "g_beta_map.lo",
+                                  "g_beta_map.hi"])
+def test_fgprop_names_an_out_of_field_half_entry_before_the_sweep(monkeypatch, half, value):
+    # the takes of the sweep are in wrap mode, which would read -1 or 2^24 as
+    # some other entry: the guard names the entry's index in its half and its
+    # value, against q = 32, before anything is counted
+    _corrupt(monkeypatch, half, 2, lambda tab: value)
+    out = check_fgprop(5, 2)
+    assert (out.passed, out.tested, out.counterexample) == \
+        (False, 0, {"inputs": ["2"], "lhs": format(value, "x"), "rhs": "20"})
+
+
 def _corrupt_one(monkeypatch, name, which, i, value):
-    """Make checks.<name> (f_alpha_table or g_beta_table) set entry i of the
-    table it builds for alpha (or beta) = `which` to `value`."""
+    """Make checks.<name> (f_alpha_map or g_beta_map) set entry i of the low half
+    of the map it builds for alpha (or beta) = `which` to `value`, and return the
+    maps it builds, clean and corrupted. With hi[0] = 0 the map reads `value` at
+    x = i, and at every x with the same low bits it changes by the same XOR."""
     orig = getattr(checks, name)
-    key = "alpha" if name == "f_alpha_table" else "beta"
+    key = "alpha" if name == "f_alpha_map" else "beta"
+    built = {}
 
     def corrupted(ft, p):
-        tab = orig(ft, p)
+        mp = built[getattr(p, key)] = orig(ft, p)
         if getattr(p, key) == which:
-            tab = tab.copy()
-            tab[i] = value
-        return tab
+            mp = built[which] = copy.copy(mp)
+            mp.lo = mp.lo.copy()
+            mp.lo[i] = value
+        return mp
     monkeypatch.setattr(checks, name, corrupted)
+    return built
 
 
 def test_fgprop_checks_each_map_before_the_pairs(monkeypatch):
-    # at m = 5, k = 2: f_0 permutes and f_0(4) = 11 has the trace of 2, so
-    # f_0(2) = 11 keeps (i) but fails (iii) and (iv)-(v) at x = 2; every g_0
-    # value has trace 0, so g_0(3) = 1 fails (i) at x = 3. Both then fail the
-    # pair comparisons (vi) and (vii). Each map's comparisons come before the
-    # next map's, so the first counterexample is f_0 (iii) at x = 2, and every
-    # comparison is counted once: 20q + 24
-    _corrupt_one(monkeypatch, "f_alpha_table", 0, 2, 11)
-    _corrupt_one(monkeypatch, "g_beta_table", 0, 3, 1)
+    # at m = 5, k = 2: f_0 permutes and f_0(4) = 11 has the trace of f_0(2), so
+    # f_0(2) = 11 changes f_0 by a value of trace 0 at x = 2, 10, 18 and 26: it
+    # keeps (i) but fails (iii) and (iv)-(v) at x = 2; every g_0 value has trace
+    # 0, so g_0(3) = 1 fails (i) at x = 3. Both then fail the pair comparisons
+    # (vi) and (vii). Each map's comparisons come before the next map's, so the
+    # first counterexample is f_0 (iii) at x = 2, and every comparison is counted
+    # once: 20q + 24
+    fs = _corrupt_one(monkeypatch, "f_alpha_map", 0, 2, 11)
+    gs = _corrupt_one(monkeypatch, "g_beta_map", 0, 3, 1)
     out = check_fgprop(5, 2)
     assert (out.passed, out.tested, out.counterexample) == \
         (False, 664, {"inputs": ["2"], "lhs": "14", "rhs": "6"})
+    # the corrupted halves read at x = 2 and 3, against the scalar maps, whose
+    # field gives both sides of f_0's (iii) at x = 2 and g_0's (i) at x = 3
+    spec, p0 = make_field(5), derive_params(5, 2)
+    assert int(fs[0].lo[2] ^ fs[0].hi[0]) == 11 != eval_f_alpha(p0, 2)
+    assert eval_f_alpha(p0, 4) == 11 and spec.trace(11) == spec.trace(eval_f_alpha(p0, 2))
+    assert (spec.pow(11, 4) ^ 11, spec.pow(2, 2) ^ 2) == (0x14, 6)
+    assert int(gs[0].lo[3] ^ gs[0].hi[0]) == 1 != eval_g_beta(p0, 3)
+    assert spec.trace(1) == 1 != spec.trace(eval_g_beta(p0, 3)) == 0
 
 
 #: check -> its comparisons at m, the same for every coprime k: fgprop per map
@@ -738,11 +806,20 @@ def test_map_chunks_claims_each_chunk_once_under_contention(monkeypatch):
 
 
 def _corrupt_entries(monkeypatch, name, entries, new):
-    """Make checks.<name> (h_value_table, f_alpha_table or g_beta_table) return a copy
-    of its range of x with the entry of each x in `entries` that it holds set to
-    new(table), where table is what the builder returns over the whole field for the
-    same parameters: so the whole table is corrupted alike however it is chunked."""
+    """Make checks.<name> (h_value_table or f_alpha_table) return a copy of its range
+    of x with the entry of each x in `entries` that it holds set to new(table), where
+    table is what the builder returns over the whole field for the same parameters:
+    so the whole table is corrupted alike however it is chunked. For f_alpha_map or
+    g_beta_map, a copy of the map whose high half makes it read new(table) at each
+    x in `entries`, and changes it alike on the rest of that high half's block."""
     orig = getattr(checks, name)
+
+    def corrupted_map(ft, p):
+        mp = copy.copy(orig(ft, p))
+        mp.hi = mp.hi.copy()
+        for x in entries:
+            mp.hi[x >> mp.shift] = new(orig(ft, p).span(0, ft.q)) ^ mp.lo[x & mp.mask]
+        return mp
 
     def corrupted(ft, p, *span):
         out = orig(ft, p, *span).copy()
@@ -751,7 +828,7 @@ def _corrupt_entries(monkeypatch, name, entries, new):
             if lo <= i < lo + out.size:
                 out[i - lo] = new(orig(ft, p))
         return out
-    monkeypatch.setattr(checks, name, corrupted)
+    monkeypatch.setattr(checks, name, corrupted_map if name.endswith("_map") else corrupted)
 
 
 def _outcome(fn, args):
@@ -763,10 +840,10 @@ def _outcome(fn, args):
     return out.passed, out.tested, out.counterexample
 
 
-#: the base-field checks swept in chunks, and the tables each reads through a builder
+#: the base-field checks swept in chunks, and the tables or maps each reads through a builder
 CHUNKED_CHECKS = {
     "main_theorem": (check_main_theorem_outcome, ("h_value_table",)),
-    "fgprop": (check_fgprop, ("f_alpha_table", "g_beta_table")),
+    "fgprop": (check_fgprop, ("f_alpha_map", "g_beta_map")),
     "hprop": (check_hprop, ("f_alpha_table", "h_value_table")),
 }
 
@@ -776,7 +853,8 @@ CHUNKED_CHECKS = {
 def test_base_field_outcome_does_not_depend_on_chunk_size_or_workers(monkeypatch, label, m, k):
     # at m <= 15 the field is one chunk of 2^15; in chunks of 2^6 it is 2 to 16.
     # Entries q/2 + 3 and q - 5 are corrupted, in two late chunks, so that a
-    # comparison can fail in both, and a collision copies entry 9, in the first.
+    # comparison can fail in both, and a collision copies entry 9, in the first;
+    # a map's corrupted high-half entry changes a block of at most 2^5 x around each.
     fn, names = CHUNKED_CHECKS[label]
     q = 1 << m
     corruptions = [(None, None)] + [
@@ -799,13 +877,13 @@ def test_base_field_outcome_does_not_depend_on_chunk_size_or_workers(monkeypatch
 
 #: the bound in MiB on the numpy and Python allocations, beyond the cached
 #: FieldTables(18), of each base-field check at (18, 5) with one worker: the
-#: tracemalloc peaks read 2.3, 1.6 and 6.1 MiB, against 7.1, 11.1 and 12.5 MiB
-#: when each comparison was made on whole-field arrays; fgprop also holds its
-#: five whole lookup tables, 5 MiB
+#: tracemalloc peaks read 1.8, 1.6 and 1.8 MiB, against 7.1, 11.1 and 12.5 MiB
+#: when each comparison was made on whole-field arrays; fgprop holds its maps as
+#: half tables of 512 entries, where five whole tables took 5 MiB (6.0 MiB peak)
 BASE_SWEEP_PEAK_MIB = {
     "main_theorem": (check_main_theorem_outcome, 4),
     "hprop": (check_hprop, 4),
-    "fgprop": (check_fgprop, 7),
+    "fgprop": (check_fgprop, 3),
 }
 
 

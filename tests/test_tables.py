@@ -14,11 +14,12 @@ from permpoly import (INFINITY, OutOfRange, build_b_set, coprime_ks, derive_para
                       extension_of, phi, tables, w_map)
 from permpoly.checks import _b_sets
 from permpoly.field import make_field
-from permpoly.maps import dickson_functional, dickson_recurrence, eval_h
+from permpoly.maps import (dickson_functional, dickson_recurrence, eval_f_alpha, eval_g_beta,
+                           eval_h)
 from permpoly.sparsepoly import trace_poly
-from permpoly.tables import (ExtTables, FieldTables, _exp_by_doubling, _linearized_table,
-                             _subset_xor_table, ext_tables, f_alpha_table, field_tables,
-                             g_beta_table, h_value_table)
+from permpoly.tables import (ExtTables, FieldTables, LinearMap, _exp_by_doubling,
+                             _linearized_images, ext_tables, f_alpha_map, f_alpha_table,
+                             field_tables, g_beta_map, g_beta_table, h_value_table)
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(permpoly.__file__).resolve().parents[1])}
 
@@ -184,6 +185,12 @@ def _whole_square(et) -> np.ndarray:
     return np.bitwise_xor.outer(et.sq_hi, et.sq_lo).ravel()
 
 
+def _whole_linear(sq: np.ndarray, poly: frozenset) -> np.ndarray:
+    """sum(x^e for e in poly) over a whole squaring table `sq`, spanned from the
+    basis images that it gives."""
+    return LinearMap(_linearized_images(sq.take, sq.size.bit_length() - 1, poly)).span(0, sq.size)
+
+
 def test_g0_halves_give_the_full_linearized_table():
     def joined(et, k):
         lo, hi = et.g0_table(k)
@@ -196,10 +203,10 @@ def test_g0_halves_give_the_full_linearized_table():
         assert et.sq_lo.size == et.sq_hi.size == et.q, m
         # the whole table from the halves' basis images: clean halves are F_2-linear
         basis = 1 << np.arange(m)
-        sq = _subset_xor_table(et.sq_lo[basis].tolist() + et.sq_hi[basis].tolist())
+        sq = LinearMap(et.sq_lo[basis].tolist() + et.sq_hi[basis].tolist()).span(0, et.Q)
         assert np.array_equal(sq, _whole_square(et)), m
         for k in range(1, 2 * m):
-            assert np.array_equal(joined(et, k), _linearized_table(sq, trace_poly(k))), (m, k)
+            assert np.array_equal(joined(et, k), _whole_linear(sq, trace_poly(k))), (m, k)
     # on corrupted halves, g0's halves and the whole table read the same wrong squares
     et = ExtTables(6)  # not the cached ext_tables(6), which other tests read
     clean = [joined(et, k) for k in range(1, 12)]
@@ -207,8 +214,49 @@ def test_g0_halves_give_the_full_linearized_table():
     et.sq_hi[[1 << 2, 50]] ^= 1
     sq = _whole_square(et)
     for k in range(1, 12):
-        assert np.array_equal(joined(et, k), _linearized_table(sq, trace_poly(k))), k
+        assert np.array_equal(joined(et, k), _whole_linear(sq, trace_poly(k))), k
     assert any(not np.array_equal(joined(et, k), was) for k, was in enumerate(clean, 1))
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_every_linear_map_matches_the_scalar_oracle(m):
+    """Each half-table map at every x of GF(2^m), by its two takes and by its span:
+    x^(2^k) for every k against FieldSpec.pow, Tr against FieldSpec.trace, and f_alpha
+    and g_beta for every coprime k, alpha and beta against maps.eval_f_alpha and
+    maps.eval_g_beta. Each half has 2^ceil(m/2) entries at most."""
+    ft = field_tables(m)
+    spec, q = ft.spec, ft.q
+    xs = np.arange(q)
+    cases = [(ft.linear_map(trace_poly(m)), spec.trace)]
+    cases += [(ft.linear_map(frozenset({1 << k})), lambda x, k=k: spec.pow(x, 1 << k))
+              for k in range(1, m)]
+    for k in coprime_ks(m):
+        for flag in (0, 1):
+            p = derive_params(m, k, alpha=flag, beta=flag)
+            cases += [(f_alpha_map(ft, p), lambda x, p=p: eval_f_alpha(p, x)),
+                      (g_beta_map(ft, p), lambda x, p=p: eval_g_beta(p, x))]
+    for mp, oracle in cases:
+        assert mp.lo.size == 1 << (m + 1) // 2 and mp.hi.size == 1 << m // 2
+        want = [oracle(x) for x in range(q)]
+        assert mp(xs).tolist() == want
+        assert mp.span(0, q).tolist() == want
+
+
+def test_span_is_a_range_of_the_whole_table():
+    # aligned on the low half (whole rows), unaligned at either end, within one
+    # row, one element, and the whole field, for odd and even m
+    for m in (5, 8, 11):
+        ft = field_tables(m)
+        q, mp = ft.q, ft.linear_map(frozenset({1, 2, 1 << (m - 1)}))
+        whole = mp.span(0, q)
+        assert whole.tolist() == [int(mp(x)) for x in range(q)]
+        row = 1 << mp.shift
+        ranges = [(0, q), (row, 3 * row), (0, row), (q - row, q), (1, q), (0, q - 1),
+                  (3, row + 5), (row + 1, row + 2), (q - 3, q - 1), (row - 1, row + 1)]
+        ranges += [(x, x + 1) for x in (0, 1, row - 1, row, q // 2 + 3, q - 1)]
+        for a, b in ranges:
+            got = mp.span(a, b)
+            assert got.dtype == np.int32 and np.array_equal(got, whole[a:b]), (m, a, b)
 
 
 @pytest.mark.parametrize("m", range(2, 11))
@@ -269,13 +317,14 @@ def test_ext_tables_hold_exp_and_log_alone():
 
 
 def test_linearized_builder_refuses_other_exponents():
-    sq = field_tables(4).sq
+    ft = field_tables(4)
+    sq = ft.sq
     # x^(2^4) = x and x^(2^9) = x^2 on GF(16)
-    table = _linearized_table(sq, frozenset({1 << 4, 1 << 9}))
+    table = ft.linear_map(frozenset({1 << 4, 1 << 9})).span(0, 16)
     assert table.tolist() == [x ^ int(sq[x]) for x in range(16)]
     for poly in ({0}, {3}, {1, 6}):
         with pytest.raises(ValueError):
-            _linearized_table(sq, frozenset(poly))
+            ft.linear_map(frozenset(poly))
 
 
 def test_ext_tables_refuse_degree_over_ceiling():
