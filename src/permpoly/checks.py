@@ -92,6 +92,12 @@ class CheckOutcome:
         self.fail([*inputs, bad], values.flat[bad], q)
         return False
 
+    def halves_in_field(self, inputs, mp, q: int) -> bool:
+        """Whether both halves of the `LinearMap` mp lie in GF(q), lo first, and with
+        them every XOR of the two, each value of the map; else records the first entry
+        outside, by its index in its half, counting nothing."""
+        return self.in_field(inputs, mp.lo, q) and self.in_field(inputs, mp.hi, q)
+
     def units(self, xs, values: np.ndarray, q: int) -> bool:
         """One comparison: whether all values lie in 1..q-1, else records the first x's not."""
         i = int(np.argmax((values == 0) | _outside(values, q)))  # 0 if none
@@ -250,12 +256,13 @@ def _class_images(ft, tables: int, values) -> list:
     q = ft.q
 
     def class_rows(lo: int, hi: int):  # compressed one at a time, as the kernel marks
-        members = ft.tr[lo:hi] == 0, ft.tr[lo:hi] == 1
+        tr = ft.tr.span(lo, hi)
+        members = tr == 0, tr == 1
         return (tab[member] for tab in values(lo, hi) for member in members)
     grid, given = _occupancy(q, 2 * tables, class_rows, q)
     ones = [0] * len(grid)
     for a, b in _spans(0, q):  # one T_1 mask per chunk, shared by the rows
-        t1 = ft.tr[a:b] == 1
+        t1 = ft.tr.span(a, b) == 1
         ones = [n + np.count_nonzero(row[a:b] & t1) for n, row in zip(ones, grid)]
     classes = []
     for row, size, n1 in zip(grid, given.tolist(), ones):
@@ -411,7 +418,7 @@ def check_main_theorem(m: int, k: int) -> list[PermutationReport]:
 
         def h_both_gammas(lo: int, hi: int):
             h = h_value_table(ft, p, lo, hi)
-            return h, h ^ ft.tr[lo:hi]
+            return h, h ^ ft.tr.span(lo, hi)
         for gamma, (((class0, bijective0), (class1, bijective1)), permutes) in enumerate(
                 _class_images(ft, 2, h_both_gammas)):
             reports.append(PermutationReport(
@@ -426,7 +433,7 @@ def check_main_theorem(m: int, k: int) -> list[PermutationReport]:
 @_check("main_theorem", _coprime_grid, 12)
 def check_main_theorem_outcome(sweep: CheckOutcome, m: int, k: int):
     ft = field_tables(m)
-    if not sweep.in_field([], ft.sq, ft.q):  # f_alpha is built from it
+    if not sweep.halves_in_field([], ft.sq, ft.q):  # f_alpha is built from it
         return
     for rep in check_main_theorem(m, k):
         # the theorem's parity also names the class T_1 is sent to
@@ -470,7 +477,7 @@ def check_fgprop(sweep: CheckOutcome, m: int, k: int):
     composition takes through the halves."""
     ft = field_tables(m)
     q = ft.q
-    if not sweep.in_field([], ft.sq, q):  # every map below is built from it
+    if not sweep.halves_in_field([], ft.sq, q):  # every map below is built from it
         return
     frobk = ft.linear_map(frozenset({1 << k}))
     fps = [derive_params(m, k, alpha=alpha) for alpha in (0, 1)]
@@ -484,14 +491,13 @@ def check_fgprop(sweep: CheckOutcome, m: int, k: int):
     # tr and the values of f and g are used as indices below, in wrap-mode takes: with
     # both halves of a map in GF(q), so is every XOR of them; a counterexample names
     # the entry's index in its half, lo before hi
-    if not (sweep.in_field([], ft.tr, 2)
-            and all(sweep.in_field([], half, q) for mp in (*fs, *gs) for half in (mp.lo, mp.hi))):
+    if not (sweep.halves_in_field([], ft.tr, 2)
+            and all(sweep.halves_in_field([], mp, q) for mp in (*fs, *gs))):
         return
-    square = functools.partial(ft.sq.take, mode="wrap")
 
     def compare_chunk(lo: int, hi: int) -> list:
         xs = np.arange(lo, hi, dtype=np.int32)
-        tr = ft.tr[lo:hi]
+        tr = ft.tr.span(lo, hi)
         fx, gx = [f.span(lo, hi) for f in fs], [g.span(lo, hi) for g in gs]
         parts = []
 
@@ -500,11 +506,11 @@ def check_fgprop(sweep: CheckOutcome, m: int, k: int):
             parts[-1].compare([xs], lhs, rhs)
         # per map: (i) Tr(map(x)) = par*Tr(x), and (iii), frob_lhs(map(x)) + map(x) =
         # frob_rhs(x) + x: the Frobenius x^(2^k), then the squaring for f, the reverse for g
-        sq_x, frob_x = ft.sq[lo:hi] ^ xs, frobk.span(lo, hi) ^ xs
+        sq_x, frob_x = ft.sq.span(lo, hi) ^ xs, frobk.span(lo, hi) ^ xs
         for values, par, frob_lhs, frob_rhs in (
                 *((f, p.f_trace, frobk, sq_x) for f, p in zip(fx, fps)),
-                *((g, p.g_trace, square, frob_x) for g, p in zip(gx, gps))):
-            compare(ft.tr.take(values, mode="wrap"), par * tr)
+                *((g, p.g_trace, ft.sq, frob_x) for g, p in zip(gx, gps))):
+            compare(ft.tr(values), par * tr)
             compare(frob_lhs(values) ^ values, frob_rhs)
         # per pair, (vi): f(g(x)), then g(f(x)), collapse to x + delta*Tr(x)
         for (alpha, beta), p in pairs.items():
@@ -512,9 +518,9 @@ def check_fgprop(sweep: CheckOutcome, m: int, k: int):
             compare(fs[alpha](gx[beta]), target)
             compare(gs[beta](fx[alpha]), target)
         # per (beta, lambda), (vii): g_beta = g_0(ybar) + theta*Tr for ybar = x + lambda*Tr(x)
+        g0_ybar = gx[0], gs[0](xs ^ tr)
         for (beta, lam), theta in thetas.items():
-            g0_ybar = gs[0](xs ^ tr) if lam else gx[0]
-            compare(gx[beta], g0_ybar ^ (theta * tr))
+            compare(gx[beta], g0_ybar[lam] ^ (theta * tr))
         return parts
 
     _sweep_chunks(sweep, compare_chunk, 0, q)
@@ -539,24 +545,23 @@ def check_hprop(sweep: CheckOutcome, m: int, k: int):
     ft = field_tables(m)
     params = [derive_params(m, k, alpha=alpha) for alpha in (0, 1)]
     # used as indices, and sq also to build f_alpha
-    if not (sweep.in_field([], ft.tr, 2) and sweep.in_field([], ft.exp, ft.q)
-            and sweep.in_field([], ft.sq, ft.q)):
+    if not (sweep.halves_in_field([], ft.tr, 2) and sweep.in_field([], ft.exp, ft.q)
+            and sweep.halves_in_field([], ft.sq, ft.q)):
         return
 
     def compare_chunk(lo: int, hi: int) -> list:
         xs = np.arange(lo, hi, dtype=np.int32)
-        tr = ft.tr[lo:hi]
+        tr = ft.tr.span(lo, hi)
         parts = []
         for alpha, p in enumerate(params):
             fa = f_alpha_table(ft, p, lo, hi)
             h_alpha = h_value_table(ft, p, lo, hi)
             ratio = ft.pow_vec((fa, 1), (xs, -1))  # 0 at x = 0, where fa is 0
-            # numpy gathers intp faster than int32
-            alt = ft.sq[ratio.astype(np.intp)] ^ ratio ^ fa
+            alt = ft.sq(ratio) ^ ratio ^ fa
             del ratio, fa
             for gamma, h in enumerate((h_alpha, h_alpha ^ tr)):
                 par = derive_params(m, k, alpha=alpha, gamma=gamma).h_trace
-                for lhs, rhs in ((h, alt ^ (gamma * tr)), (ft.tr[h.astype(np.intp)], par * tr)):
+                for lhs, rhs in ((h, alt ^ (gamma * tr)), (ft.tr(h), par * tr)):
                     parts.append(CheckOutcome("hprop", {}))
                     parts[-1].compare([xs], lhs, rhs)
         return parts
@@ -591,11 +596,12 @@ def check_perm_lemma(sweep: CheckOutcome, m: int, k: int):
     if not sweep.guard_holds([], ft.circle):
         return
     b_sets = _b_sets(ft)
+    tr = ft.tr.span(0, q)
     # (i): phi is two-to-one from B_e onto T_e; x = q is infinity, which has none
     for e, (b, phi, _) in b_sets.items():
         values = phi[b]
         preimages = np.bincount(values[(values >= 0) & (values <= q)], minlength=q + 1)
-        expected = 2 * np.append(ft.tr == e, False)
+        expected = 2 * np.append(tr == e, False)
         x = int(np.argmax(preimages != expected))  # the first that is off, else 0
         sweep.expect(preimages[x] == expected[x], [e, x], preimages[x], expected[x])
     # (ii), (iii): the power maps, checked three ways
@@ -622,9 +628,18 @@ def _rotl(a, j: int, nbits: int):
     return ((a & ((1 << (nbits - j)) - 1)) << j) | (a >> (nbits - j))
 
 
-def _zsum_chunk(et, k: int, g0: tuple[np.ndarray, np.ndarray], lo: int, hi: int) -> list:
+def _fold(s, nbits: int):
+    """s mod n = 2^nbits - 1 for s in 0..2n, in place, as a value in 0..n: the
+    carry out of the low nbits bits added back, (s & n) + (s >> nbits)."""
+    carry = s >> nbits
+    s &= (1 << nbits) - 1
+    s += carry
+    return s
+
+
+def _zsum_chunk(et, k: int, g0, lo: int, hi: int) -> list:
     """The identities of check_zsumexp for z = g^i, i in lo..hi-1 (1 <= lo < hi <= n,
-    n = 2^2m - 1, g the generator of `exp`), with g0 as its two halves from
+    n = 2^2m - 1, g the generator of `exp`), with g0 the `LinearMap` of
     ExtTables.g0_table. In log order z and 1/z = g^(n-i) are slices of exp, and
     the exp indices of w0^(+-1) and w1^(+-1) step by sigma -+ 1 per i, so these
     reads are strided. One CheckOutcome per `_sweep_chunks` slot: first a guard,
@@ -633,20 +648,27 @@ def _zsum_chunk(et, k: int, g0: tuple[np.ndarray, np.ndarray], lo: int, hi: int)
     meets each z other than 0 and 1 once); then (i), the two of (ii), the expansion.
 
     Each exponent is +-2^j or sigma +- 1 = 2^k +- 1, so each product of a log
-    (in 0..n-1) by one is a bit rotation and a sum or sign flip; the exp index
-    lands in (-2n, 2n) and `take(mode="wrap")` reduces it mod n, with no int64
-    temporary and no division. Those index sums (`rot + ly`, `slz +- lz`) lie below
-    2n = 2^(2m+1) in absolute value, so they stay in int32 while 2m <= 30. Every
-    other index is in range, so each `take` is in wrap mode, which releases the
-    GIL. Each temporary is dropped after its last use, and no array is written to
-    once it has been compared."""
+    (in 0..n-1) by one is a bit rotation and a sum or negation, with no int64
+    temporary and no division. A log l in 0..n is negated as its complement l ^ n,
+    which is n - l, and each sum of two logs (`rot + ly`, `slz + lz`, a log plus a
+    negated one) is folded back to 0..n by `_fold`; those sums lie below 2n + 1 =
+    2^(2m+1) - 1, so they stay in int32 while 2m <= 30. So every exp and log index
+    lies in 0..n before its `take`: index n stands for 0 and wraps to it. Each
+    `take` is in wrap mode, which releases the GIL; its per-element reduction runs
+    only at index n, where indices that straddled 0 or n made its branch mispredict
+    (a 2^15-element gather from a 2^20-entry exp took 2-3 times as long). Each
+    temporary is dropped after its last use, and no array is written to once it has
+    been compared."""
     guard, *slots = (CheckOutcome("zsum_chunk", {"k": k, "lo": lo, "hi": hi}) for _ in range(5))
     exp, log, n, nbits = et.exp, et.log, et.n, 2 * et.m
     lz = np.arange(lo, hi, dtype=np.int32)
     z = exp[lo:hi]  # a view of the table: nothing below writes to it
-    bad = np.flatnonzero(np.where(z < 2, -1, log.take(z, mode="wrap")) != lz)
-    for j in bad[:1]:  # the first z whose log (-1 for z = 0, 1) is not i
+    bad = log.take(z, mode="wrap") != lz
+    bad |= z < 2
+    if bad.any():  # the first z whose log (-1 for z = 0, 1) is not i
+        j = int(np.argmax(bad))
         guard.fail([z[j]], log[z[j]] if z[j] >= 2 else -1, lz[j])
+    del bad
     y = exp[n - hi + 1:n - lo + 1][::-1] ^ z  # z + 1/z, nonzero since z != 1
     ly = log.take(y, mode="wrap")
     del y
@@ -655,33 +677,39 @@ def _zsum_chunk(et, k: int, g0: tuple[np.ndarray, np.ndarray], lo: int, hi: int)
     rot = ly
     for _ in range(k):
         rot = _rotl(rot, 1, nbits)
-        lhs ^= exp.take(-rot, mode="wrap")
-    s1ly = rot + ly  # (sigma + 1) * ly
+        lhs ^= exp.take(rot ^ n, mode="wrap")
+    s1ly = _fold(rot + ly, nbits)  # (sigma + 1) * ly
     del rot
+    s1ly ^= n  # negated until the expansion
     slz = _rotl(lz, k, nbits)
-    t = exp.take(slz - lz, mode="wrap")  # w0 = z^(sigma-1)
-    t ^= exp.take(lz - slz, mode="wrap")  # + 1/w0
-    rhs = np.where(t == 0, 0, exp.take(log.take(t, mode="wrap") - s1ly, mode="wrap"))
+    w0 = _fold(slz + (lz ^ n), nbits)  # (sigma - 1) * lz
+    t = exp.take(w0, mode="wrap")  # w0 = z^(sigma-1)
+    w0 ^= n
+    t ^= exp.take(w0, mode="wrap")  # + 1/w0
+    del w0
+    rhs = exp.take(_fold(log.take(t, mode="wrap") + s1ly, nbits), mode="wrap")
+    np.copyto(rhs, 0, where=t == 0)
     slots[0].compare([z], lhs, rhs)
     del lhs
     # (ii): both displayed identities; the first has the right side of (i)
-    yinv = exp.take(-ly, mode="wrap")
+    ly ^= n
+    gsq = et.square(g0(exp.take(ly, mode="wrap")))  # g0(1/y)^2
     del ly
-    gsq = et.square(g0[0].take(yinv & (et.q - 1), mode="wrap")
-                    ^ g0[1].take(yinv >> et.m, mode="wrap"))
-    del yinv
     slots[1].compare([z], gsq, rhs)
     del rhs
-    slz += lz  # (sigma + 1) * lz
+    slz = _fold(slz + lz, nbits)  # (sigma + 1) * lz
     yw1 = exp.take(slz, mode="wrap")  # w1 = z^(sigma+1)
-    yw1 ^= exp.take(-slz, mode="wrap")  # + 1/w1
+    slz ^= n
+    yw1 ^= exp.take(slz, mode="wrap")  # + 1/w1
     del slz
-    rhs1 = np.where(yw1 == 0, 0, exp.take(log.take(yw1, mode="wrap") - s1ly, mode="wrap"))
+    rhs1 = exp.take(_fold(log.take(yw1, mode="wrap") + s1ly, nbits), mode="wrap")
+    np.copyto(rhs1, 0, where=yw1 == 0)
     slots[2].compare([z], 1 ^ gsq, rhs1)
     del gsq, rhs1
     # the expansion of (z + 1/z)^(sigma+1) used to prove (ii): w1 + w0 + 1/w0 + 1/w1
     t ^= yw1
     del yw1
+    s1ly ^= n
     slots[3].compare([z], exp.take(s1ly, mode="wrap"), t)
     return [guard, *slots]
 
@@ -697,7 +725,7 @@ def check_zsumexp(sweep: CheckOutcome, m: int, k: int):
     # which is a product mod n only on 0..n-1; a g0 counterexample names the
     # entry's index in its half, lo before hi
     if not (sweep.in_field([], et.exp, et.Q) and sweep.in_field([], et.log, et.n)
-            and all(sweep.in_field([], half, et.Q) for half in g0)):
+            and sweep.halves_in_field([], g0, et.Q)):
         return
     _sweep_chunks(sweep, lambda lo, hi: _zsum_chunk(et, k, g0, lo, hi), 1, et.n)
 
@@ -715,7 +743,7 @@ def check_h_dickson(sweep: CheckOutcome, m: int, k: int):
     p = derive_params(m, k, alpha=alpha, beta=beta)
     sweep.expect(p.f_trace == 1, [alpha], p.f_trace, 1)
     sweep.expect(p.g_trace == 1, [beta], p.g_trace, 1)
-    if not sweep.in_field([], ft.sq, ft.q):  # g and H are built from it
+    if not sweep.halves_in_field([], ft.sq, ft.q):  # g and H are built from it
         return
     g = g_beta_table(ft, p)
     hs = [h_value_table(ft, derive_params(m, k, alpha=a)) for a in (0, 1)]
@@ -746,9 +774,10 @@ def check_hitt(sweep: CheckOutcome, m: int, k: int):
     ft = field_tables(m)
     q = ft.q
     beta = 1 - derive_params(m, k).g_trace
-    if not (sweep.guard_holds([], ft.circle) and sweep.in_field([], ft.sq, q)):
+    if not (sweep.guard_holds([], ft.circle) and sweep.halves_in_field([], ft.sq, q)):
         return
     b_sets = _b_sets(ft)
+    tr = ft.tr.span(0, q)
     g = g_beta_table(ft, pg := derive_params(m, k, beta=beta))
     sweep.expect(pg.g_trace == 1, [beta], pg.g_trace, 1)
     if not sweep.in_field([], g, q):  # g indexes h below
@@ -756,7 +785,7 @@ def check_hitt(sweep: CheckOutcome, m: int, k: int):
     for alpha in (0, 1):
         p = derive_params(m, k, alpha=alpha, beta=beta)
         h_alpha = h_value_table(ft, p)
-        for gamma, h in enumerate((h_alpha, h_alpha ^ ft.tr)):
+        for gamma, h in enumerate((h_alpha, h_alpha ^ tr)):
             for e in (0, 1):
                 z, phi, w = b_sets[e * p.fg_trace]
                 pz = phi[z]
@@ -770,15 +799,16 @@ def check_hitt(sweep: CheckOutcome, m: int, k: int):
 def check_remark3(sweep: CheckOutcome, m: int):
     """h(x) = x + 1/x + 1/x^2 permutes T_1; H_{1,1} with k = 1 fixes T_0."""
     ft = field_tables(m)
-    if not sweep.in_field([], ft.sq, ft.q):  # H is built from it
+    if not sweep.halves_in_field([], ft.sq, ft.q):  # H is built from it
         return
-    t1 = np.nonzero(ft.tr == 1)[0].astype(np.int64)
+    tr = ft.tr.span(0, ft.q)
+    t1 = np.nonzero(tr == 1)[0].astype(np.int64)
     h = t1 ^ ft.pow_vec((t1, -1)) ^ ft.pow_vec((t1, -2))
-    ok = _injective(h, ft.q) and bool((ft.tr[h] == 1).all())
+    ok = _injective(h, ft.q) and bool((ft.tr(h) == 1).all())
     sweep.expect(ok, [m], ok, True)
     p = derive_params(m, 1, alpha=1, gamma=1)
     htab = h_value_table(ft, p)
-    t0_idx = np.nonzero(ft.tr == 0)[0].astype(np.int64)
+    t0_idx = np.nonzero(tr == 0)[0].astype(np.int64)
     sweep.compare([t0_idx], htab[t0_idx], t0_idx)
     sweep.compare([t1], htab[t1], h)
 
@@ -794,10 +824,10 @@ def check_remark4(sweep: CheckOutcome, m: int, k: int):
     _expect_same_set(sweep, [m, k], set(expand_h(p00)), expected)
     # (b) the trace-class behavior of H_00 and H_01
     ft = field_tables(m)
-    if not sweep.in_field([], ft.sq, ft.q):  # H is built from it
+    if not sweep.halves_in_field([], ft.sq, ft.q):  # H is built from it
         return
     h00 = h_value_table(ft, p00)
-    h01 = h00 ^ ft.tr
+    h01 = h00 ^ ft.tr.span(0, ft.q)
     (classes00, _), (classes01, h01_permutes) = _class_images(
         ft, 2, lambda lo, hi: (h00[lo:hi], h01[lo:hi]))
     for classes, t1_target in ((classes00, 0), (classes01, 1)):
@@ -826,12 +856,12 @@ def check_dickson_linearized(sweep: CheckOutcome, k_max: int):
                          {(1 << k) + 1 - (1 << (j + 1)) for j in range(k)})
     for m in range(2, 11):
         ft = field_tables(m)
-        if not (sweep.guard_holds([m], ft.circle) and sweep.in_field([m], ft.sq, ft.q)):
+        if not (sweep.guard_holds([m], ft.circle) and sweep.halves_in_field([m], ft.sq, ft.q)):
             continue
         xs = np.arange(1, ft.q, dtype=np.int64)
         tk, term = np.zeros_like(xs), ft.pow_vec((xs, -1))
         for k in range(1, m + 1):
-            tk, term = tk ^ term, ft.sq[term]  # T_k(1/x), (1/x)^(2^k)
+            tk, term = tk ^ term, ft.sq(term)  # T_k(1/x), (1/x)^(2^k)
             rhs = ft.pow_vec((xs, (1 << k) + 1), (tk, 2))
             sweep.compare([xs], ft.dickson_vec((1 << k) - 1, xs), rhs)
 
@@ -860,8 +890,10 @@ def check_polynomiality(sweep: CheckOutcome, m_max: int):
     """expand_h never fails exact division; reduced form matches the evaluator."""
     for m in range(2, m_max + 1):
         ft = field_tables(m) if m <= 10 else None
-        if ft is not None and not sweep.in_field([m], ft.sq, ft.q):  # H is built from it
-            continue
+        if ft is not None:
+            if not sweep.halves_in_field([m], ft.sq, ft.q):  # H is built from it
+                continue
+            tr = ft.tr.span(0, ft.q)
         for k in coprime_ks(m):
             for alpha in (0, 1):
                 # gamma only adds Tr, so H is built once per alpha
@@ -877,4 +909,4 @@ def check_polynomiality(sweep: CheckOutcome, m_max: int):
                     sweep.expect(0 not in poly, [m, k, alpha, gamma], int(0 in poly), 0)
                     if ft is not None:
                         sweep.compare([np.arange(ft.q)], ft.poly_table(poly),
-                                      h_alpha ^ ft.tr if gamma else h_alpha)
+                                      h_alpha ^ tr if gamma else h_alpha)

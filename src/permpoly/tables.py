@@ -14,8 +14,9 @@ trace, x^(2^k), f_alpha and g_beta (linearized polynomials, their images from th
 basis orbits under squaring), T_k and squaring on GF(2^2m), and each product by a
 constant of the exp build. Its value at any x is two takes on tables of at most
 2^ceil(nbits/2) entries, and its `span(a, b)` the values at a..b-1 as one broadcast
-XOR of the halves; the whole tables (`sq`, `tr`, `frobenius_table`, `f_alpha_table`,
-`g_beta_table`) are spans of the whole field.
+XOR of the halves; the whole tables (`frobenius_table`, `f_alpha_table`,
+`g_beta_table`) are spans of the whole field. `FieldTables.sq` and `tr` are maps, not
+tables, so exp and log are its only arrays of q entries.
 
 Every table is int32 (no element or log reaches 2^24), signed so that a corrupted
 -1 reads as outside the field; `pow_vec` and `dickson_vec` widen a product to int64
@@ -179,7 +180,8 @@ class _LogTables:
 
 
 class FieldTables(_LogTables):
-    """log/exp, squaring and trace tables for one GF(2^m), m >= 2."""
+    """log/exp tables for one GF(2^m), m >= 2, and squaring `sq` and the trace `tr`
+    as `LinearMap`s."""
 
     def __init__(self, spec: FieldSpec):
         if spec.m < 2:
@@ -187,13 +189,20 @@ class FieldTables(_LogTables):
         self.spec = spec
         self.q = spec.q
         super().__init__(spec.m, spec.mul, spec.pow, 2)
-        self.sq = LinearMap([spec.square(1 << j) for j in range(spec.m)]).span(0, self.q)
-        self.tr = self.linear_map(trace_poly(spec.m)).span(0, self.q)
+        self._maps: dict[frozenset, LinearMap] = {}
+        self.sq = LinearMap([spec.square(1 << j) for j in range(spec.m)])
+        self.tr = self.linear_map(trace_poly(spec.m))
 
     def linear_map(self, poly: frozenset) -> LinearMap:
         """sum(x^e for e in poly) as a `LinearMap`, its basis images squared through `sq`;
-        every exponent a power of 2."""
-        return LinearMap(_linearized_images(self.sq.take, self.spec.m, poly))
+        every exponent a power of 2. Built once per exponent set and then shared, since
+        the chunk bodies of main_theorem and hprop ask for f_alpha in every chunk; so a
+        change to `sq` reaches only the maps built after it."""
+        # sweep threads may both miss and build the same map; the later store wins,
+        # with the same values, so no lock is needed
+        if (mp := self._maps.get(poly)) is None:
+            mp = self._maps[poly] = LinearMap(_linearized_images(self.sq, self.spec.m, poly))
+        return mp
 
     def frobenius_table(self, k: int) -> np.ndarray:
         """x -> x^(2^k) as a full table."""
@@ -223,7 +232,7 @@ class FieldTables(_LogTables):
         inv = self.pow_vec((z, -1))
         # z + 1/z = x has z on B_1 iff Tr(1/x) = 1; c[1] is the first such x (of q/2, met
         # lazily) whose z has order q + 1, that is c[(q+1)/p] != 0 for each prime p | q + 1
-        for j in np.flatnonzero(self.tr[inv] == 1):
+        for j in np.flatnonzero(self.tr(inv) == 1):
             c, s = np.array([0, z[j]], dtype=np.int32), 1
             while s <= q // 2:  # c[s + i] = c[s] c[i] + c[s - i] for i = 1..s
                 c, s = np.append(c, self.pow_vec((c[1:], 1), (c[s], 1)) ^ c[s - 1::-1]), 2 * s
@@ -277,7 +286,7 @@ def h_value_table(ft: FieldTables, p: ParamSet, lo: int = 0, hi: int | None = No
     fa = f_alpha_table(ft, p, lo, hi)
     h = ft.pow_vec((fa, p.sigma + 1), (np.arange(lo, hi, dtype=np.int32), -2))
     if p.gamma:
-        h ^= ft.tr[lo:hi]
+        h ^= ft.tr.span(lo, hi)
     return h
 
 
@@ -302,11 +311,10 @@ class ExtTables(_LogTables):
         self.square = LinearMap([pack(ext.square(unpack(1 << j))) for j in range(2 * m)])
         self.sq_lo, self.sq_hi = self.square.lo, self.square.hi
 
-    def g0_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The k-term linearized map g0 = z + z^2 + ... + z^(2^(k-1)) as two 2^m-entry
-        halves (lo, hi), one per half of the bits: g0(u) = lo[u & (q-1)] ^ hi[u >> m]."""
-        g0 = LinearMap(_linearized_images(self.square, 2 * self.m, trace_poly(k)))
-        return g0.lo, g0.hi
+    def g0_table(self, k: int) -> LinearMap:
+        """The k-term linearized map g0 = z + z^2 + ... + z^(2^(k-1)) as a `LinearMap` of
+        two 2^m-entry halves: g0(u) = lo[u & (q-1)] ^ hi[u >> m]."""
+        return LinearMap(_linearized_images(self.square, 2 * self.m, trace_poly(k)))
 
     def b1_packed(self) -> np.ndarray:
         """B_1 as theta^i for i = 1..q, theta = g^(q-1); checked against the norm-1 form."""

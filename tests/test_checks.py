@@ -2,6 +2,7 @@ import copy
 import inspect
 import itertools
 import json
+import operator
 import sys
 import threading
 import time
@@ -13,7 +14,8 @@ import pytest
 from permpoly import OutOfRange, checks, cli
 from permpoly.checks import (_CHUNK_ELEMENTS, CHECKS, LINEARIZED_K_MAX, MUL_TABLE_M_MAX,
                              NOT_A_CLASS, CheckOutcome, _class_images, _closed_form_rows,
-                             _dickson_blocks, _injective, _mul_table, _rotl, _zsum_chunk,
+                             _dickson_blocks, _fold, _injective, _mul_table, _rotl,
+                             _zsum_chunk,
                              check_dickson_linearized, check_dickson_methods, check_fgprop,
                              check_h_dickson, check_hitt, check_hprop,
                              check_main_theorem, check_main_theorem_outcome,
@@ -81,7 +83,8 @@ def test_class_images_match_a_set_count(monkeypatch):
     for m in (2, 3, 6):
         ft = field_tables(m)
         q = ft.q
-        t0, t1 = np.flatnonzero(ft.tr == 0), np.flatnonzero(ft.tr == 1)
+        tr = ft.tr.span(0, q)
+        t0, t1 = np.flatnonzero(tr == 0), np.flatnonzero(tr == 1)
         seen = set()
         for _ in range(40):
             # mostly in GF(q), with collisions, now and then -1 or q
@@ -97,7 +100,7 @@ def test_class_images_match_a_set_count(monkeypatch):
                 corrupted[i] = rng.choice([-1, q, 1 << 40])
                 tabs += [tab, collided, corrupted]
             for tab in tabs:
-                expected = _class_images_by_sets(ft.tr, tab, q)
+                expected = _class_images_by_sets(tr, tab, q)
                 # one chunk, and folded over two to four chunks, the last
                 # one shorter, that two workers mark side by side
                 for chunk, workers in ((_CHUNK_ELEMENTS, 1), (q // 4 + 1, 2)):
@@ -239,6 +242,24 @@ def test_zsum_index_sums_stay_in_int32_at_the_top_of_their_range(nbits):
         for got, factor in ((s1ly, (1 << k) + 1), (w0, (1 << k) - 1)):
             assert got.dtype == np.int32, k
             assert [v % n for v in got.tolist()] == [factor * v % n for v in a.tolist()], k
+        # the folded forms that the kernel takes through: a log l in 0..n negated
+        # as its complement l ^ n = n - l, and each sum of two logs, one of them
+        # perhaps negated, below 2n + 1 and folded back to 0..n
+        assert ((a ^ n) == n - a).all() and ((np.int32(n) ^ n) == 0), k
+        s1ly = _fold(rot + a, nbits)
+        folded = [(s1ly, (1 << k) + 1),
+                  (_fold(_rotl(a, k, nbits) + (a ^ n), nbits), (1 << k) - 1),
+                  (_fold(_rotl(a, k, nbits) + a, nbits), (1 << k) + 1),
+                  # log t - (sigma + 1) * ly, with log t = a reversed and ly = a
+                  (_fold(a[::-1] + (s1ly ^ n), nbits), None)]
+        for got, factor in folded:
+            assert got.dtype == np.int32 and got.min() >= 0 and got.max() <= n, k
+            want = ([(t - ((1 << k) + 1) * v) % n for t, v in zip(a[::-1].tolist(), a.tolist())]
+                    if factor is None else [factor * v % n for v in a.tolist()])
+            assert [v % n for v in got.tolist()] == want, k
+    # the top of the folded range: n + n, and n itself, which stands for 0
+    top = np.array([2 * n, n, n - 1], dtype=np.int32)
+    assert _fold(top, nbits).tolist() == [n, n, n - 1]
 
 
 @pytest.mark.parametrize("nbits", [4, 20, 24, 28, 30])
@@ -593,9 +614,11 @@ def test_each_table_gets_one_occupancy_pass(monkeypatch, label):
 
 def _corrupt(monkeypatch, name, i, new):
     """Make checks.<name> return a copy of its table with flat entry i set to
-    new(table); for field_tables (or field_tables.tr, field_tables.sq), fresh
-    tables, whose circle is yet to be built, and their exp (or tr, sq) table; for
-    f_alpha_map.lo (or .hi, or g_beta_map's), a copy of the map with that half copied."""
+    new(table); for field_tables (or field_tables.tr.lo, field_tables.sq.hi and the
+    like), fresh tables, whose circle is yet to be built, and their exp table (or
+    that half of tr or sq, left as it is where the half has no entry i: GF(4)'s have
+    two); for f_alpha_map.lo (or .hi, or g_beta_map's), a copy of the map with that
+    half copied."""
     name, _, attr = name.partition(".")
     orig = getattr(checks, name)
 
@@ -603,14 +626,15 @@ def _corrupt(monkeypatch, name, i, new):
         out = orig(*args)
         if name == "field_tables":
             out = FieldTables(out.spec)
-            tab = getattr(out, attr or "exp")
+            tab = operator.attrgetter(attr or "exp")(out)
         elif attr:
             out = copy.copy(out)
             tab = getattr(out, attr).copy()
             setattr(out, attr, tab)
         else:
             out = tab = out.copy()
-        tab.flat[i] = new(tab)
+        if i < tab.size:
+            tab.flat[i] = new(tab)
         return out
     monkeypatch.setattr(checks, name, corrupted)
 
@@ -877,7 +901,7 @@ def test_base_field_outcome_does_not_depend_on_chunk_size_or_workers(monkeypatch
 
 #: the bound in MiB on the numpy and Python allocations, beyond the cached
 #: FieldTables(18), of each base-field check at (18, 5) with one worker: the
-#: tracemalloc peaks read 1.8, 1.6 and 1.8 MiB, against 7.1, 11.1 and 12.5 MiB
+#: tracemalloc peaks read 1.9, 1.8 and 1.9 MiB, against 7.1, 11.1 and 12.5 MiB
 #: when each comparison was made on whole-field arrays; fgprop holds its maps as
 #: half tables of 512 entries, where five whole tables took 5 MiB (6.0 MiB peak)
 BASE_SWEEP_PEAK_MIB = {
@@ -931,9 +955,9 @@ def test_no_class_prints_none_not_inf(monkeypatch, label):
 
 def test_a_corrupted_minus_one_prints_as_minus_one(monkeypatch):
     # no value stands for the point at infinity, so -1 prints as itself; the
-    # squaring table's guard names it, with q as rhs
+    # squaring map's guard names it, with q as rhs
     ft = FieldTables(make_field(4))
-    ft.sq[0] = -1
+    ft.sq.lo[0] = -1
     monkeypatch.setattr(checks, "field_tables", lambda m: ft)
     out = check_hprop(4, 1)
     assert (out.passed, out.counterexample) == \
@@ -943,14 +967,19 @@ def test_a_corrupted_minus_one_prints_as_minus_one(monkeypatch):
 #: label -> (checker, its arguments, a table that feeds an identity rather than
 #: a permutation verdict, entry i), and the (passed, tested, counterexample)
 #: with table[i] = 2^24; without the in_field guard, or the circle's guard on
-#: exp, each call raises IndexError
+#: exp, each call raises IndexError, or for a half of tr reads a wrong trace; a
+#: half's entry is named by its index in that half
 IDENTITY_TABLES = {
     "hprop_exp": ((check_hprop, (5, 2), "field_tables", 3),
                   (False, 0, {"inputs": ["3"], "lhs": "1000000", "rhs": "20"})),
-    "hprop_tr": ((check_hprop, (5, 2), "field_tables.tr", 3),
+    "hprop_tr": ((check_hprop, (5, 2), "field_tables.tr.lo", 3),
                  (False, 0, {"inputs": ["3"], "lhs": "1000000", "rhs": "2"})),
-    "fgprop_tr": ((check_fgprop, (5, 2), "field_tables.tr", 3),
+    "fgprop_tr": ((check_fgprop, (5, 2), "field_tables.tr.lo", 3),
                   (False, 0, {"inputs": ["3"], "lhs": "1000000", "rhs": "2"})),
+    "hprop_tr_hi": ((check_hprop, (5, 2), "field_tables.tr.hi", 1),
+                    (False, 0, {"inputs": ["1"], "lhs": "1000000", "rhs": "2"})),
+    "fgprop_tr_hi": ((check_fgprop, (5, 2), "field_tables.tr.hi", 1),
+                     (False, 0, {"inputs": ["1"], "lhs": "1000000", "rhs": "2"})),
     "h_dickson_g": ((check_h_dickson, (5, 2), "g_beta_table", 3),
                     (False, 4, {"inputs": ["3"], "lhs": "1000000", "rhs": "20"})),
     "h_dickson_exp": ((check_h_dickson, (5, 2), "field_tables", 2),
@@ -975,15 +1004,18 @@ def test_an_out_of_field_value_in_an_identity_table_fails_the_check(monkeypatch,
     assert (out.passed, out.tested, out.counterexample) == expected
 
 
-@pytest.mark.parametrize("table", ["field_tables", "field_tables.tr", "field_tables.sq"],
-                         ids=["exp", "tr", "sq"])
+@pytest.mark.parametrize("table, i", [("field_tables", 2), ("field_tables.tr.lo", 2),
+                                      ("field_tables.sq.lo", 2), ("field_tables.tr.hi", 1),
+                                      ("field_tables.sq.hi", 1)],
+                         ids=["exp", "tr", "sq", "tr_hi", "sq_hi"])
 @pytest.mark.parametrize("name", CHECKS)
-def test_an_out_of_field_base_table_entry_gives_a_record(monkeypatch, name, table):
-    # exp[2], tr[2] or sq[2] = 2^24 in every GF(2^m) a check builds (GF(4) has 3
-    # exp entries), at its m = 5 grid point
+def test_an_out_of_field_base_table_entry_gives_a_record(monkeypatch, name, table, i):
+    # exp[2], entry 2 of the low half of tr or sq, or entry 1 of its high half =
+    # 2^24 in every GF(2^m) a check builds (GF(4) has 3 exp entries, and halves
+    # of 2), at its m = 5 grid point
     check = CHECKS[name]
     args = next(args for args in check.grid(5) if args[0] == 5)
-    _corrupt(monkeypatch, table, 2, lambda tab: 1 << 24)
+    _corrupt(monkeypatch, table, i, lambda tab: 1 << 24)
     assert isinstance(check.fn(*args), CheckOutcome)
 
 
@@ -992,21 +1024,36 @@ READS_SQ = {"main_theorem", "fgprop", "hprop", "h_dickson", "hitt", "remark3", "
             "dickson_linearized", "polynomiality"}
 
 
+def _expect_sq_guard(monkeypatch, name, half, i, value):
+    """Entry i of half `half` of sq = value in every GF(2^m) check `name` builds, at
+    its m = 5 grid point: a check that reads sq names the entry, by its index in that
+    half, and its value; any other passes."""
+    check = CHECKS[name]
+    args = next(args for args in check.grid(5) if args[0] == 5)
+    _corrupt(monkeypatch, f"field_tables.sq.{half}", i, lambda tab: value)
+    out = check.fn(*args)
+    if name in READS_SQ:  # the guard names the entry
+        assert not out.passed and out.counterexample["inputs"][-1] == str(i)
+        assert out.counterexample["lhs"] == format(value, "x")
+    else:
+        assert out.passed
+
+
 @pytest.mark.parametrize("value", [-1, 1 << 24], ids=["pinf", "far"])
 @pytest.mark.parametrize("name", CHECKS)
 def test_a_squaring_entry_outside_the_field_fails_each_check_that_reads_sq(
         monkeypatch, name, value):
-    # sq[2] in every GF(2^m) a check builds, at its m = 5 grid point: numpy reads
-    # sq[-1] as the last entry, so without the guard h_dickson passes on a wrong orbit
-    check = CHECKS[name]
-    args = next(args for args in check.grid(5) if args[0] == 5)
-    _corrupt(monkeypatch, "field_tables.sq", 2, lambda tab: value)
-    out = check.fn(*args)
-    if name in READS_SQ:  # the guard names the entry
-        assert not out.passed and out.counterexample["inputs"][-1] == "2"
-        assert out.counterexample["lhs"] == format(value, "x")
-    else:
-        assert out.passed
+    # the wrap-mode takes of the map read -1 as the last entry of a half, so
+    # without the guard h_dickson passes on a wrong orbit
+    _expect_sq_guard(monkeypatch, name, "lo", 2, value)
+
+
+@pytest.mark.parametrize("value", [-1, 1 << 24], ids=["pinf", "far"])
+@pytest.mark.parametrize("name", CHECKS)
+def test_a_squaring_hi_entry_outside_the_field_fails_each_check_that_reads_sq(
+        monkeypatch, name, value):
+    # the high half is checked after the low one, which is in GF(q) here
+    _expect_sq_guard(monkeypatch, name, "hi", 1, value)
 
 
 def test_a_zero_of_g_fails_h_dickson_at_its_x(monkeypatch):
@@ -1050,7 +1097,7 @@ def _phi_changed(monkeypatch, e, change):
 def _move_pair_to_t1(ft, members, phi):
     """phi(0) = phi(infinity) = 0 in T_0 moved onto the first element of T_1:
     still two-to-one, but onto the wrong set."""
-    phi[members[phi[members] == 0]] = np.flatnonzero(ft.tr == 1)[0]
+    phi[members[phi[members] == 0]] = np.flatnonzero(ft.tr.span(0, ft.q) == 1)[0]
 
 
 #: label -> (e, the change to phi on B_e), and the (passed, tested,
@@ -1210,14 +1257,17 @@ def test_zsumexp_chunks_compare_each_z_but_0_and_1_once(monkeypatch, chunk):
 
 
 def test_an_out_of_field_g0_value_fails_zsumexp(monkeypatch):
+    # an entry of either half is named by its index in that half, lo before hi
     et = ExtTables(5)
-    lo, hi = et.g0_table(2)
-    lo[7] = 1 << 24
-    monkeypatch.setattr(et, "g0_table", lambda k: (lo, hi))
+    build = et.g0_table
     monkeypatch.setattr(checks, "ext_tables", lambda m: et)
-    out = check_zsumexp(5, 2)
-    assert (out.passed, out.tested, out.counterexample) == \
-        (False, 0, {"inputs": ["7"], "lhs": "1000000", "rhs": "400"})
+    for half, i in (("lo", 7), ("hi", 3)):
+        g0 = build(2)
+        getattr(g0, half)[i] = 1 << 24
+        monkeypatch.setattr(et, "g0_table", lambda k: g0)
+        out = check_zsumexp(5, 2)
+        assert (out.passed, out.tested, out.counterexample) == \
+            (False, 0, {"inputs": [str(i)], "lhs": "1000000", "rhs": "400"}), half
 
 
 def test_zsumexp_holds_little_beyond_its_tables(monkeypatch):
@@ -1259,7 +1309,7 @@ def _fresh_tables(corrupt) -> FieldTables:
 def _circle_guard_tripped():
     """Tables whose trace reads 0 everywhere: no x has Tr(1/x) = 1, so no z + 1/z = x
     has its roots on B_1."""
-    return _fresh_tables(lambda ft: ft.tr.fill(0))
+    return _fresh_tables(lambda ft: (ft.tr.lo.fill(0), ft.tr.hi.fill(0)))
 
 
 def _swap_powers(ft):
@@ -1273,7 +1323,8 @@ CIRCLE_CORRUPTIONS = {
     "powers_swapped": (lambda: _fresh_tables(_swap_powers),
                        "c[1..q/2] and z + 1/z on GF(q)* do not split GF(q)"),
     # the trace is flipped, so c[1] is an x whose z lies in GF(q)*, not on B_1
-    "split_broken": (lambda: _fresh_tables(lambda ft: np.subtract(1, ft.tr, out=ft.tr)),
+    # (each trace value is lo ^ hi, so flipping every low entry flips them all)
+    "split_broken": (lambda: _fresh_tables(lambda ft: np.bitwise_xor(ft.tr.lo, 1, out=ft.tr.lo)),
                      "c[1..q/2] and z + 1/z on GF(q)* do not split GF(q)"),
     "exp_outside": (lambda: _fresh_tables(lambda ft: ft.exp.__setitem__(3, 16)),
                     "exp[3] = 10 lies outside GF(q)"),

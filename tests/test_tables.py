@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -193,10 +194,10 @@ def _whole_linear(sq: np.ndarray, poly: frozenset) -> np.ndarray:
 
 def test_g0_halves_give_the_full_linearized_table():
     def joined(et, k):
-        lo, hi = et.g0_table(k)
-        assert lo.size == hi.size == et.q, k
+        g0 = et.g0_table(k)
+        assert g0.lo.size == g0.hi.size == et.q, k
         zs = np.arange(et.Q)
-        return lo[zs & (et.q - 1)] ^ hi[zs >> et.m]
+        return g0.lo[zs & (et.q - 1)] ^ g0.hi[zs >> et.m]
 
     for m in range(2, 11):
         et = ext_tables(m)
@@ -221,13 +222,14 @@ def test_g0_halves_give_the_full_linearized_table():
 @pytest.mark.parametrize("m", range(2, 11))
 def test_every_linear_map_matches_the_scalar_oracle(m):
     """Each half-table map at every x of GF(2^m), by its two takes and by its span:
-    x^(2^k) for every k against FieldSpec.pow, Tr against FieldSpec.trace, and f_alpha
-    and g_beta for every coprime k, alpha and beta against maps.eval_f_alpha and
+    FieldTables.sq against FieldSpec.square, FieldTables.tr and the trace built again
+    against FieldSpec.trace, x^(2^k) for every k against FieldSpec.pow, and f_alpha and
+    g_beta for every coprime k, alpha and beta against maps.eval_f_alpha and
     maps.eval_g_beta. Each half has 2^ceil(m/2) entries at most."""
     ft = field_tables(m)
     spec, q = ft.spec, ft.q
     xs = np.arange(q)
-    cases = [(ft.linear_map(trace_poly(m)), spec.trace)]
+    cases = [(ft.sq, spec.square), (ft.tr, spec.trace), (ft.linear_map(trace_poly(m)), spec.trace)]
     cases += [(ft.linear_map(frozenset({1 << k})), lambda x, k=k: spec.pow(x, 1 << k))
               for k in range(1, m)]
     for k in coprime_ks(m):
@@ -279,8 +281,8 @@ def test_squaring_halves_and_g0_match_scalar_squares(m):
             row.append(acc)
         sums.append([a | b << m for a, b in row])
     for k in range(1, 2 * m):
-        lo, hi = et.g0_table(k)
-        assert (lo[zs & (q - 1)] ^ hi[zs >> m]).tolist() == [row[k - 1] for row in sums], k
+        g0 = et.g0_table(k)
+        assert g0(zs).tolist() == [row[k - 1] for row in sums], k
 
 
 def test_chunked_builds_keep_their_tables_and_proofs(monkeypatch):
@@ -316,15 +318,76 @@ def test_ext_tables_hold_exp_and_log_alone():
     assert et.exp.size == et.n and held < 8.2 * (1 << 20) and peak < 9 << 20, (held, peak)
 
 
+@pytest.mark.parametrize("m", range(2, 15))
+def test_field_tables_hold_no_whole_table_but_exp_and_log(m):
+    # squaring and the trace are maps of two halves of at most 2^ceil(m/2) entries
+    ft = FieldTables(make_field(m))  # not cached, so that no circle is built yet
+    arrays = {name: value for name, value in vars(ft).items() if isinstance(value, np.ndarray)}
+    assert set(arrays) == {"exp", "log"} and ft.exp.size == ft.n and ft.log.size == ft.q
+    for name in ("sq", "tr"):
+        mp = getattr(ft, name)
+        assert isinstance(mp, LinearMap), name
+        halves = {key: value for key, value in vars(mp).items() if isinstance(value, np.ndarray)}
+        assert set(halves) == {"lo", "hi"}, name
+        assert (mp.lo.size, mp.hi.size) == (1 << (m + 1) // 2, 1 << m // 2), name
+
+
+def test_field_tables_hold_exp_and_log_alone():
+    # 1 MiB each for exp and log at m = 18, with 2 x 512-entry halves for
+    # squaring and the trace: whole squaring and trace tables made 4.0 MiB
+    make_field(18)
+    tracemalloc.start()
+    try:
+        FieldTables(make_field(18))  # not cached: the build itself is measured
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 3 << 20, held / (1 << 20)
+
+
 def test_linearized_builder_refuses_other_exponents():
     ft = field_tables(4)
-    sq = ft.sq
+    sq = ft.sq.span(0, 16)
     # x^(2^4) = x and x^(2^9) = x^2 on GF(16)
     table = ft.linear_map(frozenset({1 << 4, 1 << 9})).span(0, 16)
     assert table.tolist() == [x ^ int(sq[x]) for x in range(16)]
     for poly in ({0}, {3}, {1, 6}):
         with pytest.raises(ValueError):
             ft.linear_map(frozenset(poly))
+
+
+def test_linear_maps_are_built_once_per_exponent_set_under_contention():
+    # eight threads, more than the cores, switching every microsecond, ask fresh
+    # tables for the same maps: each gets the values of a map built alone, and
+    # afterwards the tables hand out one map per exponent set
+    spec = make_field(10)
+    polys = [frozenset({1 << k}) for k in range(1, 10)] + [frozenset({1, 4, 1 << 7})]
+    alone = FieldTables(spec)
+    want = {poly: alone.linear_map(poly).span(0, alone.q) for poly in polys}
+    ft = FieldTables(spec)
+    got, errors = [], []
+
+    def ask():
+        try:
+            for poly in polys * 4:
+                got.append((poly, ft.linear_map(poly)))
+        except Exception as exc:  # raised on the test's thread below
+            errors.append(exc)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not errors and len(got) == 8 * 4 * len(polys)
+    for poly, mp in got:
+        assert np.array_equal(mp.span(0, ft.q), want[poly]), poly
+    assert all(ft.linear_map(poly) is ft.linear_map(poly) for poly in polys)
 
 
 def test_ext_tables_refuse_degree_over_ceiling():
@@ -338,14 +401,15 @@ def test_every_table_is_int32():
     p = derive_params(5, 2, alpha=1, beta=1, gamma=1)
     xs = np.arange(ft.q)
     tables = {
-        "exp": ft.exp, "log": ft.log, "sq": ft.sq, "tr": ft.tr,
+        "exp": ft.exp, "log": ft.log, "sq lo": ft.sq.lo, "sq hi": ft.sq.hi,
+        "tr lo": ft.tr.lo, "tr hi": ft.tr.hi,
         "frobenius_table": ft.frobenius_table(2), "f_alpha_table": f_alpha_table(ft, p),
         "g_beta_table": g_beta_table(ft, p), "h_value_table": h_value_table(ft, p),
         "poly_table": ft.poly_table(frozenset({0, 3, 5})),
         "pow_vec": ft.pow_vec((xs, 3), (xs, -1)),
         "circle c": c, "circle idx": idx, "circle z0": z0, "dickson_vec": ft.dickson_vec(5, xs),
         "ext exp": et.exp, "ext log": et.log, "ext sq_lo": et.sq_lo, "ext sq_hi": et.sq_hi,
-        "g0_table lo": et.g0_table(2)[0], "g0_table hi": et.g0_table(2)[1],
+        "g0_table lo": et.g0_table(2).lo, "g0_table hi": et.g0_table(2).hi,
         "ext pow_vec": et.pow_vec((np.arange(et.Q), 3)), "b1_packed": et.b1_packed(),
         "zmap": et.zmap(),
     }
