@@ -24,7 +24,7 @@ from .field import MAX_DEGREE, coprime_ks, make_field
 from .maps import dickson_exponents
 from .params import derive_params
 from .sparsepoly import expand_h, sp_add, sp_reduce_mod_field, trace_poly
-from .tables import (_CHUNK_ELEMENTS, EXT_MAX_DEGREE, ext_tables, f_alpha_map,
+from .tables import (_CHUNK_ELEMENTS, EXT_MAX_DEGREE, _fold, _rotl, ext_tables, f_alpha_map,
                      f_alpha_table, field_tables, g_beta_map, g_beta_table, h_value_table)
 
 NOT_A_CLASS = -1
@@ -433,7 +433,8 @@ def check_main_theorem(m: int, k: int) -> list[PermutationReport]:
 @_check("main_theorem", _coprime_grid, 12)
 def check_main_theorem_outcome(sweep: CheckOutcome, m: int, k: int):
     ft = field_tables(m)
-    if not sweep.halves_in_field([], ft.sq, ft.q):  # f_alpha is built from it
+    # f_alpha is built from sq, and H rotates the logs
+    if not (sweep.halves_in_field([], ft.sq, ft.q) and sweep.in_field([], ft.log, ft.n)):
         return
     for rep in check_main_theorem(m, k):
         # the theorem's parity also names the class T_1 is sent to
@@ -544,9 +545,9 @@ def check_hprop(sweep: CheckOutcome, m: int, k: int):
     """Both claims: the rewritten H form, and the trace multiplier of H."""
     ft = field_tables(m)
     params = [derive_params(m, k, alpha=alpha) for alpha in (0, 1)]
-    # used as indices, and sq also to build f_alpha
+    # used as indices, and sq also to build f_alpha; H and the ratio rotate the logs
     if not (sweep.halves_in_field([], ft.tr, 2) and sweep.in_field([], ft.exp, ft.q)
-            and sweep.halves_in_field([], ft.sq, ft.q)):
+            and sweep.halves_in_field([], ft.sq, ft.q) and sweep.in_field([], ft.log, ft.n)):
         return
 
     def compare_chunk(lo: int, hi: int) -> list:
@@ -556,7 +557,7 @@ def check_hprop(sweep: CheckOutcome, m: int, k: int):
         for alpha, p in enumerate(params):
             fa = f_alpha_table(ft, p, lo, hi)
             h_alpha = h_value_table(ft, p, lo, hi)
-            ratio = ft.pow_vec((fa, 1), (xs, -1))  # 0 at x = 0, where fa is 0
+            ratio = ft.quotient_vec(fa, slice(lo, hi))  # 0 at x = 0, where fa is 0
             alt = ft.sq(ratio) ^ ratio ^ fa
             del ratio, fa
             for gamma, h in enumerate((h_alpha, h_alpha ^ tr)):
@@ -618,23 +619,6 @@ def check_perm_lemma(sweep: CheckOutcome, m: int, k: int):
             # a failure records the pair that differs: observed, else the gcd condition
             sweep.expect(observed == gcd_cond == predicted, [widx, e],
                          gcd_cond if observed == predicted else observed, predicted)
-
-
-def _rotl(a, j: int, nbits: int):
-    """a * 2^j mod 2^nbits - 1 for a in 0..2^nbits - 2: the nbits-bit pattern
-    of a rotated left by j. Masked before the shift, so it stays below 2^nbits
-    and an int32 a holds up to nbits = 31."""
-    j %= nbits
-    return ((a & ((1 << (nbits - j)) - 1)) << j) | (a >> (nbits - j))
-
-
-def _fold(s, nbits: int):
-    """s mod n = 2^nbits - 1 for s in 0..2n, in place, as a value in 0..n: the
-    carry out of the low nbits bits added back, (s & n) + (s >> nbits)."""
-    carry = s >> nbits
-    s &= (1 << nbits) - 1
-    s += carry
-    return s
 
 
 def _zsum_chunk(et, k: int, g0, lo: int, hi: int) -> list:
@@ -743,7 +727,8 @@ def check_h_dickson(sweep: CheckOutcome, m: int, k: int):
     p = derive_params(m, k, alpha=alpha, beta=beta)
     sweep.expect(p.f_trace == 1, [alpha], p.f_trace, 1)
     sweep.expect(p.g_trace == 1, [beta], p.g_trace, 1)
-    if not sweep.halves_in_field([], ft.sq, ft.q):  # g and H are built from it
+    # g and H are built from sq, and H and mid rotate the logs
+    if not (sweep.halves_in_field([], ft.sq, ft.q) and sweep.in_field([], ft.log, ft.n)):
         return
     g = g_beta_table(ft, p)
     hs = [h_value_table(ft, derive_params(m, k, alpha=a)) for a in (0, 1)]
@@ -751,7 +736,7 @@ def check_h_dickson(sweep: CheckOutcome, m: int, k: int):
     xs = np.arange(1, q, dtype=np.int64)
     if sweep.in_field([], g, q) and sweep.guard_holds([], ft.circle):
         if sweep.units(xs, gx := g[xs], q):
-            mid = ft.pow_vec((xs, p.sigma + 1), (gx, -2))
+            mid = ft.quotient_vec(xs, gx, k, 1)  # x^(sigma+1) / g(x)^2
             sweep.compare([xs], hs[alpha][gx], mid)
             d = (1 << k) - 1 if beta == 0 else (1 << (m - k)) - 1
             dval = ft.dickson_vec(d, ft.pow_vec((xs, -1)))  # the Dickson form D_d(1/x)
@@ -774,7 +759,10 @@ def check_hitt(sweep: CheckOutcome, m: int, k: int):
     ft = field_tables(m)
     q = ft.q
     beta = 1 - derive_params(m, k).g_trace
-    if not (sweep.guard_holds([], ft.circle) and sweep.halves_in_field([], ft.sq, q)):
+    # H rotates the logs; they come first, because the circle is built through them and a
+    # log outside 0..n-1 would trip its guard without naming the entry
+    if not (sweep.in_field([], ft.log, ft.n) and sweep.guard_holds([], ft.circle)
+            and sweep.halves_in_field([], ft.sq, q)):
         return
     b_sets = _b_sets(ft)
     tr = ft.tr.span(0, q)
@@ -799,7 +787,8 @@ def check_hitt(sweep: CheckOutcome, m: int, k: int):
 def check_remark3(sweep: CheckOutcome, m: int):
     """h(x) = x + 1/x + 1/x^2 permutes T_1; H_{1,1} with k = 1 fixes T_0."""
     ft = field_tables(m)
-    if not sweep.halves_in_field([], ft.sq, ft.q):  # H is built from it
+    # H is built from sq, and rotates the logs
+    if not (sweep.halves_in_field([], ft.sq, ft.q) and sweep.in_field([], ft.log, ft.n)):
         return
     tr = ft.tr.span(0, ft.q)
     t1 = np.nonzero(tr == 1)[0].astype(np.int64)
@@ -824,7 +813,8 @@ def check_remark4(sweep: CheckOutcome, m: int, k: int):
     _expect_same_set(sweep, [m, k], set(expand_h(p00)), expected)
     # (b) the trace-class behavior of H_00 and H_01
     ft = field_tables(m)
-    if not sweep.halves_in_field([], ft.sq, ft.q):  # H is built from it
+    # H is built from sq, and rotates the logs
+    if not (sweep.halves_in_field([], ft.sq, ft.q) and sweep.in_field([], ft.log, ft.n)):
         return
     h00 = h_value_table(ft, p00)
     h01 = h00 ^ ft.tr.span(0, ft.q)
@@ -891,7 +881,9 @@ def check_polynomiality(sweep: CheckOutcome, m_max: int):
     for m in range(2, m_max + 1):
         ft = field_tables(m) if m <= 10 else None
         if ft is not None:
-            if not sweep.halves_in_field([m], ft.sq, ft.q):  # H is built from it
+            # H is built from sq, and rotates the logs
+            if not (sweep.halves_in_field([m], ft.sq, ft.q)
+                    and sweep.in_field([m], ft.log, ft.n)):
                 continue
             tr = ft.tr.span(0, ft.q)
         for k in coprime_ks(m):

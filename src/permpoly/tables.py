@@ -19,8 +19,12 @@ XOR of the halves; the whole tables (`frobenius_table`, `f_alpha_table`,
 tables, so exp and log are its only arrays of q entries.
 
 Every table is int32 (no element or log reaches 2^24), signed so that a corrupted
--1 reads as outside the field; `pow_vec` and `dickson_vec` widen a product to int64
-where it could pass 2^31, and the `zsumexp` kernel's products are bit rotations.
+-1 reads as outside the field. A product of a log by 2^j mod n = 2^nbits - 1 is a
+bit rotation (`_rotl`), and by 2^k + 1 a rotation plus the log, each sum folded
+by `_fold`, all in int32: so `FieldTables.quotient_vec` takes H, f_alpha(x)/x and
+x^(sigma+1)/g_beta(x)^2, and the `zsumexp` kernel its identities. `pow_vec` and
+`dickson_vec`, for any other exponent, widen a product to int64 where it could
+pass 2^31.
 """
 
 from __future__ import annotations
@@ -129,6 +133,48 @@ def _exp_by_doubling(nbits: int, mul, gen: int) -> np.ndarray:
     return exp
 
 
+def _rotl(a, j: int, nbits: int):
+    """a * 2^j mod 2^nbits - 1 for a in 0..2^nbits - 2: the nbits-bit pattern
+    of a rotated left by j. Masked before the shift, so it stays below 2^nbits
+    and an int32 a holds up to nbits = 31; shifted and merged in place, so that
+    it holds one temporary beside the result."""
+    j %= nbits
+    rot = a & ((1 << (nbits - j)) - 1)
+    rot <<= j
+    rot |= a >> (nbits - j)
+    return rot
+
+
+def _fold(s, nbits: int):
+    """s mod n = 2^nbits - 1 for s in 0..4n - 1, in place: the carry out of the low
+    nbits bits added back, (s & n) + (s >> nbits), a value in 0..n + 3 (0..n for
+    s <= 2n) that a wrap-mode take of an n-entry table reads as s mod n."""
+    carry = s >> nbits
+    s &= (1 << nbits) - 1
+    s += carry
+    return s
+
+
+def _quotient_logs(log: np.ndarray, u, v, k: int | None, j: int, nbits: int) -> np.ndarray:
+    """(2^k + 1) * log u - 2^j * log v mod n = 2^nbits - 1 (log u for k None), as an
+    int32 index in 0..n + 3 for a wrap-mode take of an n-entry exp table: the logs of
+    u gathered from `log`, those of v gathered too, or sliced for a slice v.
+
+    All int32, with no division: (2^k + 1) * l is a rotation of l plus l, below 2n - 1,
+    and 2^j * l a rotation, negated as its complement n - l; on logs in 0..n-1 their
+    sum lies below 3n, so in int32 while nbits <= 29, and one `_fold` brings it
+    below n + 3. Each temporary is dropped after its last use."""
+    n = (1 << nbits) - 1
+    logs = log.take(u)
+    if k is not None:
+        logs += _rotl(logs, k, nbits)
+    lv = _rotl(log[v] if isinstance(v, slice) else log.take(v), j, nbits)
+    lv ^= n
+    logs += lv
+    del lv
+    return _fold(logs, nbits)
+
+
 class _LogTables:
     """Antilog and log tables `exp`, `log` (log[0] a sentinel) of GF(2^nbits), with n
     nonzero elements, from its product `mul` and powers `pow_` on bit patterns; `exp`
@@ -155,11 +201,13 @@ class _LogTables:
         The first factor's logs are multiplied into one int64 buffer, which
         the others are added to and which is reduced mod n in place. A later
         factor with one exponent whose products fit in int32,
-        |e| * (n - 1) < 2^31, is multiplied in place on its own log gather."""
+        |e| * (n - 1) < 2^31, is multiplied in place on its own log gather.
+        Each gather is a raise-mode `take`: the values of a fancy index, and its
+        IndexError out of range, at a fraction of its cost on int32 indices."""
         (u, e), *rest = factors
-        logs = np.multiply(self.log[u], e, dtype=np.int64)
+        logs = np.multiply(self.log.take(u), e, dtype=np.int64)
         for v, f in rest:
-            lv = self.log[v]
+            lv = self.log.take(v)
             if not isinstance(f, np.ndarray) and abs(int(f)) * (self.n - 1) < 1 << 31:
                 lv *= f
                 logs += lv
@@ -169,7 +217,7 @@ class _LogTables:
             # array are held at once
             del lv
         np.remainder(logs, self.n, out=logs)
-        out = self.exp[logs]
+        out = self.exp.take(logs)
         del logs
         for u, e in factors:
             if isinstance(e, np.ndarray):
@@ -203,6 +251,16 @@ class FieldTables(_LogTables):
         if (mp := self._maps.get(poly)) is None:
             mp = self._maps[poly] = LinearMap(_linearized_images(self.sq, self.spec.m, poly))
         return mp
+
+    def quotient_vec(self, u: np.ndarray, v, k: int | None = None, j: int = 0) -> np.ndarray:
+        """u^(2^k + 1) / v^(2^j) elementwise (u / v^(2^j) for k None): 0 wherever u is
+        0, and v must be nonzero elsewhere. v is an array, or a slice of x = lo..hi-1,
+        whose logs are the slice log[lo:hi] of the table, with no gather. One wrap-mode
+        take of exp at the index of `_quotient_logs`, so every `log` entry must lie in
+        0..n-1: a caller checks that first."""
+        out = self.exp.take(_quotient_logs(self.log, u, v, k, j, self.spec.m), mode="wrap")
+        np.copyto(out, 0, where=u == 0)
+        return out
 
     def frobenius_table(self, k: int) -> np.ndarray:
         """x -> x^(2^k) as a full table."""
@@ -283,8 +341,7 @@ def h_value_table(ft: FieldTables, p: ParamSet, lo: int = 0, hi: int | None = No
     """H at x = lo..hi-1, by default the whole field; index x - lo, so over the
     whole field the element bit pattern. 0 at x = 0, where f_alpha is 0."""
     hi = ft.q if hi is None else hi
-    fa = f_alpha_table(ft, p, lo, hi)
-    h = ft.pow_vec((fa, p.sigma + 1), (np.arange(lo, hi, dtype=np.int32), -2))
+    h = ft.quotient_vec(f_alpha_table(ft, p, lo, hi), slice(lo, hi), p.k, 1)
     if p.gamma:
         h ^= ft.tr.span(lo, hi)
     return h

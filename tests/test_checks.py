@@ -14,8 +14,7 @@ import pytest
 from permpoly import OutOfRange, checks, cli
 from permpoly.checks import (_CHUNK_ELEMENTS, CHECKS, LINEARIZED_K_MAX, MUL_TABLE_M_MAX,
                              NOT_A_CLASS, CheckOutcome, _class_images, _closed_form_rows,
-                             _dickson_blocks, _fold, _injective, _mul_table, _rotl,
-                             _zsum_chunk,
+                             _dickson_blocks, _injective, _mul_table, _zsum_chunk,
                              check_dickson_linearized, check_dickson_methods, check_fgprop,
                              check_h_dickson, check_hitt, check_hprop,
                              check_main_theorem, check_main_theorem_outcome,
@@ -26,8 +25,8 @@ from permpoly.field import MAX_DEGREE, coprime_ks, make_field
 from permpoly.maps import dickson_exponents, dickson_recurrence, eval_f_alpha, eval_g_beta
 from permpoly.params import derive_params
 from permpoly.sparsepoly import trace_poly
-from permpoly.tables import (ExtTables, FieldTables, LinearMap, _linearized_images, ext_tables,
-                             field_tables)
+from permpoly.tables import (ExtTables, FieldTables, LinearMap, _fold, _linearized_images,
+                             _rotl, ext_tables, field_tables)
 
 
 def test_injective_matches_a_set_count(monkeypatch):
@@ -901,7 +900,7 @@ def test_base_field_outcome_does_not_depend_on_chunk_size_or_workers(monkeypatch
 
 #: the bound in MiB on the numpy and Python allocations, beyond the cached
 #: FieldTables(18), of each base-field check at (18, 5) with one worker: the
-#: tracemalloc peaks read 1.9, 1.8 and 1.9 MiB, against 7.1, 11.1 and 12.5 MiB
+#: tracemalloc peaks read 1.8, 1.8 and 1.9 MiB, against 7.1, 11.1 and 12.5 MiB
 #: when each comparison was made on whole-field arrays; fgprop holds its maps as
 #: half tables of 512 entries, where five whole tables took 5 MiB (6.0 MiB peak)
 BASE_SWEEP_PEAK_MIB = {
@@ -1006,11 +1005,11 @@ def test_an_out_of_field_value_in_an_identity_table_fails_the_check(monkeypatch,
 
 @pytest.mark.parametrize("table, i", [("field_tables", 2), ("field_tables.tr.lo", 2),
                                       ("field_tables.sq.lo", 2), ("field_tables.tr.hi", 1),
-                                      ("field_tables.sq.hi", 1)],
-                         ids=["exp", "tr", "sq", "tr_hi", "sq_hi"])
+                                      ("field_tables.sq.hi", 1), ("field_tables.log", 2)],
+                         ids=["exp", "tr", "sq", "tr_hi", "sq_hi", "log"])
 @pytest.mark.parametrize("name", CHECKS)
 def test_an_out_of_field_base_table_entry_gives_a_record(monkeypatch, name, table, i):
-    # exp[2], entry 2 of the low half of tr or sq, or entry 1 of its high half =
+    # exp[2], log[2], entry 2 of the low half of tr or sq, or entry 1 of its high half =
     # 2^24 in every GF(2^m) a check builds (GF(4) has 3 exp entries, and halves
     # of 2), at its m = 5 grid point
     check = CHECKS[name]
@@ -1054,6 +1053,36 @@ def test_a_squaring_hi_entry_outside_the_field_fails_each_check_that_reads_sq(
         monkeypatch, name, value):
     # the high half is checked after the low one, which is in GF(q) here
     _expect_sq_guard(monkeypatch, name, "hi", 1, value)
+
+
+#: the checks whose sweep reaches FieldTables.quotient_vec (H, hprop's ratio, h_dickson's
+#: mid), whose int32 rotations are products of a log by 2^j mod n only on 0..n-1
+ROTATES_LOGS = ["main_theorem", "hprop", "h_dickson", "hitt", "remark3", "remark4",
+                "polynomiality"]
+
+
+@pytest.mark.parametrize("value", ["n", -1])
+@pytest.mark.parametrize("name", ROTATES_LOGS)
+def test_a_log_outside_0_to_n_minus_1_fails_each_check_that_rotates_logs(
+        monkeypatch, name, value):
+    # log[3] = n, which a rotation keeps as n, or -1, which it keeps negative, in every
+    # GF(2^m) the check builds, at its m = 5 grid point: the guard names the entry and
+    # its value against n (that of GF(4) for polynomiality, which sweeps m = 2 first),
+    # and no quotient is taken
+    check = CHECKS[name]
+    args = next(args for args in check.grid(5) if args[0] == 5)
+    _corrupt(monkeypatch, "field_tables.log", 3,
+             lambda tab: tab.size - 1 if value == "n" else value)
+
+    def no_quotient(*args):
+        raise AssertionError("a quotient was taken")
+    monkeypatch.setattr(FieldTables, "quotient_vec", no_quotient)
+    out = check.fn(*args)
+    n = 3 if name == "polynomiality" else 31
+    assert not out.passed
+    assert out.counterexample["inputs"][-1] == "3"
+    assert (out.counterexample["lhs"], out.counterexample["rhs"]) == \
+        (format(n if value == "n" else value, "x"), format(n, "x"))
 
 
 def test_a_zero_of_g_fails_h_dickson_at_its_x(monkeypatch):

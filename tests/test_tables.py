@@ -18,9 +18,10 @@ from permpoly.field import make_field
 from permpoly.maps import (dickson_functional, dickson_recurrence, eval_f_alpha, eval_g_beta,
                            eval_h)
 from permpoly.sparsepoly import trace_poly
-from permpoly.tables import (ExtTables, FieldTables, LinearMap, _exp_by_doubling,
-                             _linearized_images, ext_tables, f_alpha_map, f_alpha_table,
-                             field_tables, g_beta_map, g_beta_table, h_value_table)
+from permpoly.tables import (_CHUNK_ELEMENTS, ExtTables, FieldTables, LinearMap,
+                             _exp_by_doubling, _linearized_images, _quotient_logs, ext_tables,
+                             f_alpha_map, f_alpha_table, field_tables, g_beta_map, g_beta_table,
+                             h_value_table)
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(permpoly.__file__).resolve().parents[1])}
 
@@ -449,6 +450,75 @@ def test_h_value_table_where_int32_log_products_would_wrap(m):
             p = derive_params(m, m - 1, alpha=alpha, gamma=gamma)
             h = h_value_table(ft, p)
             assert [int(h[x]) for x in xs] == [eval_h(p, x) for x in xs], (alpha, gamma)
+
+
+def _expect_quotients_match_the_pow_vec_route(ft, k: int, lo: int, hi: int):
+    """The int32 quotient kernel at x = lo..hi-1, as h_value_table (both gamma), hprop's
+    ratio f_alpha(x)/x and h_dickson's mid x^(sigma+1)/g_beta(x)^2 (both beta, at the x
+    with g_beta(x) != 0) call it, against the int64 pow_vec route, kept here as the
+    reference: each log times its exponent in int64, reduced by np.remainder."""
+    m, sigma = ft.spec.m, 1 << k
+    xs = np.arange(lo, hi, dtype=np.int64)
+    for alpha in (0, 1):
+        fa = f_alpha_table(ft, derive_params(m, k, alpha=alpha), lo, hi)
+        assert np.array_equal(ft.quotient_vec(fa, slice(lo, hi)), ft.pow_vec((fa, 1), (xs, -1)))
+        h = ft.pow_vec((fa, sigma + 1), (xs, -2))
+        for gamma in (0, 1):
+            p = derive_params(m, k, alpha=alpha, gamma=gamma)
+            assert np.array_equal(h_value_table(ft, p, lo, hi), h ^ (gamma * ft.tr.span(lo, hi)))
+    for beta in (0, 1):
+        g = g_beta_table(ft, derive_params(m, k, beta=beta))[xs]
+        us, vs = xs[g != 0], g[g != 0]
+        assert np.array_equal(ft.quotient_vec(us, vs, k, 1),
+                              ft.pow_vec((us, sigma + 1), (vs, -2)))
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_quotient_kernel_matches_the_pow_vec_route_on_every_small_field(m):
+    ft = field_tables(m)
+    for k in coprime_ks(m):
+        _expect_quotients_match_the_pow_vec_route(ft, k, 0, ft.q)
+
+
+@pytest.mark.parametrize("span", [(0, _CHUNK_ELEMENTS), (_CHUNK_ELEMENTS, 2 * _CHUNK_ELEMENTS),
+                                  (1, 3), (12345, 45678), (1, (1 << 16) - 1)],
+                         ids=["chunk0", "chunk1", "head", "across", "inner"])
+def test_quotient_kernel_matches_the_pow_vec_route_on_spans_at_m16(span):
+    # both sweep chunks of GF(2^16), and spans with lo > 0 and hi < q, whose logs of
+    # x are the slice log[lo:hi]; at k = 15, (sigma + 1) * log passes 2^31
+    ft = field_tables(16)
+    for k in coprime_ks(16):
+        _expect_quotients_match_the_pow_vec_route(ft, k, *span)
+
+
+@pytest.mark.parametrize("nbits", [24, 28, 29])
+def test_quotient_index_sums_stay_in_int32_at_the_top_of_their_range(monkeypatch, nbits):
+    # _quotient_logs with no table build: a few logs at the ends of 0..n-1 and a seeded
+    # sample stand in for the log table, every pair of them a (u, v), and v also as a
+    # slice. The sum it folds lies in 0..3n - 1, below 2^31 up to nbits = 29, and its
+    # index in 0..n + 3, congruent to (2^k + 1) * log u - 2^j * log v mod n
+    n = (1 << nbits) - 1
+    sample = np.random.default_rng(nbits).integers(0, n, 16)
+    log = np.concatenate([[0, 1, 2, n - 2, n - 1, 1 << (nbits - 1)], sample]).astype(np.int32)
+    pairs = np.indices((log.size, log.size)).reshape(2, -1)
+    folded = []
+
+    def recorded(s, bits, fold=tables._fold):
+        folded.append((s.dtype, int(s.min()), int(s.max())))
+        return fold(s, bits)
+    monkeypatch.setattr(tables, "_fold", recorded)
+    for k in (None, 1, 5, nbits - 1):
+        for j in (0, 1):
+            factor = 1 if k is None else (1 << k) + 1
+            for u, v in ((pairs[0], pairs[1]), (np.arange(log.size)[::-1], slice(0, log.size))):
+                got = _quotient_logs(log, u, v, k, j, nbits)
+                lu, lv = log[u].tolist(), log[v].tolist()
+                assert got.dtype == np.int32 and 0 <= got.min() and got.max() <= n + 3, (k, j)
+                assert [int(i) % n for i in got] == \
+                    [(factor * a - (b << j)) % n for a, b in zip(lu, lv)], (k, j)
+    assert all(dtype == np.int32 and 0 <= low and high < 3 * n for dtype, low, high in folded)
+    # the top of the range is met: (2^k + 1)(n - 1) by rotation, plus n for a log v of 0
+    assert max(high for _, _, high in folded) >= 2 * n
 
 
 def _cli(*flags, suite):
