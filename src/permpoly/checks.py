@@ -1,8 +1,10 @@
 """Exhaustive checkers for every claimed identity and bijection.
 
 Each checker sweeps a whole field (or extension field) and fills in the
-CheckOutcome that its `@_check` registration hands it; permutation status is
-always decided by occupancy counting, never by the parity formulas under test.
+CheckOutcome that its `@_check` registration hands it, with the tables it
+declares it reads, each first checked against its guard in `_GUARDS`;
+permutation status is always decided by occupancy counting, never by the
+parity formulas under test.
 """
 
 from __future__ import annotations
@@ -356,17 +358,40 @@ class Check:
 #: below, which the benchmark's pinned records follow index by index.
 CHECKS: dict[str, Check] = {}
 
+#: The guard of each table a check may declare it reads, on `FieldTables` or `ExtTables`
+#: t: both halves of sq in GF(q) and of tr in GF(2), exp in GF(n + 1) (q, or Q of GF(q^2)),
+#: log in 0..n-1 (a rotation is a product by 2^j mod n only there), and the circle's own
+#: guard. A wrap-mode take would read an entry out of range as another one.
+_GUARDS: dict[str, Callable[[CheckOutcome, list, object], bool]] = {
+    "sq": lambda sweep, inputs, t: sweep.halves_in_field(inputs, t.sq, t.q),
+    "tr": lambda sweep, inputs, t: sweep.halves_in_field(inputs, t.tr, 2),
+    "exp": lambda sweep, inputs, t: sweep.in_field(inputs, t.exp, t.n + 1),
+    "log": lambda sweep, inputs, t: sweep.in_field(inputs, t.log, t.n),
+    "circle": lambda sweep, inputs, t: sweep.guard_holds(inputs, t.circle),
+}
+
+
+def _tables_hold(sweep: CheckOutcome, inputs, tables, reads) -> bool:
+    """Whether `tables` passes the guard of each of `reads`, in order; the first that
+    fails records why, after `inputs`, counting nothing, and no later one runs."""
+    return all(_GUARDS[read](sweep, inputs, tables) for read in reads)
+
 
 def _check(name: str, grid: Callable[[int], list[tuple]], default_cap: int,
-           max_cap: int | None = MAX_DEGREE):
+           max_cap: int | None = MAX_DEGREE, reads: tuple[str, ...] = (), ext: bool = False):
     """Register as check `name` a checker that fills in the record it is given first.
-    The registered function takes the other arguments and returns the record, with
-    them as its params and the checker's time (lazy table builds included) as its ms.
-    It runs only at a point of grid(its first argument), at most max_cap: elsewhere
-    the paper makes no claim, and it raises OutOfRange before any table is built."""
+    The registered function takes the checker's other arguments and returns the record,
+    with them as its params and the checker's time, lazy table builds and guards
+    included, as its ms. It runs only at a point of grid(its first argument), at most
+    max_cap: elsewhere the paper makes no claim, and it raises OutOfRange before any
+    table is built. With `reads`, it fetches field_tables(m) (ext_tables(m) with `ext`)
+    for its first argument m, runs the `_GUARDS` guard of each read in order, and only
+    if all hold calls the checker with the tables second: so a tripped guard fails the
+    record with nothing built from the tables and nothing counted. Guards on tables
+    that a checker builds, or on other fields' tables, stay in the checker."""
     def register(body):
         sig = inspect.signature(body)
-        sig = sig.replace(parameters=list(sig.parameters.values())[1:],
+        sig = sig.replace(parameters=list(sig.parameters.values())[2 if reads else 1:],
                           return_annotation=CheckOutcome)
 
         @functools.wraps(body)
@@ -378,7 +403,10 @@ def _check(name: str, grid: Callable[[int], list[tuple]], default_cap: int,
                 raise OutOfRange(f"{name}{point} is not a point of its grid")
             sweep = CheckOutcome(name, params)
             start = time.perf_counter()
-            body(sweep, **sweep.params)
+            # looked up at call time, so that a patched builder is the one called
+            tables = [(ext_tables if ext else field_tables)(point[0])] if reads else []
+            if all(_tables_hold(sweep, [], t, reads) for t in tables):
+                body(sweep, *tables, **sweep.params)
             sweep.ms = (time.perf_counter() - start) * 1000.0
             return sweep
         run.__signature__ = sig
@@ -430,12 +458,9 @@ def check_main_theorem(m: int, k: int) -> list[PermutationReport]:
     return reports
 
 
-@_check("main_theorem", _coprime_grid, 12)
-def check_main_theorem_outcome(sweep: CheckOutcome, m: int, k: int):
-    ft = field_tables(m)
-    # f_alpha is built from sq, and H rotates the logs
-    if not (sweep.halves_in_field([], ft.sq, ft.q) and sweep.in_field([], ft.log, ft.n)):
-        return
+@_check("main_theorem", _coprime_grid, 12, reads=("sq", "log"))
+def check_main_theorem_outcome(sweep: CheckOutcome, _ft, m: int, k: int):
+    # check_main_theorem fetches the guarded tables again, from the field_tables cache
     for rep in check_main_theorem(m, k):
         # the theorem's parity also names the class T_1 is sent to
         ok = (rep.is_permutation == rep.predicted_by_theorem
@@ -470,16 +495,13 @@ def check_nobauer(sweep: CheckOutcome, m_max: int):
 # properties of the linearized map pair
 # ---------------------------------------------------------------------------
 
-@_check("fgprop", _coprime_grid, 12)
-def check_fgprop(sweep: CheckOutcome, m: int, k: int):
+@_check("fgprop", _coprime_grid, 12, reads=("sq", "tr"))
+def check_fgprop(sweep: CheckOutcome, ft, m: int, k: int):
     """Each of f_0, f_1, g_0 and g_1 is checked once, then each (alpha, beta) pair, and
     (vii) once per (beta, lambda). Each map, x^(2^k) too, is a `LinearMap`, two half
     tables: every comparison is made chunk by chunk, on the maps' spans, and each
     composition takes through the halves."""
-    ft = field_tables(m)
     q = ft.q
-    if not sweep.halves_in_field([], ft.sq, q):  # every map below is built from it
-        return
     frobk = ft.linear_map(frozenset({1 << k}))
     fps = [derive_params(m, k, alpha=alpha) for alpha in (0, 1)]
     gps = [derive_params(m, k, beta=beta) for beta in (0, 1)]
@@ -489,11 +511,8 @@ def check_fgprop(sweep: CheckOutcome, m: int, k: int):
     # (vii)'s theta, per (beta, lambda)
     thetas = {(beta, lam): derive_params(m, k, beta=beta, lam=lam).theta
               for beta, lam in itertools.product((0, 1), (0, 1))}
-    # tr and the values of f and g are used as indices below, in wrap-mode takes: with
-    # both halves of a map in GF(q), so is every XOR of them; a counterexample names
-    # the entry's index in its half, lo before hi
-    if not (sweep.halves_in_field([], ft.tr, 2)
-            and all(sweep.halves_in_field([], mp, q) for mp in (*fs, *gs))):
+    # the values of f and g are used as indices below, as sq and tr are
+    if not all(sweep.halves_in_field([], mp, q) for mp in (*fs, *gs)):
         return
 
     def compare_chunk(lo: int, hi: int) -> list:
@@ -540,15 +559,10 @@ def check_fgprop(sweep: CheckOutcome, m: int, k: int):
         sweep.expect(lhs == rhs, [alpha, beta, p.delta], lhs, rhs)
 
 
-@_check("hprop", _coprime_grid, 12)
-def check_hprop(sweep: CheckOutcome, m: int, k: int):
+@_check("hprop", _coprime_grid, 12, reads=("tr", "exp", "sq", "log"))
+def check_hprop(sweep: CheckOutcome, ft, m: int, k: int):
     """Both claims: the rewritten H form, and the trace multiplier of H."""
-    ft = field_tables(m)
     params = [derive_params(m, k, alpha=alpha) for alpha in (0, 1)]
-    # used as indices, and sq also to build f_alpha; H and the ratio rotate the logs
-    if not (sweep.halves_in_field([], ft.tr, 2) and sweep.in_field([], ft.exp, ft.q)
-            and sweep.halves_in_field([], ft.sq, ft.q) and sweep.in_field([], ft.log, ft.n)):
-        return
 
     def compare_chunk(lo: int, hi: int) -> list:
         xs = np.arange(lo, hi, dtype=np.int32)
@@ -589,13 +603,10 @@ def _b_sets(ft) -> dict:
             1: (line[1:], phi1, lambda s, i: s * i % (q + 1))}
 
 
-@_check("perm_lemma", _coprime_grid, 10)
-def check_perm_lemma(sweep: CheckOutcome, m: int, k: int):
-    ft = field_tables(m)
+@_check("perm_lemma", _coprime_grid, 10, reads=("log", "circle"))
+def check_perm_lemma(sweep: CheckOutcome, ft, m: int, k: int):
     q = ft.q
     sigma = 1 << k
-    if not sweep.guard_holds([], ft.circle):
-        return
     b_sets = _b_sets(ft)
     tr = ft.tr.span(0, q)
     # (i): phi is two-to-one from B_e onto T_e; x = q is infinity, which has none
@@ -698,18 +709,13 @@ def _zsum_chunk(et, k: int, g0, lo: int, hi: int) -> list:
     return [guard, *slots]
 
 
-@_check("zsumexp", _coprime_grid, 10, EXT_MAX_DEGREE)
-def check_zsumexp(sweep: CheckOutcome, m: int, k: int):
+@_check("zsumexp", _coprime_grid, 10, EXT_MAX_DEGREE, reads=("exp", "log"), ext=True)
+def check_zsumexp(sweep: CheckOutcome, et, m: int, k: int):
     """Identities (i) and (ii) at every z = g^i of GF(q^2), i = 1..n-1 (so z != 0, 1),
     chunk by chunk in log order through `_sweep_chunks` (numpy releases the GIL in the
     wrap-mode gathers)."""
-    et = ext_tables(m)
     g0 = et.g0_table(k)
-    # _zsum_chunk uses the exp and g0 values as indices, and rotates the logs,
-    # which is a product mod n only on 0..n-1; a g0 counterexample names the
-    # entry's index in its half, lo before hi
-    if not (sweep.in_field([], et.exp, et.Q) and sweep.in_field([], et.log, et.n)
-            and sweep.halves_in_field([], g0, et.Q)):
+    if not sweep.halves_in_field([], g0, et.Q):  # _zsum_chunk uses its values as indices
         return
     _sweep_chunks(sweep, lambda lo, hi: _zsum_chunk(et, k, g0, lo, hi), 1, et.n)
 
@@ -718,18 +724,14 @@ def check_zsumexp(sweep: CheckOutcome, m: int, k: int):
 # the Dickson connection
 # ---------------------------------------------------------------------------
 
-@_check("h_dickson", _coprime_grid, 10)
-def check_h_dickson(sweep: CheckOutcome, m: int, k: int):
-    ft = field_tables(m)
+@_check("h_dickson", _coprime_grid, 10, reads=("sq", "log"))
+def check_h_dickson(sweep: CheckOutcome, ft, m: int, k: int):
     base = derive_params(m, k)
     alpha = 1 - base.f_trace
     beta = (base.m_prime + alpha * k) % 2
     p = derive_params(m, k, alpha=alpha, beta=beta)
     sweep.expect(p.f_trace == 1, [alpha], p.f_trace, 1)
     sweep.expect(p.g_trace == 1, [beta], p.g_trace, 1)
-    # g and H are built from sq, and H and mid rotate the logs
-    if not (sweep.halves_in_field([], ft.sq, ft.q) and sweep.in_field([], ft.log, ft.n)):
-        return
     g = g_beta_table(ft, p)
     hs = [h_value_table(ft, derive_params(m, k, alpha=a)) for a in (0, 1)]
     q = ft.q
@@ -753,17 +755,13 @@ def check_h_dickson(sweep: CheckOutcome, m: int, k: int):
 # the remarks
 # ---------------------------------------------------------------------------
 
-@_check("hitt", _coprime_grid, 10)
-def check_hitt(sweep: CheckOutcome, m: int, k: int):
+# log comes before the circle, here and wherever both are read: the circle is built
+# through the logs, and a log outside 0..n-1 would trip its guard without naming the entry
+@_check("hitt", _coprime_grid, 10, reads=("log", "circle", "sq"))
+def check_hitt(sweep: CheckOutcome, ft, m: int, k: int):
     """The single equation covering injectivity on both trace classes."""
-    ft = field_tables(m)
     q = ft.q
     beta = 1 - derive_params(m, k).g_trace
-    # H rotates the logs; they come first, because the circle is built through them and a
-    # log outside 0..n-1 would trip its guard without naming the entry
-    if not (sweep.in_field([], ft.log, ft.n) and sweep.guard_holds([], ft.circle)
-            and sweep.halves_in_field([], ft.sq, q)):
-        return
     b_sets = _b_sets(ft)
     tr = ft.tr.span(0, q)
     g = g_beta_table(ft, pg := derive_params(m, k, beta=beta))
@@ -783,13 +781,9 @@ def check_hitt(sweep: CheckOutcome, m: int, k: int):
                     sweep.compare([*inputs, z], h[g[pz ^ (p.delta * e)]], pw ^ (gamma * e))
 
 
-@_check("remark3", lambda cap: [(m,) for m in range(2, cap + 1)], 12)
-def check_remark3(sweep: CheckOutcome, m: int):
+@_check("remark3", lambda cap: [(m,) for m in range(2, cap + 1)], 12, reads=("sq", "log"))
+def check_remark3(sweep: CheckOutcome, ft, m: int):
     """h(x) = x + 1/x + 1/x^2 permutes T_1; H_{1,1} with k = 1 fixes T_0."""
-    ft = field_tables(m)
-    # H is built from sq, and rotates the logs
-    if not (sweep.halves_in_field([], ft.sq, ft.q) and sweep.in_field([], ft.log, ft.n)):
-        return
     tr = ft.tr.span(0, ft.q)
     t1 = np.nonzero(tr == 1)[0].astype(np.int64)
     h = t1 ^ ft.pow_vec((t1, -1)) ^ ft.pow_vec((t1, -2))
@@ -802,8 +796,9 @@ def check_remark3(sweep: CheckOutcome, m: int):
     sweep.compare([t1], htab[t1], h)
 
 
-@_check("remark4", lambda cap: [(m, (m + 1) // 2) for m in range(3, cap + 1, 2)], 13)
-def check_remark4(sweep: CheckOutcome, m: int, k: int):
+@_check("remark4", lambda cap: [(m, (m + 1) // 2) for m in range(3, cap + 1, 2)], 13,
+        reads=("sq", "log"))
+def check_remark4(sweep: CheckOutcome, ft, m: int, k: int):
     p00 = derive_params(m, k)
     sigma = p00.sigma
     sweep.expect(p00.r == 2, [m, k], p00.r, 2)
@@ -812,10 +807,6 @@ def check_remark4(sweep: CheckOutcome, m: int, k: int):
                 sigma * sigma + sigma - 2}
     _expect_same_set(sweep, [m, k], set(expand_h(p00)), expected)
     # (b) the trace-class behavior of H_00 and H_01
-    ft = field_tables(m)
-    # H is built from sq, and rotates the logs
-    if not (sweep.halves_in_field([], ft.sq, ft.q) and sweep.in_field([], ft.log, ft.n)):
-        return
     h00 = h_value_table(ft, p00)
     h01 = h00 ^ ft.tr.span(0, ft.q)
     (classes00, _), (classes01, h01_permutes) = _class_images(
@@ -846,7 +837,7 @@ def check_dickson_linearized(sweep: CheckOutcome, k_max: int):
                          {(1 << k) + 1 - (1 << (j + 1)) for j in range(k)})
     for m in range(2, 11):
         ft = field_tables(m)
-        if not (sweep.guard_holds([m], ft.circle) and sweep.halves_in_field([m], ft.sq, ft.q)):
+        if not _tables_hold(sweep, [m], ft, ("log", "circle", "sq")):
             continue
         xs = np.arange(1, ft.q, dtype=np.int64)
         tk, term = np.zeros_like(xs), ft.pow_vec((xs, -1))
@@ -864,7 +855,7 @@ def check_dickson_methods(sweep: CheckOutcome, m_max: int):
         ft = field_tables(m)
         q = ft.q
         mul = _mul_table(m)
-        if not (sweep.in_field([m], mul, q) and sweep.guard_holds([m], ft.circle)):
+        if not (sweep.in_field([m], mul, q) and _tables_hold(sweep, [m], ft, ("log", "circle"))):
             continue
         xs = np.arange(q, dtype=np.int64)
         powers = ft.pow_vec((xs, xs[:, None]))  # powers[e, x] = x^e
@@ -881,9 +872,7 @@ def check_polynomiality(sweep: CheckOutcome, m_max: int):
     for m in range(2, m_max + 1):
         ft = field_tables(m) if m <= 10 else None
         if ft is not None:
-            # H is built from sq, and rotates the logs
-            if not (sweep.halves_in_field([m], ft.sq, ft.q)
-                    and sweep.in_field([m], ft.log, ft.n)):
+            if not _tables_hold(sweep, [m], ft, ("sq", "log")):
                 continue
             tr = ft.tr.span(0, ft.q)
         for k in coprime_ks(m):

@@ -1085,6 +1085,84 @@ def test_a_log_outside_0_to_n_minus_1_fails_each_check_that_rotates_logs(
         (format(n if value == "n" else value, "x"), format(n, "x"))
 
 
+#: the checks that read the base field's logs through pow_vec and the circle, which is
+#: built through them, and the checks that read no base-field log
+READS_LOGS_FOR_THE_CIRCLE = ["perm_lemma", "dickson_linearized", "dickson_methods"]
+READS_NO_BASE_LOG = ["nobauer", "fgprop", "zsumexp"]
+
+
+@pytest.mark.parametrize("value", ["n", -1])
+@pytest.mark.parametrize("name", READS_LOGS_FOR_THE_CIRCLE + READS_NO_BASE_LOG)
+def test_a_log_outside_0_to_n_minus_1_is_named_before_the_circle_is_built(
+        monkeypatch, name, value):
+    # log[3] = n or -1 in every GF(2^m) the check builds, at its m = 5 grid point: the
+    # log guard names the entry and its value against n (that of GF(4) for the Dickson
+    # checks, which sweep m = 2 first), where the circle's guard would name no entry
+    check = CHECKS[name]
+    args = next(args for args in check.grid(5) if args[0] == 5)
+    _corrupt(monkeypatch, "field_tables.log", 3,
+             lambda tab: tab.size - 1 if value == "n" else value)
+    out = check.fn(*args)
+    if name in READS_NO_BASE_LOG:
+        assert out.passed
+        return
+    n = 31 if name == "perm_lemma" else 3
+    assert out.counterexample == {"inputs": [*([] if name == "perm_lemma" else ["2"]), "3"],
+                                  "lhs": format(n if value == "n" else value, "x"),
+                                  "rhs": format(n, "x")}
+
+
+#: each check run at one m, and the tables it reads before it builds a table or
+#: counts a verdict
+READS_AT_ONE_M = {
+    "main_theorem": ("sq", "log"),
+    "fgprop": ("sq", "tr"),
+    "hprop": ("tr", "exp", "sq", "log"),
+    "perm_lemma": ("log", "circle"),
+    "zsumexp": ("exp", "log"),
+    "h_dickson": ("sq", "log"),
+    "hitt": ("log", "circle", "sq"),
+    "remark3": ("sq", "log"),
+    "remark4": ("sq", "log"),
+}
+
+#: read -> each `_corrupt` table and entry that it reads in a FieldTables; the circle's
+#: guard checks exp
+BASE_READ_ENTRIES = {"sq": [("field_tables.sq.lo", 2), ("field_tables.sq.hi", 1)],
+                     "tr": [("field_tables.tr.lo", 2), ("field_tables.tr.hi", 1)],
+                     "exp": [("field_tables", 2)], "log": [("field_tables.log", 2)],
+                     "circle": [("field_tables", 2)]}
+
+READ_CORRUPTIONS = [(name, *entry) for name, reads in READS_AT_ONE_M.items() for read in reads
+                    for entry in ([(read, 100)] if name == "zsumexp" else BASE_READ_ENTRIES[read])]
+
+
+@pytest.mark.parametrize("value", [-1, 1 << 24], ids=["pinf", "far"])
+@pytest.mark.parametrize("name, table, i", READ_CORRUPTIONS,
+                         ids=[f"{n}-{t}[{i}]" for n, t, i in READ_CORRUPTIONS])
+def test_a_tripped_read_guard_builds_and_counts_nothing(monkeypatch, name, table, i, value):
+    # entry i of a table the check reads lies outside its range, in every GF(2^m) it
+    # builds (in GF(2^10), for zsumexp, entry 100 of its ExtTables(5)), at its m = 5
+    # grid point: the check fails before any map, table or B-set is built from the
+    # tables and before any verdict is counted
+    def no_build(*_):
+        raise AssertionError("a table was built")
+    for builder in ("f_alpha_map", "g_beta_map", "f_alpha_table", "g_beta_table",
+                    "h_value_table", "_b_sets"):
+        monkeypatch.setattr(checks, builder, no_build)
+    if name == "zsumexp":
+        et = ExtTables(5)  # not the cached ext_tables(5), which other tests read
+        getattr(et, table)[i] = value
+        monkeypatch.setattr(et, "g0_table", no_build)
+        monkeypatch.setattr(checks, "ext_tables", lambda m: et)
+    else:
+        _corrupt(monkeypatch, table, i, lambda tab: value)
+    args = next(args for args in CHECKS[name].grid(5) if args[0] == 5)
+    out = CHECKS[name].fn(*args)
+    assert (out.passed, out.tested) == (False, 0)
+    assert out.counterexample is not None
+
+
 def test_a_zero_of_g_fails_h_dickson_at_its_x(monkeypatch):
     # g(3) = 0: the check names x = 3 and skips raising that 0 to the power -2
     _corrupt(monkeypatch, "g_beta_table", 3, lambda tab: 0)
