@@ -1,10 +1,9 @@
 """Exhaustive checkers for every claimed identity and bijection.
 
 Each checker sweeps a whole field (or extension field) and fills in the
-CheckOutcome that its `@_check` registration hands it, with the tables it
-declares it reads, each first checked against its guard in `_GUARDS`;
-permutation status is always decided by occupancy counting, never by the
-parity formulas under test.
+CheckOutcome that its `@_check` registration hands it, with each field's tables
+as `_guarded_tables` fetched and guarded them; permutation status is always
+decided by occupancy counting, never by the parity formulas under test.
 """
 
 from __future__ import annotations
@@ -371,10 +370,12 @@ _GUARDS: dict[str, Callable[[CheckOutcome, list, object], bool]] = {
 }
 
 
-def _tables_hold(sweep: CheckOutcome, inputs, tables, reads) -> bool:
-    """Whether `tables` passes the guard of each of `reads`, in order; the first that
-    fails records why, after `inputs`, counting nothing, and no later one runs."""
-    return all(_GUARDS[read](sweep, inputs, tables) for read in reads)
+def _guarded_tables(sweep: CheckOutcome, inputs, m: int, reads, ext: bool = False):
+    """field_tables(m), or ext_tables(m) with `ext`, looked up at call time and fetched
+    here once per m a check sweeps: the object that passed the guard of each of `reads`
+    in order, or None once one has failed, recording why after `inputs`, counting nothing."""
+    tables = (ext_tables if ext else field_tables)(m)
+    return tables if all(_GUARDS[read](sweep, inputs, tables) for read in reads) else None
 
 
 def _check(name: str, grid: Callable[[int], list[tuple]], default_cap: int,
@@ -384,11 +385,9 @@ def _check(name: str, grid: Callable[[int], list[tuple]], default_cap: int,
     with them as its params and the checker's time, lazy table builds and guards
     included, as its ms. It runs only at a point of grid(its first argument), at most
     max_cap: elsewhere the paper makes no claim, and it raises OutOfRange before any
-    table is built. With `reads`, it fetches field_tables(m) (ext_tables(m) with `ext`)
-    for its first argument m, runs the `_GUARDS` guard of each read in order, and only
-    if all hold calls the checker with the tables second: so a tripped guard fails the
-    record with nothing built from the tables and nothing counted. Guards on tables
-    that a checker builds, or on other fields' tables, stay in the checker."""
+    table is built. With `reads`, the checker gets the `_guarded_tables` of its first
+    argument second, and is not called on None: a tripped guard fails the record with
+    nothing built or counted. Guards on tables it builds, or other fields', stay in it."""
     def register(body):
         sig = inspect.signature(body)
         sig = sig.replace(parameters=list(sig.parameters.values())[2 if reads else 1:],
@@ -403,9 +402,8 @@ def _check(name: str, grid: Callable[[int], list[tuple]], default_cap: int,
                 raise OutOfRange(f"{name}{point} is not a point of its grid")
             sweep = CheckOutcome(name, params)
             start = time.perf_counter()
-            # looked up at call time, so that a patched builder is the one called
-            tables = [(ext_tables if ext else field_tables)(point[0])] if reads else []
-            if all(_tables_hold(sweep, [], t, reads) for t in tables):
+            tables = [_guarded_tables(sweep, [], point[0], reads, ext)] if reads else []
+            if None not in tables:
                 body(sweep, *tables, **sweep.params)
             sweep.ms = (time.perf_counter() - start) * 1000.0
             return sweep
@@ -437,9 +435,13 @@ def run_check(name: str, cap: int):
 # ---------------------------------------------------------------------------
 
 def check_main_theorem(m: int, k: int) -> list[PermutationReport]:
-    """Brute-force permutation and trace-class behavior of H for all (alpha, gamma):
+    """`_main_theorem_reports` on field_tables(m), no guard run: `permpoly sweep`'s rows."""
+    return _main_theorem_reports(field_tables(m), m, k)
+
+
+def _main_theorem_reports(ft, m: int, k: int) -> list[PermutationReport]:
+    """Brute-force permutation and trace-class behavior of H on ft for all (alpha, gamma):
     per alpha, one occupancy pass over the chunks of x for both gamma."""
-    ft = field_tables(m)
     reports = []
     for alpha in (0, 1):
         p = derive_params(m, k, alpha=alpha)
@@ -459,9 +461,8 @@ def check_main_theorem(m: int, k: int) -> list[PermutationReport]:
 
 
 @_check("main_theorem", _coprime_grid, 12, reads=("sq", "log"))
-def check_main_theorem_outcome(sweep: CheckOutcome, _ft, m: int, k: int):
-    # check_main_theorem fetches the guarded tables again, from the field_tables cache
-    for rep in check_main_theorem(m, k):
+def check_main_theorem_outcome(sweep: CheckOutcome, ft, m: int, k: int):
+    for rep in _main_theorem_reports(ft, m, k):
         # the theorem's parity also names the class T_1 is sent to
         ok = (rep.is_permutation == rep.predicted_by_theorem
               and rep.t0_bijective and rep.image_of_t0 == 0
@@ -836,8 +837,7 @@ def check_dickson_linearized(sweep: CheckOutcome, k_max: int):
         _expect_same_set(sweep, [k], set(dickson_exponents((1 << k) - 1)),
                          {(1 << k) + 1 - (1 << (j + 1)) for j in range(k)})
     for m in range(2, 11):
-        ft = field_tables(m)
-        if not _tables_hold(sweep, [m], ft, ("log", "circle", "sq")):
+        if (ft := _guarded_tables(sweep, [m], m, ("log", "circle", "sq"))) is None:
             continue
         xs = np.arange(1, ft.q, dtype=np.int64)
         tk, term = np.zeros_like(xs), ft.pow_vec((xs, -1))
@@ -852,10 +852,9 @@ def check_dickson_methods(sweep: CheckOutcome, m_max: int):
     """Recurrence / closed-form / functional evaluation agree on all x, n <= q^2,
     compared once per block of n."""
     for m in range(2, m_max + 1):
-        ft = field_tables(m)
-        q = ft.q
-        mul = _mul_table(m)
-        if not (sweep.in_field([m], mul, q) and _tables_hold(sweep, [m], ft, ("log", "circle"))):
+        q, mul = 1 << m, _mul_table(m)
+        if not sweep.in_field([m], mul, q) or \
+                (ft := _guarded_tables(sweep, [m], m, ("log", "circle"))) is None:
             continue
         xs = np.arange(q, dtype=np.int64)
         powers = ft.pow_vec((xs, xs[:, None]))  # powers[e, x] = x^e
@@ -870,11 +869,11 @@ def check_dickson_methods(sweep: CheckOutcome, m_max: int):
 def check_polynomiality(sweep: CheckOutcome, m_max: int):
     """expand_h never fails exact division; reduced form matches the evaluator."""
     for m in range(2, m_max + 1):
-        ft = field_tables(m) if m <= 10 else None
+        ft = _guarded_tables(sweep, [m], m, ("sq", "log")) if m <= 10 else None
         if ft is not None:
-            if not _tables_hold(sweep, [m], ft, ("sq", "log")):
-                continue
             tr = ft.tr.span(0, ft.q)
+        elif m <= 10:  # a guard failed
+            continue
         for k in coprime_ks(m):
             for alpha in (0, 1):
                 # gamma only adds Tr, so H is built once per alpha

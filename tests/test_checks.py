@@ -1497,3 +1497,50 @@ def test_only_zsumexp_builds_extension_tables(monkeypatch):
     assert check_dickson_linearized(6).passed and check_dickson_methods(5).passed
     with pytest.raises(RuntimeError, match=r"ExtTables\(3\) built"):
         check_zsumexp(3, 1)
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_a_check_fetches_each_field_s_tables_once(monkeypatch, name):
+    # at its m = 5 grid point, each fetch counted as (builder, m); a check that
+    # loops over m fetches once per m
+    fetches = []
+    for builder in ("field_tables", "ext_tables"):
+        def counted(m, builder=builder, orig=getattr(checks, builder)):
+            fetches.append((builder, m))
+            return orig(m)
+        monkeypatch.setattr(checks, builder, counted)
+    args = next(args for args in CHECKS[name].grid(5) if args[0] == 5)
+    assert CHECKS[name].fn(*args).passed
+    assert len(fetches) == len(set(fetches)), fetches
+
+
+def test_main_theorem_sweeps_the_tables_it_guarded(monkeypatch):
+    # fresh tables on each fetch: clean on the first of an m, with log[3] = n on
+    # every later one. Swept on a later copy than the one guarded, the check would
+    # report the table fault as a counterexample to the theorem
+    fetched = []
+
+    def fresh(m):
+        ft = FieldTables(make_field(m))
+        if m in fetched:
+            ft.log[3] = ft.n
+        fetched.append(m)
+        return ft
+    monkeypatch.setattr(checks, "field_tables", fresh)
+    out = check_main_theorem_outcome(5, 2)
+    assert (out.passed, out.tested, out.counterexample) == (True, 4, None)
+    assert fetched == [5]
+
+
+def test_verify_records_do_not_depend_on_the_table_cache(monkeypatch, capsys):
+    # uncached builders hand out fresh tables on each fetch: the same records, ms
+    # aside, and the same exit code as through the caches
+    def verify():
+        code = cli.main(["--format", "json", "verify", "--suite", "all", "--m-max", "5"])
+        return code, [{key: value for key, value in json.loads(line).items() if key != "ms"}
+                      for line in capsys.readouterr().out.splitlines()]
+    cached = verify()
+    monkeypatch.setattr(checks, "field_tables", field_tables.__wrapped__)
+    monkeypatch.setattr(checks, "ext_tables", ext_tables.__wrapped__)
+    assert len(cached[1]) == 73
+    assert verify() == cached
