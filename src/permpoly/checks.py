@@ -2,8 +2,22 @@
 
 Each checker sweeps a whole field (or extension field) and fills in the
 CheckOutcome that its `@_check` registration hands it, with each field's tables
-as `_guarded_tables` fetched and guarded them; permutation status is always
-decided by occupancy counting, never by the parity formulas under test.
+as `_guarded_tables` fetched and guarded them. `@_check` is the one place where a
+check's name, grid, caps and table reads are stated, and its grid the one statement
+of where the paper makes a claim.
+
+- Every permutation, injectivity and trace-class verdict comes from an occupancy
+  count, never from the parity formulas under test, and `_occupancy` writes every
+  mark. Only perm_lemma's (i) counts otherwise: it checks a multiplicity of 2, with
+  one bincount, which a bool grid cannot give.
+- A table is range-checked before a check reads it, so an out-of-range value fails
+  the check instead of raising IndexError or being read, by a wrap-mode take, as
+  another entry. Range checks and guards count nothing.
+- Each table a check sweeps is built once per parameter it depends on: f_alpha and
+  H once per alpha (gamma = 1 is H ^ Tr), g_beta once per beta.
+- Every sweep of a field in chunks runs on `_map_chunks`: main_theorem, fgprop and
+  hprop over the x of GF(2^m), zsumexp over the logs of z in GF(2^2m), and the
+  occupancy kernel. Each chunk body takes the trace of its x as one span.
 """
 
 from __future__ import annotations
@@ -252,8 +266,9 @@ def _class_images(ft, tables: int, values) -> list:
     """For each of `tables` tables, given chunk by chunk by values(lo, hi), one array per
     table of its values at x = lo..hi-1: for T_0 and T_1, the class holding the image
     (NOT_A_CLASS if it meets both or leaves GF(q)) and whether the table is injective
-    there; and whether the table permutes GF(q): iff both are and the images do not overlap.
-    Each class's image is an occupancy row, whose marks in T_1 are counted chunk by chunk."""
+    there; and whether the table permutes GF(q): iff both are and the images do not overlap
+    (q/2 + q/2 distinct values, by pigeonhole). Each class's image is an occupancy row, whose
+    marks in T_1 are counted chunk by chunk. The flags are Python bools, as JSON writes them."""
     q = ft.q
 
     def class_rows(lo: int, hi: int):  # compressed one at a time, as the kernel marks
@@ -269,7 +284,7 @@ def _class_images(ft, tables: int, values) -> list:
     for row, size, n1 in zip(grid, given.tolist(), ones):
         marked = np.count_nonzero(row)
         cls = 0 if n1 == 0 else 1 if n1 == marked else NOT_A_CLASS
-        classes.append((NOT_A_CLASS if size < 0 else cls, marked == size))
+        classes.append((NOT_A_CLASS if size < 0 else cls, bool(marked == size)))
     return [(classes[2 * t:2 * t + 2], classes[2 * t][1] and classes[2 * t + 1][1]
              and not np.logical_and(marks[0], marks[1], out=marks[0]).any())
             for t, marks in enumerate(grid.reshape(tables, 2, q))]
@@ -373,7 +388,9 @@ _GUARDS: dict[str, Callable[[CheckOutcome, list, object], bool]] = {
 def _guarded_tables(sweep: CheckOutcome, inputs, m: int, reads, ext: bool = False):
     """field_tables(m), or ext_tables(m) with `ext`, looked up at call time and fetched
     here once per m a check sweeps: the object that passed the guard of each of `reads`
-    in order, or None once one has failed, recording why after `inputs`, counting nothing."""
+    in order, or None once one has failed, recording why after `inputs`, counting nothing.
+    A check that loops over m calls it once per m with inputs [m], so that a
+    counterexample names m first, and goes on to the next m on None."""
     tables = (ext_tables if ext else field_tables)(m)
     return tables if all(_GUARDS[read](sweep, inputs, tables) for read in reads) else None
 
@@ -424,7 +441,8 @@ def _clamped(limit: int, least: int = 2) -> Callable[[int], list[tuple]]:
 
 
 def run_check(name: str, cap: int):
-    """Yield the outcome of check `name` at every grid point up to `cap`."""
+    """Yield the outcome of check `name` at every grid point up to `cap`. `verify --suite`
+    and the acceptance tests both run checks through it, so they cannot drift apart."""
     check = CHECKS[name]
     for args in check.grid(cap):
         yield check.fn(*args)
@@ -441,7 +459,8 @@ def check_main_theorem(m: int, k: int) -> list[PermutationReport]:
 
 def _main_theorem_reports(ft, m: int, k: int) -> list[PermutationReport]:
     """Brute-force permutation and trace-class behavior of H on ft for all (alpha, gamma):
-    per alpha, one occupancy pass over the chunks of x for both gamma."""
+    per alpha, one occupancy pass over the chunks of x for both gamma, H built per chunk.
+    Beyond ft it holds the pass's 4 bool rows of q bytes."""
     reports = []
     for alpha in (0, 1):
         p = derive_params(m, k, alpha=alpha)
@@ -501,7 +520,10 @@ def check_fgprop(sweep: CheckOutcome, ft, m: int, k: int):
     """Each of f_0, f_1, g_0 and g_1 is checked once, then each (alpha, beta) pair, and
     (vii) once per (beta, lambda). Each map, x^(2^k) too, is a `LinearMap`, two half
     tables: every comparison is made chunk by chunk, on the maps' spans, and each
-    composition takes through the halves."""
+    composition takes through the halves, so no array of q entries is held beyond ft.
+    The record holds every comparison at x (per map, then per pair, then per (beta,
+    lambda)), then each map's scalar verdicts, then each pair's: a passing record has
+    tested = 4(2q + 4) + 4(2q + 2) + 4q = 20q + 24."""
     q = ft.q
     frobk = ft.linear_map(frozenset({1 << k}))
     fps = [derive_params(m, k, alpha=alpha) for alpha in (0, 1)]
@@ -562,7 +584,10 @@ def check_fgprop(sweep: CheckOutcome, ft, m: int, k: int):
 
 @_check("hprop", _coprime_grid, 12, reads=("tr", "exp", "sq", "log"))
 def check_hprop(sweep: CheckOutcome, ft, m: int, k: int):
-    """Both claims: the rewritten H form, and the trace multiplier of H."""
+    """Both claims: the rewritten H form, and the trace multiplier of H. Each chunk builds
+    f_alpha, H, the ratio f_alpha(x)/x and both gamma, so no whole-field array is held.
+    Its reads: H carries tr, the ratio comes from exp, H and the ratio go through the maps
+    (tr(H), sq(ratio)), f_alpha is built from sq, and H and the ratio rotate the logs."""
     params = [derive_params(m, k, alpha=alpha) for alpha in (0, 1)]
 
     def compare_chunk(lo: int, hi: int) -> list:
@@ -593,7 +618,9 @@ def _b_sets(ft) -> dict:
     """(indices, phi, w) for B_0 and B_1. B_0 is the line indices 0..q without 1, q
     standing for infinity; B_1 the exponents 1..q of the circle's z^i. phi = 1/(z + 1/z) is a
     (q+1)-entry table, x/(x + 1)^2 on the line and 1/c[i] on the circle, with
-    phi(1) = infinity stored as q. w(s, .) is z^s: x^s fixing infinity, i -> s*i mod (q+1)."""
+    phi(1) = infinity stored as q, which `in_field` catches. w(s, .) is z^s: x^s fixing
+    infinity, i -> s*i mod (q+1). A counterexample of perm_lemma or hitt names these
+    indices, infinity as q in hex."""
     q, c = ft.q, ft.circle()[0]
     xs = np.arange(q, dtype=np.int64)
     phi0 = np.append(ft.pow_vec((xs, 1), (xs ^ 1, -2)), 0)
@@ -606,6 +633,11 @@ def _b_sets(ft) -> dict:
 
 @_check("perm_lemma", _coprime_grid, 10, reads=("log", "circle"))
 def check_perm_lemma(sweep: CheckOutcome, ft, m: int, k: int):
+    """(i) phi is two-to-one from B_e onto T_e: a failure names the first x of GF(q) and
+    infinity whose number of preimages is not 2*[Tr(x) = e], with that number and the
+    expected one; a phi value outside 0..q leaves some x short, so it fails without
+    raising. (ii), (iii) whether z -> z^s permutes B_e, one `_injective` row each, with
+    no sort or hash table."""
     q = ft.q
     sigma = 1 << k
     b_sets = _b_sets(ft)
@@ -689,7 +721,7 @@ def _zsum_chunk(et, k: int, g0, lo: int, hi: int) -> list:
     del lhs
     # (ii): both displayed identities; the first has the right side of (i)
     ly ^= n
-    gsq = et.square(g0(exp.take(ly, mode="wrap")))  # g0(1/y)^2
+    gsq = et.sq(g0(exp.take(ly, mode="wrap")))  # g0(1/y)^2
     del ly
     slots[1].compare([z], gsq, rhs)
     del rhs
@@ -714,7 +746,8 @@ def _zsum_chunk(et, k: int, g0, lo: int, hi: int) -> list:
 def check_zsumexp(sweep: CheckOutcome, et, m: int, k: int):
     """Identities (i) and (ii) at every z = g^i of GF(q^2), i = 1..n-1 (so z != 0, 1),
     chunk by chunk in log order through `_sweep_chunks` (numpy releases the GIL in the
-    wrap-mode gathers)."""
+    wrap-mode gathers): tested is 4(Q - 2) on any table. With one worker, (10, 3)
+    peaks at about 1.6 MiB of numpy allocations beyond the tables."""
     g0 = et.g0_table(k)
     if not sweep.halves_in_field([], g0, et.Q):  # _zsum_chunk uses its values as indices
         return
@@ -727,6 +760,12 @@ def check_zsumexp(sweep: CheckOutcome, et, m: int, k: int):
 
 @_check("h_dickson", _coprime_grid, 10, reads=("sq", "log"))
 def check_h_dickson(sweep: CheckOutcome, ft, m: int, k: int):
+    """H_alpha(x) = x^(sigma+1) / g(x)^2 = 1 / D_d(1/x)^e for the alpha and beta of
+    trace multiplier 1, and the permutation verdict of both alpha. A g(x), and then a
+    D_d(1/x), that is 0 or outside GF(q) fails one comparison (`units`), naming the
+    first such x, and the comparisons that raise it to a negative power are skipped.
+    The circle's guard stays here, after the two parity verdicts, so that the
+    permutation verdicts, which do not read the circle, are counted when it trips."""
     base = derive_params(m, k)
     alpha = 1 - base.f_trace
     beta = (base.m_prime + alpha * k) % 2

@@ -1,10 +1,20 @@
 """Arithmetic in GF(2^m) and in its quadratic extension GF(2^{2m}).
 
 Elements of GF(2^m) are plain Python ints: bit i is the coefficient of
-X^i in the polynomial-basis representation.  Elements of GF(2^{2m}) are
-(a, b) pairs standing for a + b*u, where u^2 = u + nu for a fixed
+X^i in the polynomial-basis representation, reduced by the lexicographically
+smallest irreducible polynomial of degree m unless one is given.  Elements of
+GF(2^{2m}) are (a, b) pairs standing for a + b*u, where u^2 = u + nu for a fixed
 base-field element nu of trace 1 (which makes X^2 + X + nu irreducible
 over GF(2^m)).
+
+This scalar arithmetic is the oracle that the numpy tables are built from and
+tested against. Both field classes inherit one core, `_FieldArithmetic`: the only
+square-and-multiply `pow`, and the only Frobenius-sum loop, which the traces,
+`solve_quadratic`'s weights and `maps.eval_f_alpha`/`eval_g_beta` call.
+`ExtField.inv` keeps its norm route, conj(z) / N(z). Equal (m, reduction) give
+equal `FieldSpec`s with equal hashes, so `make_field` and `extension_of` cache
+on them. `prime_factors` is the one trial division: Rabin's test and the log
+tables' search for a primitive element take their prime divisors from it.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 """Evaluators for the whole map family: the two linearized maps, the
-permutation family H, Dickson polynomials, and the projective helper maps."""
+permutation family H, Dickson polynomials, and the projective helper maps.
+
+Scalar, on `field`'s arithmetic. Nothing in `tables` or `sparsepoly` is built
+from them, so the tests use them as an independent oracle for the tables."""
 
 from __future__ import annotations
 

@@ -1,4 +1,7 @@
-"""Validated parameter bundles for the map family."""
+"""Validated parameter bundles for the map family.
+
+Each parity that the paper claims is stated once, as a `ParamSet` property that
+every check reads: `f_trace`, `g_trace`, `h_trace` and `fg_trace`."""
 
 from __future__ import annotations
 
@@ -57,7 +60,8 @@ def derive_params(m: int, k: int, alpha: int = 0, beta: int = 0, gamma: int = 0,
     """Derive (r, m', sigma, delta, theta) from m and k.
 
     lam defaults to delta, the instance used when composing the maps back
-    to the identity on a trace class.
+    to the identity on a trace class. A delta whose fg_trace is not
+    f_trace * g_trace is refused with ArithmeticError.
     """
     if m < 2:
         raise OutOfRange(f"m={m} must be >= 2")

@@ -1,30 +1,29 @@
 """Precomputed lookup tables backing the exhaustive sweeps.
 
-Per-element work is table lookups on numpy arrays, derived from the reference
-arithmetic in `field` and the exponent sets in `sparsepoly`: products of powers
-through log/antilog tables (`_LogTables.pow_vec`), and the circle B_1 of GF(2^2m)
-as the GF(2^m) values z^i + z^-i (`FieldTables.circle`): only `zsumexp` and the
-benchmark build the packed GF(2^2m) `ExtTables`, whose only Q-sized tables are exp
-and log (128 MB at m = 12). The scalar evaluators in `maps` stay an independent
-oracle for these tables.
+Per-element work is numpy table lookups, built from the scalar arithmetic in `field`
+and the exponent sets in `sparsepoly`; nothing here is built from the evaluators in
+`maps`, which stay an independent oracle for these tables.
 
-Every F_2-linear map is built one way, as a `LinearMap` of two half tables over the
-low and high halves of the bits, from its images on the basis bits: squaring, the
-trace, x^(2^k), f_alpha and g_beta (linearized polynomials, their images from the
-basis orbits under squaring), T_k and squaring on GF(2^2m), and each product by a
-constant of the exp build. Its value at any x is two takes on tables of at most
-2^ceil(nbits/2) entries, and its `span(a, b)` the values at a..b-1 as one broadcast
-XOR of the halves; the whole tables (`frobenius_table`, `f_alpha_table`,
-`g_beta_table`) are spans of the whole field. `FieldTables.sq` and `tr` are maps, not
-tables, so exp and log are its only arrays of q entries.
+`FieldTables`, for GF(2^m), and `ExtTables`, the packed GF(2^2m) that only `zsumexp`
+and the benchmark sweep, share one base, `_LogTables`: the one place where exp, log,
+squaring and the cache of linear maps are built. Every F_2-linear map is a `LinearMap`,
+two half tables from its images on the basis bits, so exp and log are the only arrays
+of 2^nbits entries: 2^(nbits+3) bytes, 2 MiB at m = 18 and 128 MiB at nbits = 24, where
+whole squaring and trace tables doubled that; both are built in _CHUNK_ELEMENTS pieces,
+with no whole-field temporary. A whole table of a map is a span of it.
 
-Every table is int32 (no element or log reaches 2^24), signed so that a corrupted
--1 reads as outside the field. A product of a log by 2^j mod n = 2^nbits - 1 is a
-bit rotation (`_rotl`), and by 2^k + 1 a rotation plus the log, each sum folded
-by `_fold`, all in int32: so `FieldTables.quotient_vec` takes H, f_alpha(x)/x and
-x^(sigma+1)/g_beta(x)^2, and the `zsumexp` kernel its identities. `pow_vec` and
-`dickson_vec`, for any other exponent, widen a product to int64 where it could
-pass 2^31.
+The other extension-field checks read GF(q^2) only through its circle B_1 = {z : z^(q+1)
+= 1}, cyclic of order q + 1, as the GF(q) values c[i] = z^i + z^-i = D_i(c[1]) of a
+generator z, with the index i standing for z^i: `FieldTables.circle` builds them from the
+base field alone. No value stands for the point at infinity in any table.
+
+Every table is int32 (no element or log reaches 2^24), signed so that a corrupted -1
+reads as outside the field. Only this module knows that log[0] is a sentinel: `pow_vec`
+and `quotient_vec` give 0 where u is 0. `checks._zsum_chunk` alone stays in the log
+domain, on purpose: on the hot path of the largest sweep it reuses each log up to k + 4
+times. A product of a log by 2^j mod n = 2^nbits - 1 is a bit rotation (`_rotl`), and by
+2^k + 1 a rotation plus the log, each sum folded by `_fold`, all in int32; `pow_vec`, for
+any other exponent, widens a product to int64 where it could pass 2^31.
 """
 
 from __future__ import annotations
@@ -38,7 +37,8 @@ from .field import FieldSpec, extension_of, make_field, prime_factors
 from .params import ParamSet
 from .sparsepoly import f_alpha_poly, g_beta_poly, sp_reduce_mod_field, trace_poly
 
-#: largest m for which GF(2^2m) tables are built; at m = 12 exp and log take 128 MB
+#: largest m for which GF(2^2m) tables are built (so the largest cap of zsumexp, the one
+#: check that sweeps them); at m = 12 exp and log take 128 MB
 EXT_MAX_DEGREE = 12
 
 #: elements per chunk: the x of one chunk of main_theorem, fgprop and hprop, or the logs
@@ -46,8 +46,9 @@ EXT_MAX_DEGREE = 12
 #: chunk-sized temporaries; the widest grid of one block of n in nobauer and dickson_methods;
 #: one piece of an exp or log build. So memory beyond the tables grows with neither the
 #: field nor the number of n. A field of at most this many elements (m <= 15) is one chunk,
-#: swept inline. The first counterexample of a sweep depends on neither this size nor
-#: the worker count: `_sweep_chunks` folds each comparison over all chunks before the next.
+#: swept inline. The size is fixed, not derived from the machine, and the first
+#: counterexample of a sweep depends on neither it nor the worker count: `_sweep_chunks`
+#: folds each comparison over all chunks before the next.
 _CHUNK_ELEMENTS = 1 << 15
 
 
@@ -106,7 +107,8 @@ def _linearized_images(square, nbits: int, poly: frozenset) -> list[int]:
 
 
 def _exp_by_doubling(nbits: int, mul, gen: int) -> np.ndarray:
-    """gen^i for 0 <= i < 2^nbits - 1 in nbits doubling steps, under `mul`.
+    """gen^i for 0 <= i < 2^nbits - 1 in nbits doubling steps, under `mul`: nbits numpy
+    passes, not a Python loop over the powers.
 
     Each step sets exp[size:2*size] = gen^size * exp[:size] in _CHUNK_ELEMENTS pieces,
     the F_2-linear product by a constant as a `LinearMap`. Raises ArithmeticError
@@ -178,9 +180,12 @@ def _quotient_logs(log: np.ndarray, u, v, k: int | None, j: int, nbits: int) -> 
 class _LogTables:
     """Antilog and log tables `exp`, `log` (log[0] a sentinel) of GF(2^nbits), with n
     nonzero elements, from its product `mul` and powers `pow_` on bit patterns; `exp`
-    from the first primitive element >= start, `log` filled in _CHUNK_ELEMENTS pieces."""
+    from the first primitive element >= start, `log` filled in _CHUNK_ELEMENTS pieces.
+    Squaring `sq` is a `LinearMap` from `mul` on the basis bits, and every other
+    linearized map is built through it by `linear_map`."""
 
     def __init__(self, nbits: int, mul, pow_, start: int):
+        self.nbits = nbits
         n = self.n = (1 << nbits) - 1
         primes = prime_factors(n)
         gen = next(c for c in range(start, n + 1)
@@ -190,6 +195,19 @@ class _LogTables:
         for a in range(0, n, _CHUNK_ELEMENTS):
             part = self.exp[a:a + _CHUNK_ELEMENTS]
             self.log[part] = np.arange(a, a + part.size, dtype=np.int32)
+        self._maps: dict[frozenset, LinearMap] = {}
+        self.sq = LinearMap([mul(1 << j, 1 << j) for j in range(nbits)])
+
+    def linear_map(self, poly: frozenset) -> LinearMap:
+        """sum(x^e for e in poly) as a `LinearMap`, its basis images squared through `sq`;
+        every exponent a power of 2. Built once per exponent set and then shared, since
+        the chunk bodies of main_theorem and hprop ask for f_alpha in every chunk; so a
+        change to `sq` reaches only the maps built after it."""
+        # sweep threads may both miss and build the same map; the later store wins,
+        # with the same values, so no lock is needed
+        if (mp := self._maps.get(poly)) is None:
+            mp = self._maps[poly] = LinearMap(_linearized_images(self.sq, self.nbits, poly))
+        return mp
 
     def pow_vec(self, *factors) -> np.ndarray:
         """The elementwise product of u^e over the (u, e) factors: 0 wherever
@@ -198,12 +216,12 @@ class _LogTables:
         per element (a column of exponents gives one row per exponent); each
         later factor broadcasts to the shape of the first.
 
-        The first factor's logs are multiplied into one int64 buffer, which
-        the others are added to and which is reduced mod n in place. A later
-        factor with one exponent whose products fit in int32,
-        |e| * (n - 1) < 2^31, is multiplied in place on its own log gather.
-        Each gather is a raise-mode `take`: the values of a fancy index, and its
-        IndexError out of range, at a fraction of its cost on int32 indices."""
+        The first factor's logs are multiplied into one int64 buffer, since such
+        products pass 2^31 from about m = 16; the others are added to it, and it
+        is reduced mod n in place. A later factor with one exponent whose products
+        fit in int32, |e| * (n - 1) < 2^31, is multiplied in place on its own log
+        gather. Each gather is a raise-mode `take`: the values of a fancy index,
+        and its IndexError out of range, at a fraction of its cost on int32 indices."""
         (u, e), *rest = factors
         logs = np.multiply(self.log.take(u), e, dtype=np.int64)
         for v, f in rest:
@@ -228,8 +246,7 @@ class _LogTables:
 
 
 class FieldTables(_LogTables):
-    """log/exp tables for one GF(2^m), m >= 2, and squaring `sq` and the trace `tr`
-    as `LinearMap`s."""
+    """The `_LogTables` of one GF(2^m), m >= 2, and the trace `tr` as a `LinearMap`."""
 
     def __init__(self, spec: FieldSpec):
         if spec.m < 2:
@@ -237,20 +254,7 @@ class FieldTables(_LogTables):
         self.spec = spec
         self.q = spec.q
         super().__init__(spec.m, spec.mul, spec.pow, 2)
-        self._maps: dict[frozenset, LinearMap] = {}
-        self.sq = LinearMap([spec.square(1 << j) for j in range(spec.m)])
         self.tr = self.linear_map(trace_poly(spec.m))
-
-    def linear_map(self, poly: frozenset) -> LinearMap:
-        """sum(x^e for e in poly) as a `LinearMap`, its basis images squared through `sq`;
-        every exponent a power of 2. Built once per exponent set and then shared, since
-        the chunk bodies of main_theorem and hprop ask for f_alpha in every chunk; so a
-        change to `sq` reaches only the maps built after it."""
-        # sweep threads may both miss and build the same map; the later store wins,
-        # with the same values, so no lock is needed
-        if (mp := self._maps.get(poly)) is None:
-            mp = self._maps[poly] = LinearMap(_linearized_images(self.sq, self.spec.m, poly))
-        return mp
 
     def quotient_vec(self, u: np.ndarray, v, k: int | None = None, j: int = 0) -> np.ndarray:
         """u^(2^k + 1) / v^(2^j) elementwise (u / v^(2^j) for k None): 0 wherever u is
@@ -278,7 +282,9 @@ class FieldTables(_LogTables):
     def circle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """GF(q) tables for x = z + 1/z: c[i] = z^i + z^-i (i = 0..q) for a z of order q + 1
         on B_1, idx[x] the i <= q/2 with c[i] = x, z0[x] a z in GF(q)* with z + 1/z = x (else
-        0); ArithmeticError if exp leaves GF(q), no z is found or the halves do not split GF(q)."""
+        0); ArithmeticError if exp leaves GF(q), no z is found or the halves do not split GF(q).
+        They must split it: z + 1/z lies in GF(q) iff z^(q-1) = 1 or z^(q+1) = 1, so each x
+        is z + 1/z for a z on exactly one of the two halves. Built once per object."""
         return self._circle
 
     @cached_property
@@ -339,7 +345,9 @@ def g_beta_table(ft: FieldTables, p: ParamSet) -> np.ndarray:
 
 def h_value_table(ft: FieldTables, p: ParamSet, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """H at x = lo..hi-1, by default the whole field; index x - lo, so over the
-    whole field the element bit pattern. 0 at x = 0, where f_alpha is 0."""
+    whole field the element bit pattern. 0 at x = 0, where f_alpha is 0. Its peak
+    allocation is exp's take, whose int32 index numpy copies to intp: 20 MiB over
+    the whole field at m = 20, for a 4 MiB result."""
     hi = ft.q if hi is None else hi
     h = ft.quotient_vec(f_alpha_table(ft, p, lo, hi), slice(lo, hi), p.k, 1)
     if p.gamma:
@@ -348,8 +356,9 @@ def h_value_table(ft: FieldTables, p: ParamSet, lo: int = 0, hi: int | None = No
 
 
 class ExtTables(_LogTables):
-    """Packed log/exp tables for GF(q^2), elements a | (b << m), that zsumexp sweeps, and
-    squaring as a `LinearMap` of two q-entry halves: z^2 = sq_lo[z & (q-1)] ^ sq_hi[z >> m]."""
+    """The `_LogTables` of GF(q^2), packed as a | (b << m), that zsumexp sweeps: each
+    `LinearMap`, squaring `sq` and g0 included, has two q-entry halves. `zmap` and
+    `b1_packed` serve the benchmark, which times them."""
 
     def __init__(self, m: int):
         if not 2 <= m <= EXT_MAX_DEGREE:
@@ -364,14 +373,11 @@ class ExtTables(_LogTables):
         # so no primitive element of GF(q^2) is skipped by starting at q
         super().__init__(2 * m, lambda a, b: pack(ext.mul(unpack(a), unpack(b))),
                          lambda c, e: pack(ext.pow(unpack(c), e)), self.q)
-        #: z^2 for packed z in GF(q^2)
-        self.square = LinearMap([pack(ext.square(unpack(1 << j))) for j in range(2 * m)])
-        self.sq_lo, self.sq_hi = self.square.lo, self.square.hi
 
     def g0_table(self, k: int) -> LinearMap:
         """The k-term linearized map g0 = z + z^2 + ... + z^(2^(k-1)) as a `LinearMap` of
-        two 2^m-entry halves: g0(u) = lo[u & (q-1)] ^ hi[u >> m]."""
-        return LinearMap(_linearized_images(self.square, 2 * self.m, trace_poly(k)))
+        two 2^m-entry halves, g0(u) = lo[u & (q-1)] ^ hi[u >> m], built once per k."""
+        return self.linear_map(trace_poly(k))
 
     def b1_packed(self) -> np.ndarray:
         """B_1 as theta^i for i = 1..q, theta = g^(q-1); checked against the norm-1 form."""

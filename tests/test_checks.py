@@ -274,9 +274,9 @@ def test_rotation_is_a_product_by_a_power_of_two(nbits):
 
 def _whole_square(et) -> np.ndarray:
     """The whole 4^m-entry squaring table that ExtTables' halves hold, z = lo | hi << m:
-    sq_hi[hi] ^ sq_lo[lo] for every (hi, lo), so that it reads each entry of both
+    sq.hi[hi] ^ sq.lo[lo] for every (hi, lo), so that it reads each entry of both
     halves, also one that a test corrupts."""
-    return np.bitwise_xor.outer(et.sq_hi, et.sq_lo).ravel()
+    return np.bitwise_xor.outer(et.sq.hi, et.sq.lo).ravel()
 
 
 def _zsum_reference(et, k: int):
@@ -332,7 +332,7 @@ def test_zsum_chunk_matches_a_modulo_reference_on_corrupted_tables(monkeypatch, 
     compare = CheckOutcome.compare
     for k in coprime_ks(m):
         et = ExtTables(m)  # not the cached ext_tables(m), which other tests read
-        for tab in (et.exp, et.sq_lo, et.sq_hi):
+        for tab in (et.exp, et.sq.lo, et.sq.hi):
             tab[rng.integers(1, tab.size, 3)] ^= 1
         # the reference reads the whole squaring and g0 tables, the chunk their halves
         reference = _zsum_reference(et, k)
@@ -1276,9 +1276,9 @@ ZSUM_TESTED = 4 * ((1 << 18) - 2)
 #: folded in one pass. An exp value outside GF(2^18) fails the check before the
 #: sweep.
 ZSUM_CORRUPTED = {
-    "sq": (("sq_lo", (300,), 2, None),
+    "sq": (("sq.lo", (300,), 2, None),
            (ZSUM_TESTED, {"inputs": ["126e"], "lhs": "a187", "rhs": "a186"})),
-    "sq_twice": (("sq_hi", (40, 250), 5, None),
+    "sq_twice": (("sq.hi", (40, 250), 5, None),
                  (ZSUM_TESTED, {"inputs": ["3a351"], "lhs": "274e3", "rhs": "274e2"})),
     "exp_twice": (("exp", (70000, 200000), 2, None),
                   (ZSUM_TESTED, {"inputs": ["9256"], "lhs": "bff9", "rhs": "11170"})),
@@ -1291,7 +1291,7 @@ ZSUM_CORRUPTED = {
 def test_zsumexp_outcome_does_not_depend_on_the_worker_count(monkeypatch, label):
     (name, entries, k, value), expected = ZSUM_CORRUPTED[label]
     et = ExtTables(9)  # not the cached ext_tables(9), which other tests read
-    tab = getattr(et, name)
+    tab = operator.attrgetter(name)(et)
     for i in entries:
         tab[i] = tab[i] ^ 1 if value is None else value
     if value is None:  # the pin is the reference's, not the kernel's
@@ -1369,7 +1369,7 @@ def test_an_out_of_field_g0_value_fails_zsumexp(monkeypatch):
     build = et.g0_table
     monkeypatch.setattr(checks, "ext_tables", lambda m: et)
     for half, i in (("lo", 7), ("hi", 3)):
-        g0 = build(2)
+        g0 = copy.deepcopy(build(2))  # the cached map stays clean for the next half
         getattr(g0, half)[i] = 1 << 24
         monkeypatch.setattr(et, "g0_table", lambda k: g0)
         out = check_zsumexp(5, 2)

@@ -8,6 +8,24 @@ and return a failing record patched (an exception would fail the test). A
 mutant that drops an m term is equivalent at even m, so its rows sit at m = 3. This
 is mutation testing after DeMillo, Lipton and Sayward, "Hints on test data
 selection", IEEE Computer 11(4), 1978.
+
+The flips and the dropped m terms patch the ParamSets that the checks get, not the
+property itself: derive_params reads f_trace and g_trace for its own congruence, so a
+flipped property would make it raise before any check ran. h_trace reads f_trace, so
+flipping f_trace also flips h_trace.
+
+These mutants survive, because each is equivalent to the code it replaces:
+- gcd(n, q^2 - 1) < 3 for == 1 in nobauer: q^2 - 1 is odd, so the gcd is never 2;
+- `or m % 2 == 0` added to main_theorem's prediction: at even m, r is odd, so every
+  member permutes;
+- expect(True, ...) for polynomiality's constant-term verdict: the claim is true, so
+  no input tells them apart;
+- h_trace read as f_trace in h_dickson: it reads h_trace only at gamma = 0, where the
+  gamma*m term is 0;
+- h_dickson's f_trace verdict under an f_trace flip, and hitt's g_trace verdict under
+  a g_trace flip, at odd m: alpha and beta are chosen from that same property, so the
+  verdict still holds. At even m both choices have the same parity, so the verdict
+  fails, as at (2, 1); at odd m the check's other verdicts fail instead.
 """
 
 import dataclasses

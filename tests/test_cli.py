@@ -1,9 +1,13 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from permpoly import checks
 from permpoly.cli import main
+from permpoly.field import make_field
+from permpoly.tables import FieldTables
 
 
 def run(capsys, *argv):
@@ -147,6 +151,21 @@ def test_sweep_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("m,k,r,m_prime,alpha,gamma,predicted")
     assert len(lines) == 5
+
+
+def test_sweep_writes_json_bools_on_tables_whose_class_image_is_not_injective(capsys,
+                                                                               monkeypatch):
+    # log[3] = n moves H values out of place, so some class image is not injective
+    # and its flags are false; JSON must still write every flag as a boolean
+    ft = FieldTables(make_field(5))
+    ft.log[3] = ft.n
+    monkeypatch.setattr(checks, "field_tables", lambda m: ft)
+    code, out, _ = run(capsys, "--format", "json", "sweep", "--m-min", "5", "--m-max", "5",
+                       "--k-max", "2")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 4 and len(rows) == 8  # (5, 1) and (5, 2), four (alpha, gamma) each
+    assert all(type(row[flag]) is bool
+               for row in rows for flag in ("predicted", "observed", "agree"))
 
 
 def test_sweep_skips_non_coprime(capsys):
@@ -390,3 +409,37 @@ def test_output_deterministic(capsys):
     _, out1, _ = run(capsys, "expand", "--m", "5", "--k", "3", "--alpha", "1")
     _, out2, _ = run(capsys, "expand", "--m", "5", "--k", "3", "--alpha", "1")
     assert out1 == out2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_section(title: str) -> str:
+    """The text of README's `## title` section, up to the next section."""
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_every_command_of_the_readme_cli_block_runs(tmp_path, capsys):
+    block = _readme_section("CLI").split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("permpoly ")]
+    assert len(lines) == 8
+    for i, line in enumerate(lines):
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        path = tmp_path / f"{i}.txt"
+        code, out, _ = run(capsys, "--out", str(path), *argv)
+        assert (code, out) == (0, "") and path.read_text(), line
+        if argv == ["expand", "--m", "3", "--k", "2"]:  # its comment names the exponents
+            assert path.read_text() == comment.rpartition(":")[2].strip() + "\n" == "3,6,15,18\n"
+
+
+def test_the_readme_check_table_lists_every_check_with_its_caps():
+    rows = [line.split("|")[1:-1] for line in _readme_section("Checks").splitlines()
+            if line.startswith("| `")]
+    got = [(name.strip().strip("`"), default.strip(), largest.strip())
+           for name, _, _, default, largest in rows]
+    # a clamped check takes any cap and runs at its own limit, the m of its grid point
+    want = [(name, str(check.default_cap),
+             str(check.max_cap) if check.max_cap else f"any (runs at {check.grid(1 << 30)[0][0]})")
+            for name, check in checks.CHECKS.items()]
+    assert got == want

@@ -184,7 +184,7 @@ def test_doubling_rejects_non_primitive_elements():
 
 def _whole_square(et) -> np.ndarray:
     """The whole squaring table that ExtTables' halves hold, z = lo | hi << m."""
-    return np.bitwise_xor.outer(et.sq_hi, et.sq_lo).ravel()
+    return np.bitwise_xor.outer(et.sq.hi, et.sq.lo).ravel()
 
 
 def _whole_linear(sq: np.ndarray, poly: frozenset) -> np.ndarray:
@@ -202,18 +202,21 @@ def test_g0_halves_give_the_full_linearized_table():
 
     for m in range(2, 11):
         et = ext_tables(m)
-        assert et.sq_lo.size == et.sq_hi.size == et.q, m
+        assert et.sq.lo.size == et.sq.hi.size == et.q, m
         # the whole table from the halves' basis images: clean halves are F_2-linear
         basis = 1 << np.arange(m)
-        sq = LinearMap(et.sq_lo[basis].tolist() + et.sq_hi[basis].tolist()).span(0, et.Q)
+        sq = LinearMap(et.sq.lo[basis].tolist() + et.sq.hi[basis].tolist()).span(0, et.Q)
         assert np.array_equal(sq, _whole_square(et)), m
         for k in range(1, 2 * m):
             assert np.array_equal(joined(et, k), _whole_linear(sq, trace_poly(k))), (m, k)
-    # on corrupted halves, g0's halves and the whole table read the same wrong squares
+            assert et.g0_table(k) is et.g0_table(k), (m, k)  # built once per k
+    # on corrupted halves, g0's halves and the whole table read the same wrong squares;
+    # clean comes from its own tables, since a change to sq reaches only maps built after it
+    fresh = ExtTables(6)
+    clean = [joined(fresh, k) for k in range(1, 12)]
     et = ExtTables(6)  # not the cached ext_tables(6), which other tests read
-    clean = [joined(et, k) for k in range(1, 12)]
-    et.sq_lo[[1 << 3, 40]] ^= 1
-    et.sq_hi[[1 << 2, 50]] ^= 1
+    et.sq.lo[[1 << 3, 40]] ^= 1
+    et.sq.hi[[1 << 2, 50]] ^= 1
     sq = _whole_square(et)
     for k in range(1, 12):
         assert np.array_equal(joined(et, k), _whole_linear(sq, trace_poly(k))), k
@@ -264,13 +267,13 @@ def test_span_is_a_range_of_the_whole_table():
 
 @pytest.mark.parametrize("m", range(2, 11))
 def test_squaring_halves_and_g0_match_scalar_squares(m):
-    """sq_lo[z & (q-1)] ^ sq_hi[z >> m] against ExtField.square, and each g0_table(k)
+    """sq.lo[z & (q-1)] ^ sq.hi[z >> m] against ExtField.square, and each g0_table(k)
     against the scalar z + z^2 + ... + z^(2^(k-1)), at every z of GF(q^2) up to m = 6,
     else at 4096 seeded z; the squares come from field, not from the tables."""
     et, ext, q = ext_tables(m), extension_of(make_field(m)), 1 << m
     zs = range(q * q) if m <= 6 else random.Random(m).sample(range(q * q), 4096)
     zs = np.array(zs)
-    assert [int(s) for s in et.sq_lo[zs & (q - 1)] ^ et.sq_hi[zs >> m]] == \
+    assert [int(s) for s in et.sq.lo[zs & (q - 1)] ^ et.sq.hi[zs >> m]] == \
         [(s[0] | s[1] << m) for s in (ext.square((z & (q - 1), z >> m)) for z in zs.tolist())]
     sums = []  # sums[k - 1][i]: z + ... + z^(2^(k-1)) at zs[i], packed
     for z in zs.tolist():
@@ -409,7 +412,7 @@ def test_every_table_is_int32():
         "poly_table": ft.poly_table(frozenset({0, 3, 5})),
         "pow_vec": ft.pow_vec((xs, 3), (xs, -1)),
         "circle c": c, "circle idx": idx, "circle z0": z0, "dickson_vec": ft.dickson_vec(5, xs),
-        "ext exp": et.exp, "ext log": et.log, "ext sq_lo": et.sq_lo, "ext sq_hi": et.sq_hi,
+        "ext exp": et.exp, "ext log": et.log, "ext sq.lo": et.sq.lo, "ext sq.hi": et.sq.hi,
         "g0_table lo": et.g0_table(2).lo, "g0_table hi": et.g0_table(2).hi,
         "ext pow_vec": et.pow_vec((np.arange(et.Q), 3)), "b1_packed": et.b1_packed(),
         "zmap": et.zmap(),
@@ -417,7 +420,7 @@ def test_every_table_is_int32():
     assert {name: str(t.dtype) for name, t in tables.items()} == dict.fromkeys(tables, "int32")
     # 4 bytes for each of the 2^20 - 1 powers, 2^20 logs and 2 x 2^10 half squares
     et = ext_tables(10)
-    assert et.exp.nbytes + et.log.nbytes + et.sq_lo.nbytes + et.sq_hi.nbytes == \
+    assert et.exp.nbytes + et.log.nbytes + et.sq.lo.nbytes + et.sq.hi.nbytes == \
         4 * (2 * (1 << 20) - 1 + 2 * (1 << 10)) == 8_396_796
 
 
